@@ -18,9 +18,10 @@ import numpy as np
 
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
-from .hypotest import distill_fidelity_program
+from .hypotest import dh_epsilon, distill_fidelity_program
 from .states import (
     check_pure,
+    dephase,
     load_state,
     pure_to_density,
     state_from_json,
@@ -118,11 +119,8 @@ def cmd_distill(args) -> int:
     rho = _load_density(args.state)
     certificates = {}
     if args.regime == "one-shot":
-        from .hypotest import dh_epsilon
-        from .states import dephase
-
         np_result = dh_epsilon(rho, dephase(rho), args.eps)
-        report = rates.distill_one_shot(rho, args.eps)
+        report = rates.distill_one_shot_from(np_result, args.eps)
         certificates = {
             "dual_value": np_result.dual_value,
             "duality_gap": np_result.gap,
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coherence monotones, transformation deciders and channel "
         "synthesis for dephasing-covariant operations.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monotones", help="evaluate the monotone family on a state")
@@ -326,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

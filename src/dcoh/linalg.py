@@ -23,7 +23,7 @@ def check_hermitian(a, atol: float = HERM_ATOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if asym > atol:
+    if not asym <= atol:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
         )
@@ -103,7 +103,11 @@ def fidelity(rho, sigma) -> float:
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     sr = matrix_power(rho, 0.5)
-    inner = sr @ sigma @ sr
+    return fidelity_from_inner(sr @ sigma @ sr)
+
+
+def fidelity_from_inner(inner) -> float:
+    """F(rho, sigma) = (Tr sqrt(inner))^2 from inner = sqrt(rho) sigma sqrt(rho)."""
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
     return min(max(f, 0.0), 1.0)

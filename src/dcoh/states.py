@@ -24,7 +24,7 @@ def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace); returns it symmetrized."""
     rho = check_psd(check_hermitian(rho))
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
     return rho
 
@@ -33,7 +33,7 @@ def check_pure(psi) -> np.ndarray:
     """Validate a pure-state amplitude vector (unit l2 norm)."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > NORM_ATOL:
+    if not abs(nrm - 1.0) <= NORM_ATOL:
         raise ValueError(f"norm is {nrm!r}, expected 1 within {NORM_ATOL:.1e}")
     return psi
 
@@ -45,7 +45,7 @@ def prob_vector(p) -> np.ndarray:
         raise ValueError(f"negative probability {p.min()!r}")
     p = np.where(p < 0.0, 0.0, p)
     s = float(p.sum())
-    if abs(s - 1.0) > NORM_ATOL:
+    if not abs(s - 1.0) <= NORM_ATOL:
         raise ValueError(f"probabilities sum to {s!r}, expected 1 within {NORM_ATOL:.1e}")
     return p / s
 

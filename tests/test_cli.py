@@ -163,6 +163,17 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_non_finite_document_exit_code(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"kind": "density", "dim": 2, "re": [[NaN, 0], [0, NaN]], '
+                   '"im": [[0, 0], [0, 0]]}')
+    code = cli.main(["distill", str(bad), "--eps", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_reports_are_deterministic(capsys, files):
     _, rep1 = run(capsys, ["monotones", files["qutrit"]])
     _, rep2 = run(capsys, ["monotones", files["qutrit"]])

@@ -30,6 +30,13 @@ def test_check_hermitian_rejects_asymmetric():
         check_hermitian(a)
 
 
+def test_check_hermitian_rejects_non_finite():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(np.full((2, 2), np.nan))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_check_hermitian_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         check_hermitian(np.ones((2, 3)))

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dcoh.hypotest import dh_epsilon
 from dcoh.linalg import fidelity
 from dcoh.monotones import r_delta
 from dcoh.rates import (
+    _dilution_lower_unit,
+    _dilution_upper_unit,
     asymptotic_rate,
     dilute_asymptotic,
     dilute_one_shot_bounds,
@@ -18,13 +21,14 @@ from dcoh.rates import (
     guarded_ceil,
     guarded_floor,
 )
-from dcoh.states import max_coherent, pure_to_density
+from dcoh.states import dephase, max_coherent, pure_to_density
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
 
 
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_rho(rng, d, rank=None):
+    rank = d if rank is None else rank
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
@@ -84,8 +88,9 @@ def test_zero_error_asymptotics_unfloored():
 
 def test_dilution_bounds_bracket_and_eps_zero_collapse():
     rng = np.random.default_rng(71)
-    for _ in range(15):
-        rho = rand_rho(rng, int(rng.integers(2, 5)))
+    states = [rand_rho(rng, int(rng.integers(2, 5))) for _ in range(15)]
+    states += [rand_rho(rng, d, d // 2) for d in (2, 3, 4, 5)]
+    for rho in states:
         lo0, hi0 = dilute_one_shot_bounds(rho, 0.0)
         exact = dilute_zero_error(rho)
         assert lo0.one_shot_bits == hi0.one_shot_bits == exact.one_shot_bits
@@ -94,6 +99,62 @@ def test_dilution_bounds_bracket_and_eps_zero_collapse():
             assert lo.raw_value <= hi.raw_value + 1e-9
             assert hi.raw_value <= exact.raw_value + 1e-9  # smoothing only helps
             assert lo.one_shot_bits <= hi.one_shot_bits
+
+
+def _twelve_point_lower_unit(rho, eps):
+    """Reference lower bound: the test-operator bound at the optimal
+    hypothesis tests for 12 type-I error levels."""
+    delta = dephase(rho)
+    root_eps = math.sqrt(eps)
+    best = 1.0
+    for dlt in np.linspace(0.0, 0.9, 12):
+        m = dh_epsilon(rho, delta, float(dlt)).primal
+        num = float(np.trace(m @ rho).real) - root_eps
+        den = float(np.trace(m @ delta).real) + root_eps
+        if num > 0.0 and den > 0.0:
+            best = max(best, num / den)
+    return best
+
+
+def _grid_upper_unit(rho, eps):
+    """Reference upper bound: a 201-point grid over w_t, then 50 bisection
+    steps above the last feasible grid point."""
+    delta = dephase(rho)
+    lam0 = r_delta(rho) + 1.0
+
+    def feasible(t):
+        return fidelity(rho, (1.0 - t) * rho + t * delta) >= 1.0 - eps - 1e-12
+
+    grid = np.linspace(0.0, 1.0, 201)
+    best_t = max([float(t) for t in grid if feasible(float(t))], default=0.0)
+    lo, hi = best_t, min(best_t + grid[1], 1.0)
+    if best_t < 1.0:
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        best_t = lo
+    return best_t + (1.0 - best_t) * lam0
+
+
+def test_dilution_units_match_grid_references():
+    rng = np.random.default_rng(73)
+    tighter = 0
+    for i in range(20):
+        d = 2 + i % 4
+        full_rank = i % 2 == 0
+        rho = rand_rho(rng, d, d if full_rank else d // 2)
+        eps = float(rng.choice([0.01, 0.05, 0.1]))
+        lo, ref_lo = _dilution_lower_unit(rho, eps), _twelve_point_lower_unit(rho, eps)
+        assert lo >= ref_lo - 1e-12
+        tighter += lo > ref_lo + 1e-9
+        if full_rank:
+            # on rank-deficient states the fidelity itself carries ~1e-8 of
+            # rounding noise, so both searches stop at different noisy t
+            assert abs(_dilution_upper_unit(rho, eps) - _grid_upper_unit(rho, eps)) <= 1e-9
+    assert tighter > 0
 
 
 def test_dilution_upper_bound_witness_is_feasible():
@@ -105,8 +166,6 @@ def test_dilution_upper_bound_witness_is_feasible():
     # reconstruct the witness: unit = t + (1-t)(R_Delta(rho)+1)
     lam0 = r_delta(rho) + 1.0
     t = (2.0 ** hi.raw_value - lam0) / (1.0 - lam0) if lam0 > 1.0 else 0.0
-    from dcoh.states import dephase
-
     omega = (1.0 - t) * rho + t * dephase(rho)
     assert fidelity(rho, omega) >= 1.0 - eps - 1e-9
     assert abs((r_delta(omega) + 1.0) - 2.0 ** hi.raw_value) < 1e-7

@@ -24,6 +24,13 @@ def test_check_density_rejects_bad_trace():
         check_density(np.eye(2))
 
 
+def test_check_density_rejects_non_finite():
+    with pytest.raises(ValueError):
+        check_density(np.full((2, 2), np.nan))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        check_density(np.diag([np.inf, 0.0]))
+
+
 def test_check_density_rejects_non_psd():
     rho = np.array([[0.5, 0.6], [0.6, 0.5]])
     with pytest.raises(ValueError, match="PSD"):
@@ -37,6 +44,12 @@ def test_check_pure_norm():
     assert psi.dtype == complex
 
 
+def test_check_pure_rejects_non_finite():
+    for psi in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="norm"):
+            check_pure(psi)
+
+
 def test_prob_vector_clamps_dust_and_normalizes():
     p = prob_vector([0.5, 0.5 + 1e-13, -1e-13])
     assert p.min() >= 0.0
@@ -46,6 +59,12 @@ def test_prob_vector_clamps_dust_and_normalizes():
 def test_prob_vector_rejects_negative():
     with pytest.raises(ValueError, match="negative"):
         prob_vector([1.1, -0.1])
+
+
+def test_prob_vector_rejects_non_finite():
+    for p in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="sum"):
+            prob_vector(p)
 
 
 def test_dephase_kills_offdiagonals_and_is_idempotent():
