@@ -53,8 +53,9 @@ def _input_entry(path: str) -> dict:
 def _emit(report: dict, started: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
     report["tolerances"] = {"decision": decision_tol()}
-    json.dump(report, sys.stdout, sort_keys=True, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    # serialize first: a NaN or infinity raises before stdout sees anything
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _json_default(obj):
@@ -79,6 +80,15 @@ def _load_pure(path: str) -> np.ndarray:
 
 def _finite(x: float):
     return "inf" if math.isinf(x) else x
+
+
+def _diagnostics(result) -> dict:
+    """Solver path and work counters of an NPResult or FidelityProgram."""
+    return {
+        "eig_calls": result.eig_calls,
+        "path": result.path,
+        "band_widenings": result.band_widenings,
+    }
 
 
 def cmd_monotones(args) -> int:
@@ -117,7 +127,7 @@ def _rate_dict(r: rates.RateReport) -> dict:
 def cmd_distill(args) -> int:
     started = time.perf_counter()
     rho = _load_density(args.state)
-    certificates = {}
+    certificates, diagnostics = {}, {}
     if args.regime == "one-shot":
         np_result = dh_epsilon(rho, dephase(rho), args.eps)
         report = rates.distill_one_shot_from(np_result, args.eps)
@@ -125,6 +135,7 @@ def cmd_distill(args) -> int:
             "dual_value": np_result.dual_value,
             "duality_gap": np_result.gap,
         }
+        diagnostics = {"diagnostics": _diagnostics(np_result)}
     elif args.regime == "zero":
         report = rates.distill_zero_error(rho)
     else:
@@ -135,6 +146,7 @@ def cmd_distill(args) -> int:
             "inputs": [_input_entry(args.state)],
             "results": _rate_dict(report),
             "certificates": certificates,
+            **diagnostics,
         },
         started,
     )
@@ -144,14 +156,19 @@ def cmd_distill(args) -> int:
 def cmd_decide(args) -> int:
     started = time.perf_counter()
     tol = decision_tol()
-    if args.qubit:
+    mode = "qubit" if args.qubit else "heralded" if args.heralded else "pure"
+    want = 1 if mode == "heralded" else 2
+    if len(args.states) != want:
+        raise ValueError(
+            f"decide in {mode} mode takes {want} state file(s), got {len(args.states)}"
+        )
+    if mode == "qubit":
         rho_path, sigma_path = args.states
         decision = ch.qubit_decide(
             _load_density(rho_path), _load_density(sigma_path), slack=tol
         )
-        mode = "qubit"
         inputs = [_input_entry(rho_path), _input_entry(sigma_path)]
-    elif args.heralded:
+    elif mode == "heralded":
         psi_path, ens_path = args.states[0], args.heralded
         psi = _load_pure(psi_path)
         with open(ens_path, encoding="utf-8") as fh:
@@ -161,12 +178,10 @@ def cmd_decide(args) -> int:
             for item in doc["items"]
         ]
         decision = majorization.heralded_decide(psi, ensemble)
-        mode = "heralded"
         inputs = [_input_entry(psi_path), _input_entry(ens_path)]
     else:
         psi_path, phi_path = args.states
         decision = majorization.dio_pure_decide(_load_pure(psi_path), _load_pure(phi_path))
-        mode = "pure"
         inputs = [_input_entry(psi_path), _input_entry(phi_path)]
     _emit(
         {
@@ -183,11 +198,17 @@ def cmd_decide(args) -> int:
 def cmd_channel(args) -> int:
     started = time.perf_counter()
     if args.construct:
+        if args.state is None:
+            raise ValueError(f"channel --construct {args.construct} needs --state")
+        if args.construct == "prop5" and args.target is None:
+            raise ValueError("channel --construct prop5 needs --target")
+        diagnostics = {}
         if args.construct == "distill":
             rho = _load_density(args.state)
             program = distill_fidelity_program(rho, args.m)
             channel = ch.construct_distill(rho, args.m, program.primal)
             extras = {"fidelity": program.value, "duality_gap": program.gap}
+            diagnostics = {"diagnostics": _diagnostics(program)}
             inputs = [_input_entry(args.state)]
         elif args.construct == "dilute":
             omega = _load_density(args.state)
@@ -219,6 +240,7 @@ def cmd_channel(args) -> int:
                     "dio_violation": dio_viol,
                     **extras,
                 },
+                **diagnostics,
             },
             started,
         )
@@ -256,7 +278,7 @@ def cmd_oracle(args) -> int:
     results = {
         "status": verdict.status,
         "iterations": verdict.iterations,
-        "residual": None if math.isnan(verdict.residual) else verdict.residual,
+        "residual": verdict.residual if math.isfinite(verdict.residual) else None,
     }
     if verdict.certificate is not None:
         name, v_in, v_out = verdict.certificate

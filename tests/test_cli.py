@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,10 +28,27 @@ def files(tmp_path):
     return paths
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+    return code, strict_loads(out) if out else None
+
+
+def assert_input_error(capsys, argv, match):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert match in captured.err
 
 
 def test_monotones_maxcoherent(capsys, files):
@@ -186,3 +204,53 @@ def test_cohere_tol_env_override(capsys, files, monkeypatch):
     monkeypatch.setenv("COHERE_TOL", "1e-6")
     _, rep = run(capsys, ["monotones", files["qutrit"]])
     assert rep["tolerances"]["decision"] == 1e-6
+
+
+def test_channel_construct_missing_arguments(capsys, files):
+    assert_input_error(capsys, ["channel", "--construct", "distill"], "needs --state")
+    assert_input_error(capsys, ["channel", "--construct", "prop5", "--target", files["psi2_dm"]],
+                       "needs --state")
+    assert_input_error(capsys, ["channel", "--construct", "prop5", "--state", files["qutrit"]],
+                       "needs --target")
+
+
+def test_oracle_zero_iterations_is_strict_json(capsys, files):
+    code, rep = run(capsys, ["oracle", files["qutrit"], files["qutrit"], "--max-iters", "0"])
+    assert code == 2
+    assert rep["results"]["status"] == "undetermined"
+    assert rep["results"]["residual"] is None
+
+
+def test_emit_refuses_non_finite_values(capsys, monkeypatch, files):
+    nan_report = SimpleNamespace(r_delta=math.nan, rel_entropy_bits=0.0, renyi=[], l1=1.0,
+                                 c_k=[], lp_moduli=[])
+    monkeypatch.setattr(cli.monotones, "monotone_report", lambda rho, psi=None: nan_report)
+    assert_input_error(capsys, ["monotones", files["qutrit"]], "not JSON compliant")
+
+
+def test_decide_wrong_number_of_states(capsys, files):
+    q = files["qutrit"]
+    assert_input_error(capsys, ["decide", q, q, q], "pure mode takes 2 state file(s), got 3")
+    assert_input_error(capsys, ["decide", "--qubit", files["psi2_dm"]],
+                       "qubit mode takes 2 state file(s), got 1")
+    assert_input_error(capsys, ["decide", files["psi2"], files["psi2"], "--heralded", q],
+                       "heralded mode takes 1 state file(s), got 2")
+
+
+def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_path):
+    argvs = [
+        ["distill", files["qutrit"], "--eps", "0.1"],
+        ["channel", "--construct", "distill", "--state", files["qutrit"], "--m", "3",
+         "--out", str(tmp_path / "distill.json")],
+    ]
+    for argv in argvs:
+        _, rep1 = run(capsys, argv)
+        _, rep2 = run(capsys, argv)
+        diag = rep1["diagnostics"]
+        assert diag["path"] in ("kink", "smooth")
+        assert diag["eig_calls"] >= 3 and diag["band_widenings"] == 0
+        rep1.pop("wall_time_s")
+        rep2.pop("wall_time_s")
+        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+    _, rep = run(capsys, ["distill", files["qutrit"], "--eps", "0.0"])
+    assert rep["diagnostics"] == {"eig_calls": 2, "path": "closed_form", "band_widenings": 0}

@@ -15,10 +15,40 @@ from dcoh.states import dephase, max_coherent, pure_to_density
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
 
 
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_rho(rng, d, rank=None):
+    rank = d if rank is None else rank
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def bisect_dual_reference(a0, a1, c):
+    """Plain-bisection reference: min over t >= 0 of the convex
+    psi(t) = Tr(a0 + t a1)_+ - c t, by doubling to bracket the sign change
+    of a subgradient (no zero band), bisecting it to 1e-14 relative width
+    and evaluating psi at the end."""
+
+    def psi(t):
+        w = np.linalg.eigvalsh(a0 + t * a1)
+        return float(np.sum(w[w > 0.0])) - c * t
+
+    def slope(t):
+        w, v = np.linalg.eigh(a0 + t * a1)
+        up = v[:, w > 0.0]
+        return float(np.trace(up.conj().T @ a1 @ up).real) - c
+
+    if slope(0.0) >= -1e-12:
+        return psi(0.0)
+    lo, hi = 0.0, 1.0
+    while slope(hi) < -1e-12:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-14 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < -1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return psi(hi)
 
 
 def diag_dh_oracle(r, s, eps):
@@ -194,3 +224,93 @@ def test_distill_fidelity_decreasing_in_m():
 def test_distill_fidelity_rejects_small_m():
     with pytest.raises(ValueError):
         distill_fidelity(np.eye(2) / 2, 0.5)
+
+
+def _check_dh(rho, sigma, eps):
+    res = dh_epsilon(rho, sigma, eps)
+    check_test_operator(res.primal, atol=1e-8)
+    assert np.trace(res.primal @ rho).real >= 1.0 - eps - 1e-8
+    assert abs(res.gap) < 1e-6
+    want = -bisect_dual_reference(-sigma, rho, 1.0 - eps)
+    assert abs(res.optimal_value - want) < 1e-9, (res.optimal_value, want, res.path)
+    assert res.path in ("kink", "smooth") and res.band_widenings == 0
+    return res
+
+
+def _check_fidelity(rho, m):
+    prog = distill_fidelity_program(rho, m)
+    delta = dephase(rho)
+    check_test_operator(prog.primal, atol=1e-8)
+    assert abs(np.trace(prog.primal @ delta).real - 1.0 / m) < 1e-8
+    assert abs(prog.gap) < 1e-6
+    want = bisect_dual_reference(rho, -delta, -1.0 / m)
+    assert abs(prog.value - want) < 1e-9, (prog.value, want, prog.path)
+    assert prog.path in ("kink", "smooth") and prog.band_widenings == 0
+    return prog
+
+
+def test_rank_deficient_states_match_bisection_reference():
+    rng = np.random.default_rng(606)
+    paths = set()
+    for d in range(2, 9):
+        for rank in range(1, d):
+            rho = rand_rho(rng, d, rank)
+            eps = float(rng.choice([0.01, 0.05, 0.1, 0.3]))
+            paths.add(_check_dh(rho, dephase(rho), eps).path)
+            paths.add(_check_dh(rho, rand_rho(rng, d), eps).path)
+            paths.add(_check_fidelity(rho, float(rng.choice([2, 3, d, 2.5]))).path)
+    assert paths == {"kink", "smooth"}
+
+
+def test_singular_sigma():
+    # a zero amplitude makes dephase(rho) singular
+    psi = np.array([0.6, 0.0, 0.48 + 0.64j])
+    rho = pure_to_density(psi)
+    for eps in (0.01, 0.2):
+        _check_dh(rho, dephase(rho), eps)
+    for m in (2, 3):
+        _check_fidelity(rho, m)
+    rng = np.random.default_rng(707)
+    for d in (3, 5):
+        for rank in range(1, d):
+            sigma = rand_rho(rng, d, rank)
+            _check_dh(rand_rho(rng, d), sigma, 0.1)
+            _check_dh(rand_rho(rng, d, rank), sigma, 0.05)
+
+
+def test_solver_diagnostics():
+    rho = pure_to_density(QUTRIT)
+    res = dh_epsilon(rho, dephase(rho), 0.0)
+    assert (res.path, res.eig_calls, res.band_widenings) == ("closed_form", 2, 0)
+    # commuting states: the optimum is a vertex of the LP, here the largest
+    # kink t = 2.5 of the pencil
+    res = dh_epsilon(np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5]), 0.05)
+    assert res.path == "kink" and res.band_widenings == 0
+    assert abs(res.dual_t - 2.5) < 1e-12
+    assert abs(res.optimal_value - diag_dh_oracle([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 0.05)) < 1e-12
+
+
+def test_eigendecompositions_per_solve_at_d32(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(808)
+    paths = set()
+    for rank in (32, 16):
+        rho = rand_rho(rng, 32, rank)
+        solves = [lambda eps=eps: dh_epsilon(rho, dephase(rho), eps) for eps in (0.01, 0.05, 0.1)]
+        solves += [lambda m=m: distill_fidelity_program(rho, m) for m in (2, 4, 8, 16)]
+        for solve in solves:
+            calls.clear()
+            res = solve()
+            assert len(calls) <= 12
+            # the kinks take one eigh and one eigvalsh, every other solver
+            # decomposition is an eigh
+            assert res.eig_calls == len(calls) + 1
+            paths.add(res.path)
+    assert paths == {"kink", "smooth"}
