@@ -6,6 +6,9 @@ Choi convention (input factor first, unnormalized):
     J = sum_{x1,x2} |x1><x2| (x) E(|x1><x2|)
 so J is PSD iff E is completely positive, and the partial trace of J over
 the output factor equals the input identity iff E is trace preserving.
+
+Every constructed channel is measure-and-prepare, Q -> sum_k Tr(A_k Q) omega_k,
+and its Choi operator is sum_k A_k^T (x) omega_k (`measure_prepare`).
 """
 
 from __future__ import annotations
@@ -65,17 +68,10 @@ def channel_from_kraus(kraus, input_dim: int | None = None, output_dim: int | No
     )
 
 
-def channel_from_map(fn, input_dim: int, output_dim: int) -> QuantumChannel:
-    """Build the Choi operator by applying a linear map to each |x1><x2|."""
-    n = input_dim * output_dim
-    j = np.zeros((n, n), dtype=complex)
-    j4 = j.reshape(input_dim, output_dim, input_dim, output_dim)
-    for x1 in range(input_dim):
-        for x2 in range(input_dim):
-            e = np.zeros((input_dim, input_dim), dtype=complex)
-            e[x1, x2] = 1.0
-            j4[x1, :, x2, :] = fn(e)
-    return QuantumChannel(input_dim, output_dim, j)
+def measure_prepare(pairs) -> QuantumChannel:
+    """The channel Q -> sum_k Tr(A_k Q) omega_k, given as pairs (A_k, omega_k)."""
+    choi = sum(np.kron(a.T, w) for a, w in pairs).astype(complex)
+    return QuantumChannel(pairs[0][0].shape[0], pairs[0][1].shape[0], choi)
 
 
 def validate_channel(ch: QuantumChannel) -> None:
@@ -107,23 +103,6 @@ def apply(ch: QuantumChannel, rho) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def _compose_dephase_out(ch: QuantumChannel) -> np.ndarray:
-    """Choi of (dephase after channel)."""
-    j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim).copy()
-    mask = np.eye(ch.output_dim, dtype=bool)
-    j4 *= mask[None, :, None, :]
-    return j4.reshape(ch.choi.shape)
-
-
-def _compose_dephase_in(ch: QuantumChannel) -> np.ndarray:
-    """Choi of (channel after dephase)."""
-    j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
-    out = np.zeros_like(j4)
-    for x in range(ch.input_dim):
-        out[x, :, x, :] = j4[x, :, x, :]
-    return out.reshape(ch.choi.shape)
-
-
 def is_dio(ch: QuantumChannel, atol: float = DIO_ATOL) -> tuple[bool, float]:
     """Check dephasing covariance for every input, via Choi equality.
 
@@ -131,7 +110,11 @@ def is_dio(ch: QuantumChannel, atol: float = DIO_ATOL) -> tuple[bool, float]:
     conditions are cross-checked as well; the reported violation is the
     maximum over both routes.
     """
-    violation = float(np.linalg.norm(_compose_dephase_out(ch) - _compose_dephase_in(ch)))
+    j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
+    diag_in = np.eye(ch.input_dim, dtype=bool)[:, None, :, None]
+    diag_out = np.eye(ch.output_dim, dtype=bool)[None, :, None, :]
+    # Choi of (dephase after channel) minus Choi of (channel after dephase)
+    violation = float(np.linalg.norm(j4 * diag_out - j4 * diag_in))
     if ch.kraus is not None:
         _, viols = kraus_dio_conditions(ch.kraus)
         violation = max(violation, viols["diag_to_diag"], viols["offdiag_to_offdiag"])
@@ -153,17 +136,9 @@ def twirl_channel(dim: int) -> QuantumChannel:
     their common mean, without enumerating the d! permutations."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    eye = np.eye(dim, dtype=complex)
-    ones = np.ones((dim, dim), dtype=complex)
-
-    def act(e):
-        diag = np.trace(e) / dim
-        if dim == 1:
-            return diag * eye
-        off = (np.sum(e) - np.trace(e)) / (dim * (dim - 1))
-        return diag * eye + off * (ones - eye)
-
-    return channel_from_map(act, dim, dim)
+    eye = np.eye(dim)
+    off = np.ones((dim, dim)) - eye
+    return measure_prepare([(eye, eye / dim), (off, off / max(dim * (dim - 1), 1))])
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
@@ -191,12 +166,7 @@ def construct_distill(rho, m: int, x) -> QuantumChannel:
         raise ValueError(f"<X, dephase(rho)> = {weight!r}, expected 1/{m}")
     psi_m = np.outer(max_coherent(m), max_coherent(m).conj())
     rest = (np.eye(m) - psi_m) / (m - 1)
-
-    def act(e):
-        a = np.trace(x @ e)
-        return a * psi_m + (np.trace(e) - a) * rest
-
-    return channel_from_map(act, rho.shape[0], m)
+    return measure_prepare([(x, psi_m), (np.eye(rho.shape[0]) - x, rest)])
 
 
 def construct_dilute(m: int, omega) -> QuantumChannel:
@@ -212,15 +182,10 @@ def construct_dilute(m: int, omega) -> QuantumChannel:
     if m == 1:
         if not is_incoherent(omega):
             raise ValueError("m = 1 requires an incoherent target")
-        return channel_from_map(lambda e: np.trace(e) * omega, 1, omega.shape[0])
+        return measure_prepare([(np.eye(1), omega)])
     z = (m * dephase(omega) - omega) / (m - 1)
     psi_m = np.outer(max_coherent(m), max_coherent(m).conj())
-
-    def act(e):
-        a = np.trace(psi_m @ e)
-        return a * omega + (np.trace(e) - a) * z
-
-    return channel_from_map(act, m, omega.shape[0])
+    return measure_prepare([(psi_m, omega), (np.eye(m) - psi_m, z)])
 
 
 def construct_prop5(rho, omega) -> QuantumChannel:
@@ -242,16 +207,9 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     if abs(lam - 1.0) <= 1e-12:
         if not is_incoherent(omega):
             raise ValueError("full-support input admits only incoherent targets")
-        return channel_from_map(
-            lambda e: np.trace(e) * omega, rho.shape[0], omega.shape[0]
-        )
+        return measure_prepare([(np.eye(rho.shape[0]), omega)])
     sigma = (lam * dephase(omega) - omega) / (lam - 1.0)
-
-    def act(e):
-        a = np.trace(pi @ e)
-        return a * omega + (np.trace(e) - a) * sigma
-
-    return channel_from_map(act, rho.shape[0], omega.shape[0])
+    return measure_prepare([(pi, omega), (np.eye(rho.shape[0]) - pi, sigma)])
 
 
 def qubit_decide(rho, sigma, slack: float = 1e-9) -> bool:
@@ -284,16 +242,9 @@ def kraus_dio_conditions(kraus) -> tuple[np.ndarray, dict[str, float]]:
     s = np.einsum("yxn,yxn->yx", vecs.conj(), vecs).real
 
     gram_y = np.einsum("yxn,zxn->xyz", vecs.conj(), vecs)  # <K(y,x), K(z,x)>
-    viol1 = 0.0
-    for xx in range(din):
-        g = gram_y[xx]
-        viol1 = max(viol1, float(np.max(np.abs(g - np.diag(np.diag(g))))))
-
+    viol1 = float(np.max(np.abs(gram_y[:, ~np.eye(dout, dtype=bool)]), initial=0.0))
     gram_x = np.einsum("yxn,yzn->yxz", vecs.conj(), vecs)  # <K(y,x), K(y,z)>
-    viol2 = 0.0
-    for yy in range(dout):
-        g = gram_x[yy]
-        viol2 = max(viol2, float(np.max(np.abs(g - np.diag(np.diag(g))))))
+    viol2 = float(np.max(np.abs(gram_x[:, ~np.eye(din, dtype=bool)]), initial=0.0))
 
     viol3 = float(np.max(np.abs(s.sum(axis=0) - 1.0)))
     return s, {
@@ -335,14 +286,14 @@ def channel_from_json(doc) -> QuantumChannel:
         choi = np.asarray(doc["choi_re"], dtype=float) + 1j * np.asarray(
             doc["choi_im"], dtype=float
         )
+        kraus = None
+        if "kraus" in doc:
+            kraus = [
+                np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
+                for k in doc["kraus"]
+            ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
-    kraus = None
-    if "kraus" in doc:
-        kraus = [
-            np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
-            for k in doc["kraus"]
-        ]
     ch = QuantumChannel(din, dout, choi, kraus)
     validate_channel(ch)
     return ch

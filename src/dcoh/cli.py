@@ -61,8 +61,6 @@ def _emit(report: dict, started: float) -> None:
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -156,6 +154,8 @@ def cmd_distill(args) -> int:
 def cmd_decide(args) -> int:
     started = time.perf_counter()
     tol = decision_tol()
+    if args.qubit and args.heralded:
+        raise ValueError("decide takes --qubit or --heralded, not both")
     mode = "qubit" if args.qubit else "heralded" if args.heralded else "pure"
     want = 1 if mode == "heralded" else 2
     if len(args.states) != want:
@@ -173,10 +173,11 @@ def cmd_decide(args) -> int:
         psi = _load_pure(psi_path)
         with open(ens_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        ensemble = [
-            (item["prob"], check_pure(state_from_json(item["state"])[1]))
-            for item in doc["items"]
-        ]
+        try:
+            items = [(float(item["prob"]), item["state"]) for item in doc["items"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed ensemble document: {exc}") from exc
+        ensemble = [(prob, check_pure(state_from_json(state)[1])) for prob, state in items]
         decision = majorization.heralded_decide(psi, ensemble)
         inputs = [_input_entry(psi_path), _input_entry(ens_path)]
     else:

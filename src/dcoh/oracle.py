@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, is_rho_dio
+from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
 from .monotones import r_delta, renyi_relative
 from .states import check_density, dephase, l1_norm
 
@@ -54,38 +54,25 @@ def _monotone_certificate(rho, sigma, margin: float = CERT_MARGIN):
     return None
 
 
+def _kron(a, b):
+    """Kronecker product a (x) b, batched over leading axes, in the Choi
+    layout (d_in, d_out, d_in, d_out)."""
+    return a[..., :, None, :, None] * b[..., None, :, None, :]
+
+
 def _constraint_system(rho, sigma):
     """Stacked linear operator L with L vec(J) = b encoding trace
     preservation, Lambda(rho) = sigma and Lambda(dephase(rho)) = dephase(sigma)."""
     din = rho.shape[0]
     dout = sigma.shape[0]
-    n = din * dout
-    rows = []
-    rhs = []
-
-    def row_from_tensor(coeff):
-        # constraint sum_{x1,y1,x2,y2} coeff[x1,y1,x2,y2] J4[...] = value
-        rows.append(coeff.reshape(-1))
-
-    eye_out = np.eye(dout)
-    # trace preservation: sum_y J4[x1, y, x2, y] = delta_{x1 x2}
-    for x1 in range(din):
-        for x2 in range(din):
-            coeff = np.zeros((din, dout, din, dout), dtype=complex)
-            for y in range(dout):
-                coeff[x1, y, x2, y] = 1.0
-            row_from_tensor(coeff)
-            rhs.append(1.0 if x1 == x2 else 0.0)
-    # action constraints: sum_{x1,x2} state[x1,x2] J4[x1, y1, x2, y2] = target[y1,y2]
-    for state, target in ((rho, sigma), (dephase(rho), dephase(sigma))):
-        for y1 in range(dout):
-            for y2 in range(dout):
-                coeff = np.zeros((din, dout, din, dout), dtype=complex)
-                coeff[:, y1, :, y2] = state
-                row_from_tensor(coeff)
-                rhs.append(target[y1, y2])
-    del n
-    return np.array(rows), np.array(rhs)
+    units_in = np.eye(din * din).reshape(-1, din, din)
+    units_out = np.eye(dout * dout).reshape(-1, dout, dout)
+    # Tr_out J = 1 and Tr_in[(X^T (x) 1) J] = Y, one row per matrix unit E_ab
+    rows = np.concatenate(
+        [_kron(units_in, np.eye(dout)), _kron(rho, units_out), _kron(dephase(rho), units_out)]
+    )
+    rhs = np.concatenate([y.reshape(-1) for y in (np.eye(din), sigma, dephase(sigma))])
+    return rows.reshape(len(rows), -1), rhs.astype(complex)
 
 
 def _project_psd(j):
@@ -127,10 +114,7 @@ def rho_dio_feasible(
         return vec - lpinv @ (lmat @ vec - b)
 
     # start from the constant channel Q -> Tr(Q) sigma
-    j4 = np.zeros((din, dout, din, dout), dtype=complex)
-    for x in range(din):
-        j4[x, :, x, :] = sigma
-    z_vec = project_affine(j4.reshape(-1))
+    z_vec = project_affine(measure_prepare([(np.eye(din), sigma)]).choi.reshape(-1))
 
     residual = float("inf")
     y_vec = z_vec

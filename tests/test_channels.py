@@ -19,6 +19,7 @@ from dcoh.channels import (
     is_rho_dio,
     kraus_dio_conditions,
     kraus_from_choi,
+    measure_prepare,
     qubit_decide,
     twirl_channel,
     validate_channel,
@@ -104,10 +105,38 @@ def test_dephasing_channel_is_dio_with_clean_kraus_conditions():
     assert max(viols.values()) < 1e-12
 
 
+def rand_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def test_measure_prepare_rectangular():
+    rng = np.random.default_rng(26)
+    for n_pairs in (2, 3):
+        pairs = [(rand_hermitian(rng, 3), rand_hermitian(rng, 2)) for _ in range(n_pairs)]
+        ch = measure_prepare(pairs)
+        assert (ch.input_dim, ch.output_dim) == (3, 2)
+        for _ in range(5):
+            q = rand_hermitian(rng, 3)
+            want = sum(np.trace(a @ q) * w for a, w in pairs)
+            assert np.allclose(apply(ch, q), want, atol=1e-12)
+
+
 def test_unitary_coherence_generator_is_not_dio():
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
     ok, viol = is_dio(channel_from_kraus([h]))
     assert not ok and viol > 0.1
+    # rectangular: embedding a qubit into a qutrit is DIO, preparing |+> is not
+    embed = np.eye(3, 2)
+    ok, viol = is_dio(channel_from_kraus([embed]))
+    assert ok and viol < 1e-12
+    plus = pure_to_density(max_coherent(2))
+    ok, viol = is_dio(measure_prepare([(np.eye(3), plus)]))
+    assert not ok and viol > 0.1
+    g = np.random.default_rng(27).normal(size=(6, 2)) + 0j
+    v, _ = np.linalg.qr(g)
+    ok, viol = is_dio(channel_from_kraus([v[:3], v[3:]]))
+    assert not ok and viol > 1e-3
 
 
 def test_is_rho_dio_weaker_than_dio():

@@ -237,6 +237,31 @@ def test_decide_wrong_number_of_states(capsys, files):
                        "heralded mode takes 1 state file(s), got 2")
 
 
+def test_decide_rejects_qubit_with_heralded(capsys, files):
+    missing = files["tmp"] + "/missing.json"
+    assert_input_error(capsys, ["decide", "--qubit", files["psi2_dm"], files["flat"],
+                                "--heralded", missing], "not both")
+
+
+@pytest.mark.parametrize("doc", [{"items": 5}, {"items": [1]}], ids=["items-int", "item-int"])
+def test_malformed_ensemble_exit_code(capsys, files, tmp_path, doc):
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["decide", files["psi2"], "--heralded", str(path)],
+                       "malformed ensemble document")
+
+
+@pytest.mark.parametrize("kraus", [5, [1]], ids=["kraus-int", "kraus-item-int"])
+def test_malformed_channel_exit_code(capsys, tmp_path, kraus):
+    from dcoh.channels import channel_to_json, dephasing_channel
+
+    doc = json.loads(channel_to_json(dephasing_channel(2)))
+    doc["kraus"] = kraus
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["channel", "--verify", str(path)], "malformed channel document")
+
+
 def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_path):
     argvs = [
         ["distill", files["qutrit"], "--eps", "0.1"],

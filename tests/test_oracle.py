@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from dcoh.channels import apply, is_rho_dio, qubit_decide
-from dcoh.oracle import rho_dio_feasible
-from dcoh.states import max_coherent, pure_to_density
+from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
+from dcoh.oracle import _constraint_system, rho_dio_feasible
+from dcoh.states import dephase, max_coherent, pure_to_density
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
 
@@ -21,6 +21,39 @@ def _verify_feasible(verdict, rho, sigma):
     ok, viol = is_rho_dio(verdict.witness, rho, atol=1e-6)
     assert ok, viol
     assert np.linalg.norm(apply(verdict.witness, rho) - sigma) <= 1e-6
+
+
+def test_constraint_rows_match_the_three_constraints():
+    # independent of the row layout: compare L vec(J) - b with the constraint
+    # residuals computed from Kraus operators (Tr_out J = (sum_k K^dag K)^T)
+    rng = np.random.default_rng(8)
+    din, dout = 3, 2
+    rho = rand_rho(rng, din)
+    kraus = [rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din)) for _ in range(3)]
+    j = choi_from_kraus(kraus, din, dout)  # CP, not trace preserving
+
+    def lam(x):
+        return sum(k @ x @ k.conj().T for k in kraus)
+
+    sigma = rand_rho(rng, dout)
+    lmat, b = _constraint_system(rho, sigma)
+    want = np.concatenate([
+        (sum(k.conj().T @ k for k in kraus).T - np.eye(din)).reshape(-1),
+        (lam(rho) - sigma).reshape(-1),
+        (lam(dephase(rho)) - dephase(sigma)).reshape(-1),
+    ])
+    assert np.allclose(lmat @ j.reshape(-1) - b, want, atol=1e-12)
+    # a DIO channel (phased embeddings of the input basis) meets every row
+    # once sigma is its image
+    dout = 4
+    kraus = []
+    for p in rng.dirichlet(np.ones(3)):
+        k = np.zeros((dout, din), dtype=complex)
+        k[rng.permutation(dout)[:din], np.arange(din)] = np.exp(2j * np.pi * rng.random(din))
+        kraus.append(np.sqrt(p) * k)
+    ch = channel_from_kraus(kraus)
+    lmat, b = _constraint_system(rho, apply(ch, rho))
+    assert np.max(np.abs(lmat @ ch.choi.reshape(-1) - b)) < 1e-12
 
 
 def test_qutrit_to_maxcoherent_is_feasible():
