@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hypotest import check_test_operator
 from .linalg import check_hermitian, support_projector
 from .monotones import r_delta
 from .states import check_density, dephase, is_incoherent, l1_norm, max_coherent
@@ -157,10 +158,7 @@ def construct_distill(rho, m: int, x) -> QuantumChannel:
     rho = check_density(rho)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    x = check_hermitian(x)
-    w = np.linalg.eigvalsh(x)
-    if w[0] < -1e-9 or w[-1] > 1.0 + 1e-9:
-        raise ValueError(f"X eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
+    x = check_test_operator(x)
     weight = float(np.trace(x @ dephase(rho)).real)
     if abs(weight - 1.0 / m) > 1e-8:
         raise ValueError(f"<X, dephase(rho)> = {weight!r}, expected 1/{m}")

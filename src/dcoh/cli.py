@@ -10,7 +10,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -19,26 +18,12 @@ import numpy as np
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .states import (
-    check_pure,
-    dephase,
-    load_state,
-    pure_to_density,
-    state_from_json,
-)
+from .states import dephase, load_state, pure_to_density, state_from_json
 
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT_ERROR = 3
-
-DEFAULT_DECISION_TOL = 1e-9
-
-
-def decision_tol() -> float:
-    """Decision slack, overridable through the COHERE_TOL env var."""
-    raw = os.environ.get("COHERE_TOL")
-    return float(raw) if raw else DEFAULT_DECISION_TOL
 
 
 def _sha256(path: str) -> str:
@@ -52,7 +37,9 @@ def _input_entry(path: str) -> dict:
 
 def _emit(report: dict, started: float) -> None:
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    report["tolerances"] = {"decision": decision_tol()}
+    # the slack every decider compares with: prefix sums, and the qubit
+    # decider's R_Delta and l1 comparisons
+    report["tolerances"] = {"decision": majorization.PREFIX_SLACK}
     # serialize first: a NaN or infinity raises before stdout sees anything
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     sys.stdout.write(text + "\n")
@@ -69,11 +56,14 @@ def _load_density(path: str) -> np.ndarray:
     return pure_to_density(arr) if kind == "pure" else arr
 
 
-def _load_pure(path: str) -> np.ndarray:
-    kind, arr = load_state(path)
+def _require_pure(where: str, kind: str, arr: np.ndarray) -> np.ndarray:
     if kind != "pure":
-        raise ValueError(f"{path}: expected a pure state, got {kind!r}")
+        raise ValueError(f"{where}: expected a pure state, got {kind!r}")
     return arr
+
+
+def _load_pure(path: str) -> np.ndarray:
+    return _require_pure(path, *load_state(path))
 
 
 def _finite(x: float):
@@ -153,7 +143,6 @@ def cmd_distill(args) -> int:
 
 def cmd_decide(args) -> int:
     started = time.perf_counter()
-    tol = decision_tol()
     if args.qubit and args.heralded:
         raise ValueError("decide takes --qubit or --heralded, not both")
     mode = "qubit" if args.qubit else "heralded" if args.heralded else "pure"
@@ -165,7 +154,7 @@ def cmd_decide(args) -> int:
     if mode == "qubit":
         rho_path, sigma_path = args.states
         decision = ch.qubit_decide(
-            _load_density(rho_path), _load_density(sigma_path), slack=tol
+            _load_density(rho_path), _load_density(sigma_path), slack=majorization.PREFIX_SLACK
         )
         inputs = [_input_entry(rho_path), _input_entry(sigma_path)]
     elif mode == "heralded":
@@ -177,7 +166,10 @@ def cmd_decide(args) -> int:
             items = [(float(item["prob"]), item["state"]) for item in doc["items"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ensemble document: {exc}") from exc
-        ensemble = [(prob, check_pure(state_from_json(state)[1])) for prob, state in items]
+        ensemble = [
+            (prob, _require_pure(f"{ens_path} item {i}", *state_from_json(state)))
+            for i, (prob, state) in enumerate(items)
+        ]
         decision = majorization.heralded_decide(psi, ensemble)
         inputs = [_input_entry(psi_path), _input_entry(ens_path)]
     else:

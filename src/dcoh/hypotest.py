@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL, check_hermitian, rank_tol, support_projector
+from .monotones import renyi_relative
 from .states import check_density, dephase
 
 # Eigenvalues within ZERO_BAND of zero at the dual optimum form the
@@ -199,10 +200,9 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
 
 
 def dh_zero_closed_form(rho) -> float:
-    """Zero-error value -log2 Tr(Pi_rho dephase(rho)), in bits."""
-    rho = check_density(rho)
-    pi = support_projector(rho)
-    return -math.log2(float(np.trace(pi @ dephase(rho)).real))
+    """Zero-error value -log2 Tr(Pi_rho dephase(rho)), in bits: the Petz-Renyi
+    D_0(rho || dephase(rho))."""
+    return renyi_relative(rho, 0.0)
 
 
 def distill_fidelity_program(rho, m: float) -> FidelityProgram:

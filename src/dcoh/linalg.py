@@ -3,6 +3,10 @@
 All spectral helpers work on exactly Hermitian data: inputs are checked
 against a small asymmetry tolerance and then symmetrized, so downstream
 code never sees rounding-induced asymmetry.
+
+Every function of a PSD matrix (support projector, powers, fidelity)
+reads one decomposition, ``support_eigh``: a single ``eigh`` whose
+eigenvalues also serve the PSD check, truncated to the support.
 """
 
 from __future__ import annotations
@@ -30,18 +34,6 @@ def check_hermitian(a, atol: float = HERM_ATOL) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def eigh_sorted(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
-
-    Ties are broken stably so that rank decisions and prefix sums are
-    reproducible across runs.
-    """
-    a = check_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    idx = np.argsort(-w, kind="stable")
-    return w[idx].real, v[:, idx]
-
-
 def rank_tol(w) -> float:
     """Eigen-truncation threshold for a spectrum ``w``."""
     lam_max = float(np.max(np.abs(w))) if np.size(w) else 0.0
@@ -50,13 +42,9 @@ def rank_tol(w) -> float:
 
 def positive_part(a) -> np.ndarray:
     """Positive part (A)_+ = sum of lambda_k v_k v_k^dag over lambda_k > tau."""
-    w, v = eigh_sorted(a)
-    tau = rank_tol(w)
-    keep = w > tau
-    if not np.any(keep):
-        return np.zeros_like(np.asarray(a, dtype=complex))
-    vk = v[:, keep]
-    return (vk * w[keep]) @ vk.conj().T
+    w, v = np.linalg.eigh(check_hermitian(a))
+    keep = w > rank_tol(w)
+    return (v[:, keep] * w[keep]) @ v[:, keep].conj().T
 
 
 def check_psd(a, atol: float = PSD_ATOL) -> np.ndarray:
@@ -68,26 +56,28 @@ def check_psd(a, atol: float = PSD_ATOL) -> np.ndarray:
     return a
 
 
+def support_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of a PSD matrix on its support: A = v diag(w) v^dag.
+
+    One eigh both validates (Hermitian, min eigenvalue >= -PSD_ATOL) and
+    decomposes; eigenvalues at or below rank_tol are dropped.
+    """
+    w, v = np.linalg.eigh(check_hermitian(a))
+    if w.size and w[0] < -PSD_ATOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    keep = w > rank_tol(w)
+    return w[keep], v[:, keep]
+
+
 def support_projector(a) -> np.ndarray:
     """Projector onto the support (range) of a PSD matrix."""
-    a = check_psd(a)
-    w, v = eigh_sorted(a)
-    tau = rank_tol(w)
-    vk = v[:, w > tau]
-    return vk @ vk.conj().T
+    return matrix_power(a, 0.0)
 
 
 def matrix_power(a, s: float) -> np.ndarray:
     """PSD matrix power A^s; negative powers are taken on the support only."""
-    a = check_psd(a)
-    w, v = eigh_sorted(a)
-    tau = rank_tol(w)
-    keep = w > tau
-    out = np.zeros_like(a)
-    if np.any(keep):
-        vk = v[:, keep]
-        out = (vk * (w[keep] ** s)) @ vk.conj().T
-    return out
+    w, v = support_eigh(a)
+    return (v * w**s) @ v.conj().T
 
 
 def trace_norm(a) -> float:
@@ -97,13 +87,19 @@ def trace_norm(a) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2."""
+    """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2.
+
+    Taken on the support of rho: with f = v sqrt(w) from support_eigh(rho),
+    f^dag sigma f has the nonzero spectrum of sqrt(rho) sigma sqrt(rho), and
+    no kernel eigenvalue of rho reaches the square roots.
+    """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sr = matrix_power(rho, 0.5)
-    return fidelity_from_inner(sr @ sigma @ sr)
+    w, v = support_eigh(rho)
+    f = v * np.sqrt(w)
+    return fidelity_from_inner(f.conj().T @ sigma @ f)
 
 
 def fidelity_from_inner(inner) -> float:

@@ -11,15 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import matrix_power, support_projector
-from .states import (
-    check_density,
-    check_pure,
-    coherence_distribution,
-    dephase,
-    l1_norm,
-    prob_vector,
-)
+from .linalg import rank_tol, support_eigh
+from .states import check_density, check_pure, coherence_distribution, l1_norm, prob_vector
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_PS = (0.25, 0.5, 0.75, 1.25, 1.5, 2.0)
@@ -35,17 +28,23 @@ class MonotoneReport:
     lp_moduli: list[tuple[float, float]] = field(default_factory=list)
 
 
+def _diag_power(rho, s: float) -> np.ndarray:
+    """diag(rho)^s on the support of dephase(rho), zero off it."""
+    p = np.diag(rho).real
+    keep = p > rank_tol(p)
+    return np.where(keep, p, 1.0) ** s * keep
+
+
 def r_delta(rho) -> float:
     """Max-relative-entropy monotone: min{lambda : rho <= (1+lambda) dephase(rho)}.
 
     Computed in closed form as the largest eigenvalue of
     D^{-1/2} rho D^{-1/2} minus one, with D = dephase(rho) pseudo-inverted
-    on its support.
+    on its support; D is diagonal, so this only rescales the entries of rho.
     """
     rho = check_density(rho)
-    d_inv_sqrt = matrix_power(dephase(rho), -0.5)
-    conj = d_inv_sqrt @ rho @ d_inv_sqrt
-    lam = float(np.max(np.linalg.eigvalsh((conj + conj.conj().T) / 2)))
+    q = _diag_power(rho, -0.5)
+    lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
     return max(lam - 1.0, 0.0)
 
 
@@ -59,7 +58,7 @@ def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
     rho = check_density(rho)
     s_rho = _entropy_bits(np.linalg.eigvalsh(rho))
-    s_deph = _entropy_bits(np.diag(dephase(rho)).real)
+    s_deph = _entropy_bits(np.diag(rho).real)
     return max(s_deph - s_rho, 0.0)
 
 
@@ -67,19 +66,20 @@ def renyi_relative(rho, alpha: float) -> float:
     """Petz-Renyi relative entropy between rho and its dephasing, in bits.
 
     Valid (data-processing-monotone) only for alpha in [0, 2]; values
-    outside that range are rejected.
+    outside that range are rejected. With rho = sum_k w_k v_k v_k^dag on its
+    support and p = diag(rho),
+
+        Tr rho^alpha dephase(rho)^(1-alpha) = sum_k w_k^alpha sum_x |v_xk|^2 p_x^(1-alpha),
+
+    which at alpha = 0 is Tr(Pi_rho dephase(rho)), the zero-error yield.
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
     rho = check_density(rho)
     if alpha == 1.0:
         return rel_entropy_coherence(rho)
-    delta = dephase(rho)
-    if alpha == 0.0:
-        trace = float(np.trace(support_projector(rho) @ delta).real)
-        return -math.log2(trace)
-    term = matrix_power(rho, alpha) @ matrix_power(delta, 1.0 - alpha)
-    trace = float(np.trace(term).real)
+    w, v = support_eigh(rho)
+    trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ np.abs(v) ** 2))
     return math.log2(trace) / (alpha - 1.0)
 
 

@@ -127,8 +127,7 @@ def rho_dio_feasible(
         z_vec = z_vec + project_affine(2.0 * y_vec - z_vec) - y_vec
 
     if residual <= residual_tol:
-        j = _project_psd(y_vec.reshape(n, n))
-        witness = QuantumChannel(din, dout, j)
+        witness = QuantumChannel(din, dout, y_vec.reshape(n, n))
         ok_rho_dio, _ = is_rho_dio(witness, rho, atol=1e-6)
         image_err = float(np.linalg.norm(apply(witness, rho) - sigma))
         if ok_rho_dio and image_err <= 1e-6:

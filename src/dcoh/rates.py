@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import NPResult, dh_epsilon, dh_zero_closed_form
-from .linalg import fidelity_from_inner, matrix_power
+from .linalg import fidelity_from_inner, support_eigh
 from .monotones import r_delta, rel_entropy_coherence
 from .states import check_density, dephase, is_incoherent
 
@@ -112,9 +112,8 @@ def _dilution_lower_unit(rho, eps: float) -> float:
     from the trivial bound lam = 1, the ratios increase to the maximum;
     the iteration stops at the first one that does not. Each iterate is
     the bound of an explicit test, so the result is certified whenever
-    the iteration stops.
+    the iteration stops. rho must already be a validated density matrix.
     """
-    rho = check_density(rho)
     diag = np.diag(rho).real
     s = math.sqrt(max(eps, 0.0))
     lam = 1.0
@@ -137,13 +136,16 @@ def _dilution_upper_unit(rho, eps: float) -> float:
     interval [0, t*] (t = 0 is rho itself). t* is found by bisection to
     machine resolution, and the returned cost is that of the largest t
     that passed the fidelity check, so the bound comes with its witness.
-    sqrt(rho) w_t sqrt(rho) is affine in t, so each check is one eigvalsh.
+    The fidelity is taken on the support of rho: with f = v sqrt(w) from
+    support_eigh(rho), f^dag w_t f is affine in t (f^dag rho f = diag(w^2)),
+    so each check is one eigvalsh. rho must already be a validated density
+    matrix.
     """
-    rho = check_density(rho)
     lam0 = r_delta(rho) + 1.0
-    sr = matrix_power(rho, 0.5)
-    inner_rho = sr @ rho @ sr
-    inner_delta = sr @ dephase(rho) @ sr
+    w, v = support_eigh(rho)
+    f = v * np.sqrt(w)
+    inner_rho = np.diag(w**2)
+    inner_delta = f.conj().T @ (np.diag(rho).real[:, None] * f)
 
     def feasible(t: float) -> bool:
         inner = (1.0 - t) * inner_rho + t * inner_delta

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .linalg import check_hermitian, check_psd
+from .linalg import check_psd
 
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-9
@@ -22,7 +22,7 @@ PROB_CLAMP = 1e-12
 
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace); returns it symmetrized."""
-    rho = check_psd(check_hermitian(rho))
+    rho = check_psd(rho)
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
@@ -30,8 +30,10 @@ def check_density(rho) -> np.ndarray:
 
 
 def check_pure(psi) -> np.ndarray:
-    """Validate a pure-state amplitude vector (unit l2 norm)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    """Validate a pure-state amplitude vector (1-D, unit l2 norm)."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"expected a 1-D amplitude vector, got shape {psi.shape}")
     nrm = float(np.linalg.norm(psi))
     if not abs(nrm - 1.0) <= NORM_ATOL:
         raise ValueError(f"norm is {nrm!r}, expected 1 within {NORM_ATOL:.1e}")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from types import SimpleNamespace
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from dcoh import cli
+from dcoh.channels import qubit_decide
+from dcoh.majorization import PREFIX_SLACK
 from dcoh.states import max_coherent, pure_to_density, state_to_json
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
@@ -200,10 +203,17 @@ def test_reports_are_deterministic(capsys, files):
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
-def test_cohere_tol_env_override(capsys, files, monkeypatch):
-    monkeypatch.setenv("COHERE_TOL", "1e-6")
-    _, rep = run(capsys, ["monotones", files["qutrit"]])
-    assert rep["tolerances"]["decision"] == 1e-6
+def test_reported_decision_tolerance_is_the_deciders_slack(capsys, files, monkeypatch):
+    monkeypatch.setenv("COHERE_TOL", "1e-6")  # not an option: must change nothing
+    slack = inspect.signature(qubit_decide).parameters["slack"].default
+    for argv in (
+        ["monotones", files["qutrit"]],
+        ["decide", files["psi2"], files["qutrit"]],
+        ["decide", "--qubit", files["psi2_dm"], files["flat"]],
+    ):
+        _, rep = run(capsys, argv)
+        assert rep["tolerances"] == {"decision": PREFIX_SLACK}
+        assert PREFIX_SLACK == slack
 
 
 def test_channel_construct_missing_arguments(capsys, files):
@@ -249,6 +259,16 @@ def test_malformed_ensemble_exit_code(capsys, files, tmp_path, doc):
     path.write_text(json.dumps(doc))
     assert_input_error(capsys, ["decide", files["psi2"], "--heralded", str(path)],
                        "malformed ensemble document")
+
+
+def test_heralded_density_item_exit_code(capsys, files, tmp_path):
+    # a pure qubit as a density matrix has unit Frobenius norm, so it passed
+    # for four amplitudes before ensemble items had to be pure documents
+    item = json.loads(state_to_json(pure_to_density(max_coherent(2))))
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps({"items": [{"prob": 1.0, "state": item}]}))
+    assert_input_error(capsys, ["decide", files["psi2"], "--heralded", str(path)],
+                       "expected a pure state, got 'density'")
 
 
 @pytest.mark.parametrize("kraus", [5, [1]], ids=["kraus-int", "kraus-item-int"])

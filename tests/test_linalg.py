@@ -4,7 +4,6 @@ import pytest
 from dcoh.linalg import (
     check_hermitian,
     check_psd,
-    eigh_sorted,
     fidelity,
     matrix_power,
     positive_part,
@@ -46,15 +45,6 @@ def test_check_hermitian_symmetrizes_dust():
     a = np.array([[1.0, 0.3 + 1e-12j], [0.3, 1.0]])
     out = check_hermitian(a)
     assert np.allclose(out, out.conj().T)
-
-
-def test_eigh_sorted_non_increasing():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 5, 8):
-        a = rand_herm(rng, d)
-        w, v = eigh_sorted(a)
-        assert np.all(np.diff(w) <= 0)
-        assert np.allclose((v * w) @ v.conj().T, a, atol=1e-12)
 
 
 def test_positive_part_trace_identity():
@@ -129,8 +119,18 @@ def test_fidelity_pure_states_is_overlap():
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
         f = fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
-        # sqrt amplifies eigenvalue dust to ~1e-8
-        assert abs(f - abs(np.vdot(a, b)) ** 2) < 3e-8
+        assert abs(f - abs(np.vdot(a, b)) ** 2) < 1e-12
+
+
+def test_fidelity_pure_against_full_rank_is_expectation():
+    # F(|psi><psi|, sigma) = <psi|sigma|psi>
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4, 8):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        sigma = rand_rho(rng, d)
+        f = fidelity(np.outer(psi, psi.conj()), sigma)
+        assert abs(f - np.vdot(psi, sigma @ psi).real) < 1e-12
 
 
 def test_fidelity_dimension_mismatch():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dcoh.hypotest import dh_zero_closed_form
+from dcoh.linalg import fidelity, matrix_power
 from dcoh.monotones import (
     c_k_monotone,
     lp_moduli_norm,
@@ -17,10 +19,95 @@ from dcoh.states import dephase, max_coherent, pure_to_density
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
 
 
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_rho(rng, d, rank=None):
+    rank = d if rank is None else rank
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+# References: the dense matrix-power formulas, with dephase(rho) decomposed
+# like any other PSD matrix.
+
+def _power_reference(a, s):
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    keep = w > 1e-9 * max(1.0, float(np.max(np.abs(w))))
+    return (v[:, keep] * w[keep] ** s) @ v[:, keep].conj().T
+
+
+def _r_delta_reference(rho):
+    d_inv_sqrt = _power_reference(dephase(rho), -0.5)
+    conj = d_inv_sqrt @ rho @ d_inv_sqrt
+    return max(float(np.max(np.linalg.eigvalsh((conj + conj.conj().T) / 2))) - 1.0, 0.0)
+
+
+def _renyi_reference(rho, alpha):
+    delta = dephase(rho)
+    if alpha == 0.0:
+        return -math.log2(float(np.trace(_power_reference(rho, 0.0) @ delta).real))
+    term = _power_reference(rho, alpha) @ _power_reference(delta, 1.0 - alpha)
+    return math.log2(float(np.trace(term).real)) / (alpha - 1.0)
+
+
+def _reference_states():
+    """Seeded rank-deficient states (d 2-8, every rank below d), incoherent
+    states, states with a zero diagonal entry, and pure states with one
+    diagonal entry below the support cut."""
+    rng = np.random.default_rng(97)
+    states = []
+    for d in range(2, 9):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi[0] = math.sqrt(1e-11)
+        psi[1:] *= math.sqrt(1.0 - 1e-11) / np.linalg.norm(psi[1:])
+        states.append(np.outer(psi, psi.conj()))
+        states += [rand_rho(rng, d, rank) for rank in range(1, d)]
+        p = rng.dirichlet(np.ones(d))
+        states.append(np.diag(p).astype(complex))
+        states.append(np.diag(np.where(np.arange(d) == 0, 0.0, p / p[1:].sum())).astype(complex))
+        for rank in (1, d - 1):
+            inner = rand_rho(rng, d - 1, rank)
+            keep = np.delete(np.arange(d), int(rng.integers(d)))
+            rho = np.zeros((d, d), dtype=complex)
+            rho[np.ix_(keep, keep)] = inner
+            states.append(rho)
+    return states
+
+
+def test_support_formulas_match_matrix_power_references():
+    for rho in _reference_states():
+        rho = (rho + rho.conj().T) / 2
+        assert abs(r_delta(rho) - _r_delta_reference(rho)) <= 1e-12 * max(1.0, r_delta(rho))
+        for alpha in (0.0, 0.25, 0.5, 1.5, 2.0):
+            ref = _renyi_reference(rho, alpha)
+            assert abs(renyi_relative(rho, alpha) - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref = _renyi_reference(rho, 0.0)
+        assert abs(dh_zero_closed_form(rho) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_decompositions_per_call(monkeypatch):
+    calls = []
+
+    def counting(decompose):
+        def wrapped(a, *args, **kwargs):
+            calls.append(a.shape)
+            return decompose(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    rho = rand_rho(np.random.default_rng(5), 3, 2)
+    sigma = rand_rho(np.random.default_rng(6), 3)
+    for fn, expected in [
+        (r_delta, 2),
+        (lambda r: renyi_relative(r, 0.0), 2),
+        (lambda r: renyi_relative(r, 0.5), 2),
+        (lambda r: renyi_relative(r, 2.0), 2),
+        (lambda r: fidelity(r, sigma), 2),
+        (lambda r: matrix_power(r, 0.5), 1),
+    ]:
+        calls.clear()
+        fn(rho)
+        assert len(calls) == expected
 
 
 def test_r_delta_maxcoherent():

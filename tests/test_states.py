@@ -42,6 +42,8 @@ def test_check_pure_norm():
         check_pure([1.0, 1.0])
     psi = check_pure([1.0, 0.0])
     assert psi.dtype == complex
+    with pytest.raises(ValueError, match="1-D"):
+        check_pure(np.diag([1.0, 0.0]))  # unit Frobenius norm, but a matrix
 
 
 def test_check_pure_rejects_non_finite():
