@@ -13,7 +13,7 @@ from .channels import (
     twirl_channel,
 )
 from .hypotest import dh_epsilon, dh_zero_closed_form, distill_fidelity
-from .linalg import fidelity, matrix_power, positive_part, support_projector, trace_norm
+from .linalg import fidelity, matrix_power, support_projector
 from .majorization import (
     build_witness,
     dio_pure_decide,

@@ -40,13 +40,6 @@ def rank_tol(w) -> float:
     return RANK_RTOL * max(1.0, lam_max)
 
 
-def positive_part(a) -> np.ndarray:
-    """Positive part (A)_+ = sum of lambda_k v_k v_k^dag over lambda_k > tau."""
-    w, v = np.linalg.eigh(check_hermitian(a))
-    keep = w > rank_tol(w)
-    return (v[:, keep] * w[keep]) @ v[:, keep].conj().T
-
-
 def check_psd(a, atol: float = PSD_ATOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian PSD within tolerance."""
     a = check_hermitian(a)
@@ -80,12 +73,6 @@ def matrix_power(a, s: float) -> np.ndarray:
     return (v * w**s) @ v.conj().T
 
 
-def trace_norm(a) -> float:
-    """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
-    a = check_hermitian(a)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-
-
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2.
 
@@ -97,6 +84,7 @@ def fidelity(rho, sigma) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    sigma = check_psd(sigma)
     w, v = support_eigh(rho)
     f = v * np.sqrt(w)
     return fidelity_from_inner(f.conj().T @ sigma @ f)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import coherence_distribution, max_coherent, prob_vector
+from .states import coherence_distribution, prob_vector
 
 # Absolute slack on prefix-sum comparisons so exact boundary equalities
 # pass in floating point.
@@ -127,7 +127,3 @@ def build_witness(q, p, atol: float = 1e-12) -> MajorizationWitness:
     pp = np.eye(d)[perm_p]          # pp @ p = ps
     witness = pp.T @ total @ pq
     return MajorizationWitness(matrix=witness)
-
-
-def maxcoherent_distribution(m: int, dim: int | None = None) -> np.ndarray:
-    return coherence_distribution(max_coherent(m, dim))

@@ -75,9 +75,9 @@ def renyi_relative(rho, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    rho = check_density(rho)
     if alpha == 1.0:
         return rel_entropy_coherence(rho)
+    rho = check_density(rho)
     w, v = support_eigh(rho)
     trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ np.abs(v) ** 2))
     return math.log2(trace) / (alpha - 1.0)

@@ -5,32 +5,30 @@ Decides existence of a CPTP map with Lambda(rho) = sigma and
 Lambda(dephase(rho)) = dephase(sigma) (the second constraint is the
 covariance condition, forced into this affine form by the first) by
 Douglas-Rachford splitting on the Choi operator between the PSD cone and
-the affine constraint set. Projection splitting cannot certify
-infeasibility, so non-convergence falls back to monotone certificates and,
-failing those, an honest "undetermined".
+the affine constraint set, whose projection is a closed-form two-sided
+product once the Choi operator is realigned. Projection splitting cannot
+certify infeasibility, so non-convergence falls back to monotone
+certificates and, failing those, an honest "undetermined".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
-from .monotones import r_delta, renyi_relative
+from .monotones import DEFAULT_ALPHAS, r_delta, renyi_relative
 from .states import check_density, dephase, l1_norm
 
 DEFAULT_MAX_ITERS = 5000
 DEFAULT_RESIDUAL_TOL = 1e-7
 CERT_MARGIN = 1e-7
 
-_CERT_MONOTONES = [
-    ("r_delta", r_delta),
-    ("renyi_0.0", lambda s: renyi_relative(s, 0.0)),
-    ("renyi_0.5", lambda s: renyi_relative(s, 0.5)),
-    ("renyi_1.0", lambda s: renyi_relative(s, 1.0)),
-    ("renyi_1.5", lambda s: renyi_relative(s, 1.5)),
-    ("renyi_2.0", lambda s: renyi_relative(s, 2.0)),
+# looked up at call time, so a rebound module attribute is seen
+_CERT_MONOTONES = [("r_delta", lambda s: r_delta(s))] + [
+    (f"renyi_{a}", lambda s, a=a: renyi_relative(s, a)) for a in DEFAULT_ALPHAS
 ]
 
 
@@ -54,25 +52,35 @@ def _monotone_certificate(rho, sigma, margin: float = CERT_MARGIN):
     return None
 
 
-def _kron(a, b):
-    """Kronecker product a (x) b, batched over leading axes, in the Choi
-    layout (d_in, d_out, d_in, d_out)."""
-    return a[..., :, None, :, None] * b[..., None, :, None, :]
+def _affine_projector(rho, sigma):
+    """Projection onto the constraint set and its residual, both on the
+    realigned M[(x,y),(a,b)] = J[(x,a),(y,b)], where vec Lambda(Q) = vec(Q)^T M.
 
+    The image constraints act on the left, X M = Y (rows vec rho, vec
+    dephase(rho) and vec sigma, vec dephase(sigma)), trace preservation on
+    the right, M e = c (e = vec 1_out, c = vec 1_in), so the projection is
+    M -> left M right + p for two orthogonal projectors and a point p.
+    """
+    din, dout = rho.shape[0], sigma.shape[0]
+    x = np.stack([rho.reshape(-1), dephase(rho).reshape(-1)])
+    y = np.stack([sigma.reshape(-1), dephase(sigma).reshape(-1)])
+    e = np.eye(dout, dtype=complex).reshape(-1)
+    c = np.eye(din, dtype=complex).reshape(-1)
+    # X^+ through the 2x2 Gram, which is singular when rho is incoherent
+    b = x.conj().T @ np.linalg.pinv(x @ x.conj().T, hermitian=True)
+    left = np.eye(din * din) - b @ x
+    right = np.eye(dout * dout) - np.outer(e, e) / dout
+    # a point of the set, fixed by the projection: left B = 0 and e^T right = 0
+    p = b @ y + np.outer(left @ c, e) / dout
 
-def _constraint_system(rho, sigma):
-    """Stacked linear operator L with L vec(J) = b encoding trace
-    preservation, Lambda(rho) = sigma and Lambda(dephase(rho)) = dephase(sigma)."""
-    din = rho.shape[0]
-    dout = sigma.shape[0]
-    units_in = np.eye(din * din).reshape(-1, din, din)
-    units_out = np.eye(dout * dout).reshape(-1, dout, dout)
-    # Tr_out J = 1 and Tr_in[(X^T (x) 1) J] = Y, one row per matrix unit E_ab
-    rows = np.concatenate(
-        [_kron(units_in, np.eye(dout)), _kron(rho, units_out), _kron(dephase(rho), units_out)]
-    )
-    rhs = np.concatenate([y.reshape(-1) for y in (np.eye(din), sigma, dephase(sigma))])
-    return rows.reshape(len(rows), -1), rhs.astype(complex)
+    def project(m):
+        return left @ m @ right + p
+
+    def residual(m):
+        r_image, r_trace = x @ m - y, m @ e - c
+        return math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
+
+    return project, residual
 
 
 def _project_psd(j):
@@ -82,12 +90,8 @@ def _project_psd(j):
     return (v * w) @ v.conj().T
 
 
-def rho_dio_feasible(
-    rho,
-    sigma,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> FeasibilityVerdict:
+def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS,
+                     residual_tol: float = DEFAULT_RESIDUAL_TOL) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
     Monotone certificates are evaluated first (they are cheap and sound);
@@ -95,39 +99,35 @@ def rho_dio_feasible(
     operator. The reported residual is the constraint violation of the
     PSD shadow iterate, so a small residual means an almost-exact witness.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     rho = check_density(rho)
     sigma = check_density(sigma)
 
     cert = _monotone_certificate(rho, sigma)
     if cert is not None:
-        return FeasibilityVerdict(
-            "infeasible-certified", None, cert, float("nan"), 0
-        )
+        return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0)
 
-    din = rho.shape[0]
-    dout = sigma.shape[0]
+    din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout
-    lmat, b = _constraint_system(rho, sigma)
-    lpinv = np.linalg.pinv(lmat)
-
-    def project_affine(vec):
-        return vec - lpinv @ (lmat @ vec - b)
-
+    project_affine, constraint_residual = _affine_projector(rho, sigma)
+    # z and y stay realigned; flat positions take J to M and M back to J
+    to_m = np.arange(n * n).reshape(din, dout, din, dout).swapaxes(1, 2).reshape(din * din, -1)
+    to_j = np.arange(n * n).reshape(din, din, dout, dout).swapaxes(1, 2).reshape(n, n)
     # start from the constant channel Q -> Tr(Q) sigma
-    z_vec = project_affine(measure_prepare([(np.eye(din), sigma)]).choi.reshape(-1))
+    z = project_affine(measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m])
 
     residual = float("inf")
-    y_vec = z_vec
     iters = 0
     for iters in range(1, max_iters + 1):
-        y_vec = _project_psd(z_vec.reshape(n, n)).reshape(-1)
-        residual = float(np.linalg.norm(lmat @ y_vec - b))
+        y = _project_psd(z.ravel()[to_j]).ravel()[to_m]
+        residual = constraint_residual(y)
         if residual <= residual_tol:
             break
-        z_vec = z_vec + project_affine(2.0 * y_vec - z_vec) - y_vec
+        z = z + project_affine(2.0 * y - z) - y
 
     if residual <= residual_tol:
-        witness = QuantumChannel(din, dout, y_vec.reshape(n, n))
+        witness = QuantumChannel(din, dout, y.ravel()[to_j])
         ok_rho_dio, _ = is_rho_dio(witness, rho, atol=1e-6)
         image_err = float(np.linalg.norm(apply(witness, rho) - sigma))
         if ok_rho_dio and image_err <= 1e-6:

@@ -231,6 +231,11 @@ def test_oracle_zero_iterations_is_strict_json(capsys, files):
     assert rep["results"]["residual"] is None
 
 
+def test_oracle_negative_iterations_exit_code(capsys, files):
+    q = files["qutrit"]
+    assert_input_error(capsys, ["oracle", q, q, "--max-iters", "-3"], "max_iters must be >= 0")
+
+
 def test_emit_refuses_non_finite_values(capsys, monkeypatch, files):
     nan_report = SimpleNamespace(r_delta=math.nan, rel_entropy_bits=0.0, renyi=[], l1=1.0,
                                  c_k=[], lp_moduli=[])

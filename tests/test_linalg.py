@@ -6,15 +6,8 @@ from dcoh.linalg import (
     check_psd,
     fidelity,
     matrix_power,
-    positive_part,
     support_projector,
-    trace_norm,
 )
-
-
-def rand_herm(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (a + a.conj().T) / 2
 
 
 def rand_rho(rng, d):
@@ -47,23 +40,6 @@ def test_check_hermitian_symmetrizes_dust():
     assert np.allclose(out, out.conj().T)
 
 
-def test_positive_part_trace_identity():
-    # Tr(A) = Tr(A)_+ - Tr(-A)_+ for any Hermitian A
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rand_herm(rng, 4)
-        lhs = np.trace(a).real
-        rhs = np.trace(positive_part(a)).real - np.trace(positive_part(-a)).real
-        assert abs(lhs - rhs) < 1e-10
-
-
-def test_positive_part_is_psd():
-    rng = np.random.default_rng(3)
-    a = rand_herm(rng, 5)
-    w = np.linalg.eigvalsh(positive_part(a))
-    assert w.min() > -1e-12
-
-
 def test_check_psd_rejects_negative():
     with pytest.raises(ValueError, match="not PSD"):
         check_psd(np.diag([1.0, -0.1]))
@@ -93,13 +69,6 @@ def test_matrix_power_composes():
     rho = rand_rho(rng, 4)
     half = matrix_power(rho, 0.5)
     assert np.allclose(half @ half, rho, atol=1e-10)
-
-
-def test_trace_norm_matches_svd():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        a = rand_herm(rng, 4)
-        assert abs(trace_norm(a) - np.linalg.svd(a, compute_uv=False).sum()) < 1e-10
 
 
 def test_fidelity_self_and_symmetry():
@@ -136,3 +105,10 @@ def test_fidelity_pure_against_full_rank_is_expectation():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         fidelity(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def test_fidelity_rejects_sigma_that_is_not_a_state():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fidelity(np.eye(2) / 2, np.array([[1.0, 5.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not PSD"):
+        fidelity(np.eye(2) / 2, np.diag([2.0, -1.0]))

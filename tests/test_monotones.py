@@ -102,7 +102,8 @@ def test_decompositions_per_call(monkeypatch):
         (lambda r: renyi_relative(r, 0.0), 2),
         (lambda r: renyi_relative(r, 0.5), 2),
         (lambda r: renyi_relative(r, 2.0), 2),
-        (lambda r: fidelity(r, sigma), 2),
+        (lambda r: renyi_relative(r, 1.0), 2),
+        (lambda r: fidelity(r, sigma), 3),
         (lambda r: matrix_power(r, 0.5), 1),
     ]:
         calls.clear()

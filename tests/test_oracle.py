@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
-from dcoh.oracle import _constraint_system, rho_dio_feasible
+from dcoh.oracle import _affine_projector, rho_dio_feasible
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
@@ -15,6 +15,37 @@ def rand_rho(rng, d):
     return rho / np.trace(rho).real
 
 
+# Reference: the dense constraint system L vec(J) = b in the Choi layout, one
+# row per entry of Tr_out J = 1, Lambda(rho) = sigma and
+# Lambda(dephase(rho)) = dephase(sigma).
+def _kron(a, b):
+    """Kronecker product a (x) b, batched over leading axes, in the Choi
+    layout (d_in, d_out, d_in, d_out)."""
+    return a[..., :, None, :, None] * b[..., None, :, None, :]
+
+
+def dense_constraint_system(rho, sigma):
+    din = rho.shape[0]
+    dout = sigma.shape[0]
+    units_in = np.eye(din * din).reshape(-1, din, din)
+    units_out = np.eye(dout * dout).reshape(-1, dout, dout)
+    rows = np.concatenate(
+        [_kron(units_in, np.eye(dout)), _kron(rho, units_out), _kron(dephase(rho), units_out)]
+    )
+    rhs = np.concatenate([y.reshape(-1) for y in (np.eye(din), sigma, dephase(sigma))])
+    return rows.reshape(len(rows), -1), rhs.astype(complex)
+
+
+def realign(j, din, dout):
+    """J[(x,a),(y,b)] -> M[(x,y),(a,b)]."""
+    return j.reshape(din, dout, din, dout).swapaxes(1, 2).reshape(din * din, dout * dout)
+
+
+def unalign(m, din, dout):
+    """M[(x,y),(a,b)] -> J[(x,a),(y,b)]."""
+    return m.reshape(din, din, dout, dout).swapaxes(1, 2).reshape(din * dout, din * dout)
+
+
 def _verify_feasible(verdict, rho, sigma):
     assert verdict.status == "feasible"
     assert verdict.witness is not None
@@ -24,8 +55,9 @@ def _verify_feasible(verdict, rho, sigma):
 
 
 def test_constraint_rows_match_the_three_constraints():
-    # independent of the row layout: compare L vec(J) - b with the constraint
-    # residuals computed from Kraus operators (Tr_out J = (sum_k K^dag K)^T)
+    # independent of the layout: compare L vec(J) - b and the oracle's
+    # residual with the constraint residuals computed from Kraus operators
+    # (Tr_out J = (sum_k K^dag K)^T)
     rng = np.random.default_rng(8)
     din, dout = 3, 2
     rho = rand_rho(rng, din)
@@ -36,13 +68,15 @@ def test_constraint_rows_match_the_three_constraints():
         return sum(k @ x @ k.conj().T for k in kraus)
 
     sigma = rand_rho(rng, dout)
-    lmat, b = _constraint_system(rho, sigma)
+    lmat, b = dense_constraint_system(rho, sigma)
     want = np.concatenate([
         (sum(k.conj().T @ k for k in kraus).T - np.eye(din)).reshape(-1),
         (lam(rho) - sigma).reshape(-1),
         (lam(dephase(rho)) - dephase(sigma)).reshape(-1),
     ])
     assert np.allclose(lmat @ j.reshape(-1) - b, want, atol=1e-12)
+    _, residual = _affine_projector(rho, sigma)
+    assert abs(residual(realign(j, din, dout)) - np.linalg.norm(want)) < 1e-12
     # a DIO channel (phased embeddings of the input basis) meets every row
     # once sigma is its image
     dout = 4
@@ -52,8 +86,36 @@ def test_constraint_rows_match_the_three_constraints():
         k[rng.permutation(dout)[:din], np.arange(din)] = np.exp(2j * np.pi * rng.random(din))
         kraus.append(np.sqrt(p) * k)
     ch = channel_from_kraus(kraus)
-    lmat, b = _constraint_system(rho, apply(ch, rho))
+    lmat, b = dense_constraint_system(rho, apply(ch, rho))
     assert np.max(np.abs(lmat @ ch.choi.reshape(-1) - b)) < 1e-12
+    _, residual = _affine_projector(rho, apply(ch, rho))
+    assert residual(realign(ch.choi, din, dout)) < 1e-12
+
+
+def _projection_cases():
+    rng = np.random.default_rng(12)
+    for din, dout in ((3, 3), (3, 2), (2, 4), (4, 4), (5, 3)):
+        yield rand_rho(rng, din), rand_rho(rng, dout)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    yield pure_to_density(psi / np.linalg.norm(psi)), rand_rho(rng, 3)
+    # incoherent rho -> incoherent sigma: the rows of X coincide
+    yield np.diag([0.2, 0.3, 0.5]), np.diag([0.6, 0.4])
+
+
+def test_affine_projection_matches_pinv_reference():
+    rng = np.random.default_rng(13)
+    for rho, sigma in _projection_cases():
+        din, dout = rho.shape[0], sigma.shape[0]
+        lmat, b = dense_constraint_system(rho, sigma)
+        project, residual = _affine_projector(rho, sigma)
+        for _ in range(3):
+            j = rng.normal(size=(din * dout,) * 2) + 1j * rng.normal(size=(din * dout,) * 2)
+            v = j.reshape(-1)
+            want = v - np.linalg.pinv(lmat) @ (lmat @ v - b)
+            got = project(realign(j, din, dout))
+            assert np.max(np.abs(unalign(got, din, dout).reshape(-1) - want)) < 1e-12
+            assert np.max(np.abs(project(got) - got)) < 1e-12
+            assert residual(got) < 1e-12
 
 
 def test_qutrit_to_maxcoherent_is_feasible():
@@ -113,6 +175,16 @@ def test_dimension_change_feasible_case():
     sigma = 0.5 * pure_to_density(max_coherent(2)) + 0.5 * np.diag([0.5, 0.5])
     verdict = rho_dio_feasible(rho, sigma)
     _verify_feasible(verdict, rho, sigma)
+
+
+def test_d12_constructed_pair_is_feasible():
+    # permute, then mix with the dephased input: feasible by construction
+    rng = np.random.default_rng(21)
+    d = 12
+    rho = rand_rho(rng, d)
+    perm = np.eye(d)[rng.permutation(d)]
+    sigma = 0.6 * perm @ rho @ perm.T + 0.4 * dephase(rho)
+    _verify_feasible(rho_dio_feasible(rho, sigma), rho, sigma)
 
 
 def test_undetermined_is_reported_honestly():
