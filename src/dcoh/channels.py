@@ -1,11 +1,15 @@
-"""Quantum channels over the incoherent basis: Choi/Kraus plumbing,
-dephasing-covariance verification, and the explicit constructive families
-(twirl, distillation, dilution, support-projector transformation).
+"""Quantum channels over the incoherent basis: the Choi operator as the one
+stored form, dephasing-covariance verification, and the explicit
+constructive families (twirl, dephasing, distillation, dilution,
+support-projector transformation).
 
 Choi convention (input factor first, unnormalized):
     J = sum_{x1,x2} |x1><x2| (x) E(|x1><x2|)
 so J is PSD iff E is completely positive, and the partial trace of J over
 the output factor equals the input identity iff E is trace preserving.
+
+Kraus operators are an input format only: `channel_from_kraus` builds the
+Choi operator from them, and `kraus_from_choi` reads a set back out.
 
 Every constructed channel is measure-and-prepare, Q -> sum_k Tr(A_k Q) omega_k,
 and its Choi operator is sum_k A_k^T (x) omega_k (`measure_prepare`).
@@ -35,7 +39,6 @@ class QuantumChannel:
     input_dim: int
     output_dim: int
     choi: np.ndarray
-    kraus: list[np.ndarray] | None = None
 
 
 def choi_from_kraus(kraus, input_dim: int, output_dim: int) -> np.ndarray:
@@ -61,12 +64,9 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> list[np.ndarray]:
 
 
 def channel_from_kraus(kraus, input_dim: int | None = None, output_dim: int | None = None) -> QuantumChannel:
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
     if input_dim is None:
-        output_dim, input_dim = kraus[0].shape
-    return QuantumChannel(
-        input_dim, output_dim, choi_from_kraus(kraus, input_dim, output_dim), kraus
-    )
+        output_dim, input_dim = np.shape(kraus[0])
+    return QuantumChannel(input_dim, output_dim, choi_from_kraus(kraus, input_dim, output_dim))
 
 
 def measure_prepare(pairs) -> QuantumChannel:
@@ -76,7 +76,7 @@ def measure_prepare(pairs) -> QuantumChannel:
 
 
 def validate_channel(ch: QuantumChannel) -> None:
-    """Check the CPTP invariants and Kraus/Choi consistency."""
+    """Check the CPTP invariants of the Choi operator."""
     j = check_hermitian(ch.choi, atol=1e-8)
     w = np.linalg.eigvalsh(j)
     if w[0] < -CHOI_PSD_ATOL:
@@ -85,10 +85,6 @@ def validate_channel(ch: QuantumChannel) -> None:
     tr_out = np.einsum("xaya->xy", j4)
     if np.max(np.abs(tr_out - np.eye(ch.input_dim))) > TP_ATOL:
         raise ValueError("channel is not trace preserving")
-    if ch.kraus is not None:
-        rebuilt = choi_from_kraus(ch.kraus, ch.input_dim, ch.output_dim)
-        if np.max(np.abs(rebuilt - j)) > 1e-8:
-            raise ValueError("stored Kraus operators do not match the Choi operator")
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:
@@ -96,29 +92,23 @@ def apply(ch: QuantumChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError(f"state dim {rho.shape} != channel input dim {ch.input_dim}")
-    if ch.kraus is not None:
-        out = sum(k @ rho @ k.conj().T for k in ch.kraus)
-    else:
-        j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
-        out = np.einsum("xayb,xy->ab", j4, rho)
+    j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
+    out = np.einsum("xayb,xy->ab", j4, rho)
     return (out + out.conj().T) / 2
 
 
 def is_dio(ch: QuantumChannel, atol: float = DIO_ATOL) -> tuple[bool, float]:
     """Check dephasing covariance for every input, via Choi equality.
 
-    When Kraus operators are available the on-average Kraus-level
-    conditions are cross-checked as well; the reported violation is the
-    maximum over both routes.
+    The Choi entry J[(x,a),(y,b)] is <K(b,y), K(a,x)> for any Kraus set, so
+    this reads the same numbers as the Kraus-level conditions of
+    `kraus_dio_conditions`.
     """
     j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     diag_in = np.eye(ch.input_dim, dtype=bool)[:, None, :, None]
     diag_out = np.eye(ch.output_dim, dtype=bool)[None, :, None, :]
     # Choi of (dephase after channel) minus Choi of (channel after dephase)
     violation = float(np.linalg.norm(j4 * diag_out - j4 * diag_in))
-    if ch.kraus is not None:
-        _, viols = kraus_dio_conditions(ch.kraus)
-        violation = max(violation, viols["diag_to_diag"], viols["offdiag_to_offdiag"])
     return violation <= atol, violation
 
 
@@ -143,9 +133,8 @@ def twirl_channel(dim: int) -> QuantumChannel:
 
 
 def dephasing_channel(dim: int) -> QuantumChannel:
-    return channel_from_kraus(
-        [np.outer(e, e) for e in np.eye(dim, dtype=complex)], dim, dim
-    )
+    """Q -> sum_x <x|Q|x> |x><x|."""
+    return measure_prepare([(np.outer(e, e), np.outer(e, e)) for e in np.eye(dim)])
 
 
 def construct_distill(rho, m: int, x) -> QuantumChannel:
@@ -254,8 +243,9 @@ def kraus_dio_conditions(kraus) -> tuple[np.ndarray, dict[str, float]]:
 
 # ---------------------------------------------------------------------------
 # JSON channel format
-#   {"kind": "channel", "din": d, "dout": d', "choi_re": [[...]],
-#    "choi_im": [[...]], "kraus": [{"re": [[...]], "im": [[...]]}, ...]}
+#   {"kind": "channel", "din": d, "dout": d', "choi_re": [[...]], "choi_im": [[...]]}
+# An optional "kraus": [{"re": [[...]], "im": [[...]]}, ...] list is read,
+# checked against the Choi operator and dropped.
 # ---------------------------------------------------------------------------
 
 def channel_to_json(ch: QuantumChannel) -> str:
@@ -266,10 +256,6 @@ def channel_to_json(ch: QuantumChannel) -> str:
         "choi_re": ch.choi.real.tolist(),
         "choi_im": ch.choi.imag.tolist(),
     }
-    if ch.kraus is not None:
-        doc["kraus"] = [
-            {"re": k.real.tolist(), "im": k.imag.tolist()} for k in ch.kraus
-        ]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -284,16 +270,16 @@ def channel_from_json(doc) -> QuantumChannel:
         choi = np.asarray(doc["choi_re"], dtype=float) + 1j * np.asarray(
             doc["choi_im"], dtype=float
         )
-        kraus = None
-        if "kraus" in doc:
-            kraus = [
-                np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
-                for k in doc["kraus"]
-            ]
+        kraus = [
+            np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
+            for k in doc.get("kraus", ())
+        ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
-    ch = QuantumChannel(din, dout, choi, kraus)
+    ch = QuantumChannel(din, dout, choi)
     validate_channel(ch)
+    if "kraus" in doc and np.max(np.abs(choi_from_kraus(kraus, din, dout) - choi)) > 1e-8:
+        raise ValueError("stored Kraus operators do not match the Choi operator")
     return ch
 
 

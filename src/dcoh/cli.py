@@ -1,5 +1,10 @@
 """Batch command-line front end with deterministic JSON reports.
 
+Each subcommand returns (input paths, report fields, exit code); `main`
+alone times the run, hashes the inputs, adds the envelope keys every
+report shares (`command`, `inputs`, `tolerances`, `wall_time_s`) and
+writes the report to stdout as strict JSON.
+
 Exit codes: 0 success / affirmative decision, 1 negative decision,
 2 undetermined, 3 input or validation error.
 """
@@ -24,25 +29,27 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_UNDETERMINED = 2
 EXIT_INPUT_ERROR = 3
+ORACLE_EXIT = {"feasible": EXIT_OK, "infeasible-certified": EXIT_NO,
+               "undetermined": EXIT_UNDETERMINED}
 
-
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+# The optional flags each mode of a subcommand reads, with the value an
+# absent one takes. `main` rejects a given flag that the mode does not read.
+# The flags that select the mode (--regime, --qubit, --heralded, --construct,
+# --verify) are not listed.
+MODE_FLAGS = {
+    "distill": {"one-shot": {"eps": 0.0}, "zero": {}, "asymptotic": {}},
+    "channel": {
+        "construct-distill": {"state": None, "m": 2, "out": None},
+        "construct-dilute": {"state": None, "m": 2, "out": None},
+        "construct-prop5": {"state": None, "target": None, "out": None},
+        "verify": {"rho": None},
+    },
+}
 
 
 def _input_entry(path: str) -> dict:
-    return {"path": path, "sha256": _sha256(path)}
-
-
-def _emit(report: dict, started: float) -> None:
-    report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    # the slack every decider compares with: prefix sums, and the qubit
-    # decider's R_Delta and l1 comparisons
-    report["tolerances"] = {"decision": majorization.PREFIX_SLACK}
-    # serialize first: a NaN or infinity raises before stdout sees anything
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
-    sys.stdout.write(text + "\n")
+    with open(path, "rb") as fh:
+        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _json_default(obj):
@@ -72,93 +79,69 @@ def _finite(x: float):
 
 def _diagnostics(result) -> dict:
     """Solver path and work counters of an NPResult or FidelityProgram."""
-    return {
-        "eig_calls": result.eig_calls,
-        "path": result.path,
-        "band_widenings": result.band_widenings,
-    }
+    return {key: getattr(result, key) for key in ("eig_calls", "path", "band_widenings")}
 
 
-def cmd_monotones(args) -> int:
-    started = time.perf_counter()
+def _mode(args) -> str | None:
+    if args.command == "distill":
+        return args.regime
+    if args.command == "decide":
+        if args.qubit and args.heralded:
+            raise ValueError("decide takes --qubit or --heralded, not both")
+        return "qubit" if args.qubit else "heralded" if args.heralded else "pure"
+    if args.command == "channel":
+        return f"construct-{args.construct}" if args.construct else "verify"
+    return None
+
+
+def _check_flags(args) -> None:
+    """Reject optional flags the mode does not read; default the ones it does."""
+    modes = MODE_FLAGS.get(args.command, {})
+    reads = modes.get(args.mode, {})
+    for flag in sorted({flag for flags in modes.values() for flag in flags}):
+        given = getattr(args, flag)
+        if flag in reads:
+            if given is None:
+                setattr(args, flag, reads[flag])
+        elif given is not None:
+            raise ValueError(f"{args.command} in {args.mode} mode does not read --{flag}")
+
+
+def cmd_monotones(args):
     kind, arr = load_state(args.state)
     psi = arr if kind == "pure" else None
     rho = pure_to_density(arr) if kind == "pure" else arr
     report = monotones.monotone_report(rho, psi=psi)
-    _emit(
-        {
-            "command": "monotones",
-            "inputs": [_input_entry(args.state)],
-            "results": {
-                "r_delta": report.r_delta,
-                "rel_entropy_bits": report.rel_entropy_bits,
-                "renyi": report.renyi,
-                "l1": report.l1,
-                "c_k": report.c_k,
-                "lp_moduli": report.lp_moduli,
-            },
-        },
-        started,
-    )
-    return EXIT_OK
+    return [args.state], {"results": vars(report)}, EXIT_OK
 
 
-def _rate_dict(r: rates.RateReport) -> dict:
-    return {
-        "one_shot_bits": _finite(r.one_shot_bits),
-        "raw_value": _finite(r.raw_value),
-        "eps": r.eps,
-        "regime": r.regime,
-    }
-
-
-def cmd_distill(args) -> int:
-    started = time.perf_counter()
+def cmd_distill(args):
     rho = _load_density(args.state)
-    certificates, diagnostics = {}, {}
-    if args.regime == "one-shot":
+    fields = {"certificates": {}}
+    if args.mode == "one-shot":
         np_result = dh_epsilon(rho, dephase(rho), args.eps)
         report = rates.distill_one_shot_from(np_result, args.eps)
-        certificates = {
-            "dual_value": np_result.dual_value,
-            "duality_gap": np_result.gap,
-        }
-        diagnostics = {"diagnostics": _diagnostics(np_result)}
-    elif args.regime == "zero":
+        fields["certificates"] = {"dual_value": np_result.dual_value, "duality_gap": np_result.gap}
+        fields["diagnostics"] = _diagnostics(np_result)
+    elif args.mode == "zero":
         report = rates.distill_zero_error(rho)
     else:
         report = rates.distill_asymptotic(rho)
-    _emit(
-        {
-            "command": "distill",
-            "inputs": [_input_entry(args.state)],
-            "results": _rate_dict(report),
-            "certificates": certificates,
-            **diagnostics,
-        },
-        started,
-    )
-    return EXIT_OK
+    results = {**vars(report), "one_shot_bits": _finite(report.one_shot_bits),
+               "raw_value": _finite(report.raw_value)}
+    return [args.state], {"results": results, **fields}, EXIT_OK
 
 
-def cmd_decide(args) -> int:
-    started = time.perf_counter()
-    if args.qubit and args.heralded:
-        raise ValueError("decide takes --qubit or --heralded, not both")
-    mode = "qubit" if args.qubit else "heralded" if args.heralded else "pure"
-    want = 1 if mode == "heralded" else 2
+def cmd_decide(args):
+    want = 1 if args.mode == "heralded" else 2
     if len(args.states) != want:
-        raise ValueError(
-            f"decide in {mode} mode takes {want} state file(s), got {len(args.states)}"
-        )
-    if mode == "qubit":
-        rho_path, sigma_path = args.states
-        decision = ch.qubit_decide(
-            _load_density(rho_path), _load_density(sigma_path), slack=majorization.PREFIX_SLACK
-        )
-        inputs = [_input_entry(rho_path), _input_entry(sigma_path)]
-    elif mode == "heralded":
-        psi_path, ens_path = args.states[0], args.heralded
+        raise ValueError(f"decide in {args.mode} mode takes {want} state file(s), "
+                         f"got {len(args.states)}")
+    if args.mode == "qubit":
+        inputs = args.states
+        decision = ch.qubit_decide(*map(_load_density, inputs), slack=majorization.PREFIX_SLACK)
+    elif args.mode == "heralded":
+        psi_path, ens_path = inputs = [args.states[0], args.heralded]
         psi = _load_pure(psi_path)
         with open(ens_path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -171,103 +154,57 @@ def cmd_decide(args) -> int:
             for i, (prob, state) in enumerate(items)
         ]
         decision = majorization.heralded_decide(psi, ensemble)
-        inputs = [_input_entry(psi_path), _input_entry(ens_path)]
     else:
-        psi_path, phi_path = args.states
-        decision = majorization.dio_pure_decide(_load_pure(psi_path), _load_pure(phi_path))
-        inputs = [_input_entry(psi_path), _input_entry(phi_path)]
-    _emit(
-        {
-            "command": "decide",
-            "mode": mode,
-            "inputs": inputs,
-            "results": {"possible": bool(decision)},
-        },
-        started,
-    )
-    return EXIT_OK if decision else EXIT_NO
+        inputs = args.states
+        decision = majorization.dio_pure_decide(*map(_load_pure, inputs))
+    fields = {"mode": args.mode, "results": {"possible": bool(decision)}}
+    return inputs, fields, EXIT_OK if decision else EXIT_NO
 
 
-def cmd_channel(args) -> int:
-    started = time.perf_counter()
-    if args.construct:
-        if args.state is None:
-            raise ValueError(f"channel --construct {args.construct} needs --state")
-        if args.construct == "prop5" and args.target is None:
-            raise ValueError("channel --construct prop5 needs --target")
-        diagnostics = {}
-        if args.construct == "distill":
-            rho = _load_density(args.state)
-            program = distill_fidelity_program(rho, args.m)
-            channel = ch.construct_distill(rho, args.m, program.primal)
-            extras = {"fidelity": program.value, "duality_gap": program.gap}
-            diagnostics = {"diagnostics": _diagnostics(program)}
-            inputs = [_input_entry(args.state)]
-        elif args.construct == "dilute":
-            omega = _load_density(args.state)
-            channel = ch.construct_dilute(args.m, omega)
-            extras = {}
-            inputs = [_input_entry(args.state)]
-        else:  # prop5
-            rho = _load_density(args.state)
-            omega = _load_density(args.target)
-            channel = ch.construct_prop5(rho, omega)
-            extras = {}
-            inputs = [_input_entry(args.state), _input_entry(args.target)]
-        ch.validate_channel(channel)
-        payload = ch.channel_to_json(channel)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        dio_ok, dio_viol = ch.is_dio(channel)
-        _emit(
-            {
-                "command": "channel",
-                "mode": f"construct-{args.construct}",
-                "inputs": inputs,
-                "results": {
-                    "out": args.out,
-                    "input_dim": channel.input_dim,
-                    "output_dim": channel.output_dim,
-                    "dio": bool(dio_ok),
-                    "dio_violation": dio_viol,
-                    **extras,
-                },
-                **diagnostics,
-            },
-            started,
-        )
-        return EXIT_OK
+def cmd_channel(args):
+    if args.mode == "verify":
+        return _verify_channel(args)
+    if args.state is None:
+        raise ValueError(f"channel --construct {args.construct} needs --state")
+    if args.construct == "prop5" and args.target is None:
+        raise ValueError("channel --construct prop5 needs --target")
+    inputs, extras, fields = [args.state], {}, {}
+    if args.construct == "distill":
+        rho = _load_density(args.state)
+        program = distill_fidelity_program(rho, args.m)
+        channel = ch.construct_distill(rho, args.m, program.primal)
+        extras = {"fidelity": program.value, "duality_gap": program.gap}
+        fields["diagnostics"] = _diagnostics(program)
+    elif args.construct == "dilute":
+        channel = ch.construct_dilute(args.m, _load_density(args.state))
+    else:  # prop5
+        inputs.append(args.target)
+        channel = ch.construct_prop5(*map(_load_density, inputs))
+    ch.validate_channel(channel)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(ch.channel_to_json(channel) + "\n")
+    dio_ok, dio_viol = ch.is_dio(channel)
+    results = {"out": args.out, "input_dim": channel.input_dim, "output_dim": channel.output_dim,
+               "dio": bool(dio_ok), "dio_violation": dio_viol, **extras}
+    return inputs, {"mode": args.mode, "results": results, **fields}, EXIT_OK
 
+
+def _verify_channel(args):
     channel = ch.load_channel(args.verify)
     dio_ok, dio_viol = ch.is_dio(channel)
     results = {"cptp": True, "dio": bool(dio_ok), "dio_violation": dio_viol}
-    inputs = [_input_entry(args.verify)]
-    affirmative = dio_ok
+    inputs, affirmative = [args.verify], dio_ok
     if args.rho:
-        rho = _load_density(args.rho)
-        rdio_ok, rdio_viol = ch.is_rho_dio(channel, rho)
-        results["rho_dio"] = bool(rdio_ok)
-        results["rho_dio_violation"] = rdio_viol
-        inputs.append(_input_entry(args.rho))
-        affirmative = rdio_ok
-    _emit(
-        {
-            "command": "channel",
-            "mode": "verify",
-            "inputs": inputs,
-            "results": results,
-        },
-        started,
-    )
-    return EXIT_OK if affirmative else EXIT_NO
+        affirmative, rdio_viol = ch.is_rho_dio(channel, _load_density(args.rho))
+        results.update(rho_dio=bool(affirmative), rho_dio_violation=rdio_viol)
+        inputs.append(args.rho)
+    return inputs, {"mode": "verify", "results": results}, EXIT_OK if affirmative else EXIT_NO
 
 
-def cmd_oracle(args) -> int:
-    started = time.perf_counter()
-    rho = _load_density(args.rho)
-    sigma = _load_density(args.sigma)
-    verdict = oracle.rho_dio_feasible(rho, sigma, max_iters=args.max_iters)
+def cmd_oracle(args):
+    inputs = [args.rho, args.sigma]
+    verdict = oracle.rho_dio_feasible(*map(_load_density, inputs), max_iters=args.max_iters)
     results = {
         "status": verdict.status,
         "iterations": verdict.iterations,
@@ -278,19 +215,7 @@ def cmd_oracle(args) -> int:
         results["certificate"] = {"monotone": name, "value_in": v_in, "value_out": v_out}
     if verdict.witness is not None:
         results["witness"] = json.loads(ch.channel_to_json(verdict.witness))
-    _emit(
-        {
-            "command": "oracle",
-            "inputs": [_input_entry(args.rho), _input_entry(args.sigma)],
-            "results": results,
-        },
-        started,
-    )
-    if verdict.status == "feasible":
-        return EXIT_OK
-    if verdict.status == "infeasible-certified":
-        return EXIT_NO
-    return EXIT_UNDETERMINED
+    return inputs, {"results": results}, ORACLE_EXIT[verdict.status]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="distillation rates")
     p.add_argument("state")
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=float, help="smoothing (one-shot only, default 0)")
     p.add_argument("--regime", choices=["one-shot", "zero", "asymptotic"], default="one-shot")
     p.set_defaults(func=cmd_distill)
 
@@ -323,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--verify", metavar="CHANNEL")
     p.add_argument("--state", help="input state file (construct modes)")
     p.add_argument("--target", help="target state file (prop5)")
-    p.add_argument("--m", type=int, default=2, help="maximally coherent unit size")
+    p.add_argument("--m", type=int, help="maximally coherent unit size (default 2)")
     p.add_argument("--out", help="where to write the constructed channel")
     p.add_argument("--rho", help="input state for the rho-DIO verification")
     p.set_defaults(func=cmd_channel)
@@ -338,11 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        args.mode = _mode(args)
+        _check_flags(args)
+        paths, fields, code = args.func(args)
+        report = {
+            "command": args.command,
+            "inputs": [_input_entry(p) for p in paths],
+            # the slack every decider compares with: prefix sums, and the
+            # qubit decider's R_Delta and l1 comparisons
+            "tolerances": {"decision": majorization.PREFIX_SLACK},
+            **fields,
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        }
+        # serialize first: a NaN or infinity raises before stdout sees anything
+        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

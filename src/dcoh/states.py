@@ -99,22 +99,10 @@ def is_incoherent(rho, tol: float = 1e-9) -> bool:
 
 def state_to_json(obj) -> str:
     arr = np.asarray(obj, dtype=complex)
-    if arr.ndim == 1:
-        doc = {
-            "kind": "pure",
-            "dim": arr.shape[0],
-            "re": arr.real.tolist(),
-            "im": arr.imag.tolist(),
-        }
-    elif arr.ndim == 2:
-        doc = {
-            "kind": "density",
-            "dim": arr.shape[0],
-            "re": arr.real.tolist(),
-            "im": arr.imag.tolist(),
-        }
-    else:
+    kind = {1: "pure", 2: "density"}.get(arr.ndim)
+    if kind is None:
         raise ValueError(f"cannot serialize array of ndim {arr.ndim}")
+    doc = {"kind": kind, "dim": arr.shape[0], "re": arr.real.tolist(), "im": arr.imag.tolist()}
     return json.dumps(doc, sort_keys=True)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -38,11 +39,15 @@ def rand_rho(rng, d):
     return rho / np.trace(rho).real
 
 
-def rand_channel(rng, d, n_kraus=3):
-    """Random CPTP channel from a Haar-ish isometry split into Kraus blocks."""
+def rand_kraus(rng, d, n_kraus=3):
+    """Kraus operators of a random CPTP channel: a Haar-ish isometry split into blocks."""
     g = rng.normal(size=(d * n_kraus, d)) + 1j * rng.normal(size=(d * n_kraus, d))
     v, _ = np.linalg.qr(g)
-    return channel_from_kraus([v[i * d : (i + 1) * d] for i in range(n_kraus)])
+    return [v[i * d : (i + 1) * d] for i in range(n_kraus)]
+
+
+def rand_channel(rng, d, n_kraus=3):
+    return channel_from_kraus(rand_kraus(rng, d, n_kraus))
 
 
 def test_choi_kraus_round_trip():
@@ -56,10 +61,10 @@ def test_choi_kraus_round_trip():
 
 def test_apply_routes_agree():
     rng = np.random.default_rng(15)
-    ch = rand_channel(rng, 3)
+    kraus = rand_kraus(rng, 3)
     rho = rand_rho(rng, 3)
-    via_kraus = apply(ch, rho)
-    via_choi = apply(QuantumChannel(3, 3, ch.choi), rho)
+    via_kraus = sum(k @ rho @ k.conj().T for k in kraus)
+    via_choi = apply(channel_from_kraus(kraus), rho)
     assert np.allclose(via_kraus, via_choi, atol=1e-10)
     assert abs(np.trace(via_choi).real - 1.0) < 1e-9
 
@@ -70,7 +75,7 @@ def test_validate_channel_catches_violations():
     with pytest.raises(ValueError, match="PSD"):
         validate_channel(QuantumChannel(d, d, j))
     ch = dephasing_channel(2)
-    broken = QuantumChannel(2, 2, 0.5 * ch.choi, None)
+    broken = QuantumChannel(2, 2, 0.5 * ch.choi)
     with pytest.raises(ValueError, match="trace preserving"):
         validate_channel(broken)
 
@@ -100,7 +105,7 @@ def test_dephasing_channel_is_dio_with_clean_kraus_conditions():
     ch = dephasing_channel(3)
     ok, viol = is_dio(ch)
     assert ok and viol < 1e-12
-    s, viols = kraus_dio_conditions(ch.kraus)
+    s, viols = kraus_dio_conditions(kraus_from_choi(ch.choi, 3, 3))
     assert np.allclose(s, np.eye(3))
     assert max(viols.values()) < 1e-12
 
@@ -245,7 +250,12 @@ def test_channel_json_round_trip():
     back = channel_from_json(channel_to_json(ch))
     assert back.input_dim == 3 and back.output_dim == 3
     assert np.allclose(back.choi, ch.choi, atol=1e-12)
-    assert len(back.kraus) == len(ch.kraus)
+    # a Kraus list that rebuilds the Choi operator is accepted and dropped
+    doc = json.loads(channel_to_json(ch))
+    assert set(doc) == {"kind", "din", "dout", "choi_re", "choi_im"}
+    doc["kraus"] = [{"re": k.real.tolist(), "im": k.imag.tolist()}
+                    for k in kraus_from_choi(ch.choi, 3, 3)]
+    assert channel_to_json(channel_from_json(doc)) == channel_to_json(ch)
     with pytest.raises(ValueError, match="malformed"):
         channel_from_json('{"kind": "channel"}')
 

@@ -1,13 +1,15 @@
+import hashlib
 import inspect
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dcoh import cli
-from dcoh.channels import qubit_decide
+from dcoh.channels import channel_to_json, dephasing_channel, qubit_decide
 from dcoh.majorization import PREFIX_SLACK
 from dcoh.states import max_coherent, pure_to_density, state_to_json
 
@@ -27,8 +29,23 @@ def files(tmp_path):
     write("psi2", max_coherent(2))
     write("psi2_dm", pure_to_density(max_coherent(2)))
     write("flat", np.diag([0.5, 0.5]).astype(complex))
+    deph = tmp_path / "deph.json"
+    deph.write_text(channel_to_json(dephasing_channel(2)))
+    paths["deph"] = str(deph)
+    ens = tmp_path / "ens.json"
+    ens.write_text(json.dumps({"items": [
+        {"prob": 0.5, "state": json.loads(state_to_json(max_coherent(2)))},
+        {"prob": 0.5, "state": json.loads(state_to_json(np.array([0, 1, 1]) / np.sqrt(2)))},
+    ]}))
+    paths["ens"] = str(ens)
+    paths["out"] = str(tmp_path / "out.json")
     paths["tmp"] = str(tmp_path)
     return paths
+
+
+def fill(argv, paths):
+    """Replace each "@name" token of an argv template by paths[name]."""
+    return [paths[a[1:]] if a.startswith("@") else a for a in argv]
 
 
 def _reject_constant(name):
@@ -304,3 +321,130 @@ def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_pa
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     _, rep = run(capsys, ["distill", files["qutrit"], "--eps", "0.0"])
     assert rep["diagnostics"] == {"eig_calls": 2, "path": "closed_form", "band_widenings": 0}
+
+
+def test_channel_kraus_contradicting_choi_exit_code(capsys, tmp_path):
+    doc = json.loads(channel_to_json(dephasing_channel(2)))
+    doc["kraus"] = [{"re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()}]
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["channel", "--verify", str(path)],
+                       "stored Kraus operators do not match the Choi operator")
+
+
+# one argv per subcommand and mode, with the flags that mode reads
+MODES = {
+    "monotones": ["monotones", "@qutrit"],
+    "distill-one-shot": ["distill", "@qutrit", "--eps", "0.1"],
+    "distill-zero": ["distill", "@qutrit", "--regime", "zero"],
+    "distill-asymptotic": ["distill", "@qutrit", "--regime", "asymptotic"],
+    "decide-pure": ["decide", "@qutrit", "@psi2"],
+    "decide-qubit": ["decide", "--qubit", "@psi2_dm", "@flat"],
+    "decide-heralded": ["decide", "@psi2", "--heralded", "@ens"],
+    "construct-distill": ["channel", "--construct", "distill", "--state", "@qutrit", "--m", "2",
+                          "--out", "@out"],
+    "construct-dilute": ["channel", "--construct", "dilute", "--state", "@psi2_dm", "--m", "2",
+                         "--out", "@out"],
+    "construct-prop5": ["channel", "--construct", "prop5", "--state", "@qutrit",
+                        "--target", "@psi2_dm", "--out", "@out"],
+    "verify": ["channel", "--verify", "@deph", "--rho", "@psi2_dm"],
+    "oracle": ["oracle", "@qutrit", "@psi2_dm"],
+}
+
+
+@pytest.mark.parametrize("argv", MODES.values(), ids=MODES.keys())
+def test_success_reports_share_one_envelope(capsys, files, argv):
+    argv = fill(argv, files)
+    code, rep = run(capsys, argv)
+    assert code in (0, 1, 2)
+    envelope = {"command", "inputs", "results", "tolerances", "wall_time_s"}
+    assert envelope <= set(rep) <= envelope | {"mode", "certificates", "diagnostics"}
+    assert rep["command"] == argv[0]
+    inputs = [a for a in argv if a.startswith(files["tmp"]) and a != files["out"]]
+    with_hash = [
+        {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()} for p in inputs
+    ]
+    assert rep["inputs"] == with_hash
+
+
+BAD_DOCS = {
+    "state": {
+        "malformed": '{"kind": "density", "dim": 2, "re": [[1, 0], [0',
+        "non-finite": '{"kind": "density", "dim": 2, "re": [[NaN, 0], [0, NaN]], '
+                      '"im": [[0, 0], [0, 0]]}',
+        "wrong-kind": channel_to_json(dephasing_channel(2)),
+    },
+    "channel": {
+        "malformed": '{"kind": "channel", "din": 2}',
+        "non-finite": channel_to_json(dephasing_channel(2)).replace("1.0", "NaN", 1),
+        "wrong-kind": state_to_json(max_coherent(2)),
+    },
+    "ensemble": {
+        "malformed": '{"items": 5}',
+        "non-finite": json.dumps({"items": [{"prob": math.nan,
+                                             "state": json.loads(state_to_json(max_coherent(2)))}]}),
+        "wrong-kind": state_to_json(max_coherent(2)),
+    },
+}
+# (mode, the argv slot that gets the bad document, what that slot expects)
+BAD_SLOTS = [
+    ("monotones", 1, "state"),
+    ("distill-one-shot", 1, "state"),
+    ("distill-zero", 1, "state"),
+    ("distill-asymptotic", 1, "state"),
+    ("decide-pure", 1, "state"),
+    ("decide-qubit", 2, "state"),
+    ("decide-heralded", 1, "state"),
+    ("decide-heralded", 3, "ensemble"),
+    ("construct-distill", 4, "state"),
+    ("construct-dilute", 4, "state"),
+    ("construct-prop5", 4, "state"),
+    ("construct-prop5", 6, "state"),
+    ("verify", 2, "channel"),
+    ("verify", 4, "state"),
+    ("oracle", 2, "state"),
+]
+
+
+@pytest.mark.parametrize("problem", ["malformed", "non-finite", "wrong-kind"])
+@pytest.mark.parametrize("mode, slot, expects", BAD_SLOTS,
+                         ids=[f"{m}-{slot}" for m, slot, _ in BAD_SLOTS])
+def test_bad_documents_exit_3_in_every_mode(capsys, files, mode, slot, expects, problem):
+    bad = files["tmp"] + "/bad.json"
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write(BAD_DOCS[expects][problem])
+    argv = fill(MODES[mode], files)
+    argv[slot] = bad
+    assert_input_error(capsys, argv, "")
+    assert not Path(files["out"]).exists()
+
+
+UNREAD_FLAGS = [
+    (["distill", "@qutrit", "--regime", "zero", "--eps", "1.5"], "eps"),
+    (["distill", "@qutrit", "--regime", "asymptotic", "--eps", "0"], "eps"),
+    (["channel", "--verify", "@deph", "--out", "@tmp"], "out"),
+    (["channel", "--verify", "@deph", "--m", "3"], "m"),
+    (["channel", "--verify", "@deph", "--state", "@qutrit"], "state"),
+    (["channel", "--verify", "@deph", "--target", "@qutrit"], "target"),
+    (["channel", "--construct", "distill", "--state", "@qutrit", "--rho", "@qutrit"], "rho"),
+    (["channel", "--construct", "dilute", "--state", "@psi2_dm", "--rho", "@qutrit"], "rho"),
+    (["channel", "--construct", "distill", "--state", "@qutrit", "--target", "@psi2_dm"], "target"),
+    (["channel", "--construct", "dilute", "--state", "@psi2_dm", "--target", "@psi2_dm"], "target"),
+    (["channel", "--construct", "prop5", "--state", "@qutrit", "--target", "@psi2_dm",
+      "--m", "0"], "m"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS, ids=[" ".join(a) for a, _ in UNREAD_FLAGS])
+def test_flags_a_mode_does_not_read_are_rejected(capsys, files, argv, flag):
+    assert_input_error(capsys, fill(argv, files), f"mode does not read --{flag}")
+
+
+def test_modes_default_the_flags_they_read(capsys, files):
+    _, given = run(capsys, ["distill", files["psi2_dm"], "--eps", "0.0"])
+    _, default = run(capsys, ["distill", files["psi2_dm"]])
+    assert given["results"] == default["results"] and default["results"]["eps"] == 0.0
+    argv = ["channel", "--construct", "distill", "--state", files["qutrit"]]
+    _, given = run(capsys, argv + ["--m", "2"])
+    _, default = run(capsys, argv)
+    assert given["results"] == default["results"]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dcoh.channels import apply, twirl_channel
 from dcoh.hypotest import dh_zero_closed_form
 from dcoh.linalg import fidelity, matrix_power
 from dcoh.monotones import (
+    DEFAULT_ALPHAS,
     c_k_monotone,
     lp_moduli_norm,
     monotone_report,
@@ -226,3 +228,49 @@ def test_monotone_report_shapes():
     rep_mixed = monotone_report(np.eye(3) / 3)
     assert rep_mixed.c_k == [] and rep_mixed.lp_moduli == []
     assert abs(rep_mixed.l1 - 1.0) < 1e-12
+
+
+# Monotones under DIO maps: basis permutations and diagonal unitaries are
+# reversible DIO maps, so every monotone is invariant under them; the twirl
+# and convex mixtures of all three are DIO, so no monotone may rise.
+
+def _monotone_values(rho):
+    return np.array([r_delta(rho), rel_entropy_coherence(rho)]
+                    + [renyi_relative(rho, a) for a in DEFAULT_ALPHAS])
+
+
+def _rank_deficient_states():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4, 5):
+        for rank in range(1, d):
+            for _ in range(3):
+                yield rng, d, rand_rho(rng, d, rank)
+
+
+def _reversible_map(rng, d):
+    """A random basis permutation or diagonal unitary, as rho -> U rho U^dag."""
+    if rng.random() < 0.5:
+        u = np.eye(d)[rng.permutation(d)]
+    else:
+        u = np.diag(np.exp(2j * np.pi * rng.random(d)))
+    return lambda rho: u @ rho @ u.conj().T
+
+
+def test_monotones_invariant_under_permutations_and_diagonal_unitaries():
+    for rng, d, rho in _rank_deficient_states():
+        before = _monotone_values(rho)
+        for _ in range(2):
+            after = _monotone_values(_reversible_map(rng, d)(rho))
+            assert np.max(np.abs(after - before)) <= 1e-9, (d, before, after)
+
+
+def test_monotones_do_not_rise_under_twirl_and_mixtures_of_dio_maps():
+    for rng, d, rho in _rank_deficient_states():
+        before = _monotone_values(rho)
+        twirl = twirl_channel(d)
+        assert np.all(_monotone_values(apply(twirl, rho)) <= before + 1e-9)
+        maps = [_reversible_map(rng, d) for _ in range(3)] + [lambda x: apply(twirl, x)]
+        weights = rng.dirichlet(np.ones(len(maps)))
+        mixed = sum(w * f(rho) for w, f in zip(weights, maps))
+        after = _monotone_values(mixed)
+        assert np.all(after <= before + 1e-9), (d, before, after)
