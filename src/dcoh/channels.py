@@ -25,6 +25,7 @@ import numpy as np
 
 from .hypotest import check_test_operator
 from .linalg import check_hermitian, support_projector
+from .majorization import PREFIX_SLACK
 from .monotones import r_delta
 from .states import check_density, dephase, is_incoherent, l1_norm, max_coherent
 
@@ -97,7 +98,7 @@ def apply(ch: QuantumChannel, rho) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def is_dio(ch: QuantumChannel, atol: float = DIO_ATOL) -> tuple[bool, float]:
+def is_dio(ch: QuantumChannel) -> tuple[bool, float]:
     """Check dephasing covariance for every input, via Choi equality.
 
     The Choi entry J[(x,a),(y,b)] is <K(b,y), K(a,x)> for any Kraus set, so
@@ -109,7 +110,7 @@ def is_dio(ch: QuantumChannel, atol: float = DIO_ATOL) -> tuple[bool, float]:
     diag_out = np.eye(ch.output_dim, dtype=bool)[None, :, None, :]
     # Choi of (dephase after channel) minus Choi of (channel after dephase)
     violation = float(np.linalg.norm(j4 * diag_out - j4 * diag_in))
-    return violation <= atol, violation
+    return violation <= DIO_ATOL, violation
 
 
 def is_rho_dio(ch: QuantumChannel, rho, atol: float = DIO_ATOL) -> tuple[bool, float]:
@@ -199,16 +200,16 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     return measure_prepare([(pi, omega), (np.eye(rho.shape[0]) - pi, sigma)])
 
 
-def qubit_decide(rho, sigma, slack: float = 1e-9) -> bool:
+def qubit_decide(rho, sigma) -> bool:
     """Single-qubit transformation decider: rho -> sigma is possible iff
-    both R_Delta and the entrywise l1 norm are non-increasing."""
+    both R_Delta and the entrywise l1 norm are non-increasing (within PREFIX_SLACK)."""
     rho = check_density(rho)
     sigma = check_density(sigma)
     if rho.shape != (2, 2) or sigma.shape != (2, 2):
         raise ValueError("qubit_decide requires two single-qubit states")
     return (
-        r_delta(rho) >= r_delta(sigma) - slack
-        and l1_norm(rho) >= l1_norm(sigma) - slack
+        r_delta(rho) >= r_delta(sigma) - PREFIX_SLACK
+        and l1_norm(rho) >= l1_norm(sigma) - PREFIX_SLACK
     )
 
 
@@ -264,7 +265,7 @@ def channel_from_json(doc) -> QuantumChannel:
         doc = json.loads(doc)
     try:
         if doc["kind"] != "channel":
-            raise ValueError(f"unknown kind {doc['kind']!r}")
+            raise ValueError(f"expected a channel document, got kind {doc['kind']!r}")
         din = int(doc["din"])
         dout = int(doc["dout"])
         choi = np.asarray(doc["choi_re"], dtype=float) + 1j * np.asarray(

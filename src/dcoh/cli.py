@@ -139,7 +139,7 @@ def cmd_decide(args):
                          f"got {len(args.states)}")
     if args.mode == "qubit":
         inputs = args.states
-        decision = ch.qubit_decide(*map(_load_density, inputs), slack=majorization.PREFIX_SLACK)
+        decision = ch.qubit_decide(*map(_load_density, inputs))
     elif args.mode == "heralded":
         psi_path, ens_path = inputs = [args.states[0], args.heralded]
         psi = _load_pure(psi_path)

@@ -26,7 +26,6 @@ from .states import check_density, dephase
 ZERO_BAND = 1e-9
 # A dual subgradient this close to zero counts as a sign change.
 SLOPE_TOL = 1e-12
-GAP_TOL = 1e-6
 
 
 @dataclass
@@ -62,11 +61,11 @@ class FidelityProgram:
     band_widenings: int
 
 
-def check_test_operator(m, atol: float = 1e-9) -> np.ndarray:
-    """Validate 0 <= M <= 1 within tolerance."""
+def check_test_operator(m) -> np.ndarray:
+    """Validate 0 <= M <= 1 within 1e-9."""
     m = check_hermitian(m)
     w = np.linalg.eigvalsh(m)
-    if w[0] < -atol or w[-1] > 1.0 + atol:
+    if w[0] < -1e-9 or w[-1] > 1.0 + 1e-9:
         raise ValueError(
             f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]"
         )

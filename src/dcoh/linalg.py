@@ -40,11 +40,11 @@ def rank_tol(w) -> float:
     return RANK_RTOL * max(1.0, lam_max)
 
 
-def check_psd(a, atol: float = PSD_ATOL) -> np.ndarray:
+def check_psd(a) -> np.ndarray:
     """Validate that ``a`` is Hermitian PSD within tolerance."""
     a = check_hermitian(a)
     w = np.linalg.eigvalsh(a)
-    if w.size and w[0] < -atol:
+    if w.size and w[0] < -PSD_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     return a
 

@@ -34,14 +34,14 @@ def _pad_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def majorizes(q, p, slack: float = PREFIX_SLACK) -> bool:
+def majorizes(q, p) -> bool:
     """True iff p is majorized by q (every prefix sum of p^down <= q^down)."""
     p = prob_vector(p)
     q = prob_vector(q)
     p, q = _pad_pair(p, q)
     cp = np.cumsum(np.sort(p)[::-1])
     cq = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(cp <= cq + slack))
+    return bool(np.all(cp <= cq + PREFIX_SLACK))
 
 
 def dio_pure_decide(psi, phi) -> bool:
@@ -49,12 +49,12 @@ def dio_pure_decide(psi, phi) -> bool:
     return majorizes(coherence_distribution(phi), coherence_distribution(psi))
 
 
-def dio_to_maxcoherent_decide(psi, m: int, slack: float = PREFIX_SLACK) -> bool:
+def dio_to_maxcoherent_decide(psi, m: int) -> bool:
     """Decide psi -> Psi_m: possible iff max_x |psi_x|^2 <= 1/m."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     p = coherence_distribution(psi)
-    return bool(np.max(p) <= 1.0 / m + slack)
+    return bool(np.max(p) <= 1.0 / m + PREFIX_SLACK)
 
 
 def heralded_decide(psi, ensemble) -> bool:
@@ -82,7 +82,7 @@ def _t_transform(d: int, j: int, k: int, lam: float) -> np.ndarray:
     return t
 
 
-def build_witness(q, p, atol: float = 1e-12) -> MajorizationWitness:
+def build_witness(q, p) -> MajorizationWitness:
     """Construct a bistochastic T with T q = p via a chain of T-transforms.
 
     Uses the Hardy-Littlewood-Polya construction on the sorted vectors:
@@ -108,8 +108,8 @@ def build_witness(q, p, atol: float = 1e-12) -> MajorizationWitness:
     cur = qs.copy()
     for _ in range(d):
         diff = cur - ps
-        pos = np.where(diff > atol)[0]
-        neg = np.where(diff < -atol)[0]
+        pos = np.where(diff > 1e-12)[0]
+        neg = np.where(diff < -1e-12)[0]
         if pos.size == 0 or neg.size == 0:
             break
         # First positive mismatch precedes the first negative one whenever

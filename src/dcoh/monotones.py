@@ -1,7 +1,8 @@
 """Coherence quantifiers that are monotone under dephasing-covariant and
 input-tailored dephasing-covariant channels.
 
-All logarithms are base 2; values are reported in bits.
+One generator, `_family`, defines the family that `monotone_report` reports
+and the oracle certifies with. All logarithms are base 2; values are in bits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import rank_tol, support_eigh
-from .states import check_density, check_pure, coherence_distribution, l1_norm, prob_vector
+from .states import check_density, check_pure, coherence_distribution, prob_vector
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_PS = (0.25, 0.5, 0.75, 1.25, 1.5, 2.0)
@@ -35,6 +36,41 @@ def _diag_power(rho, s: float) -> np.ndarray:
     return np.where(keep, p, 1.0) ** s * keep
 
 
+def _entropy_bits(w) -> float:
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _family(rho):
+    """(name, value) pairs of a validated rho in certificate order: r_delta,
+    renyi_alpha for alpha in DEFAULT_ALPHAS, l1. Each is computed when asked
+    for, so a caller that stops at r_delta never runs support_eigh."""
+    q = _diag_power(rho, -0.5)
+    lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
+    yield "r_delta", max(lam - 1.0, 0.0)
+    yield from _renyi_family(rho, DEFAULT_ALPHAS)
+    yield "l1", float(np.sum(np.abs(rho)))
+
+
+def _renyi_family(rho, alphas):
+    """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from one
+    support_eigh of a validated rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
+
+        Tr rho^alpha dephase(rho)^(1-alpha) = sum_k w_k^alpha sum_x |v_xk|^2 p_x^(1-alpha),
+
+    which at alpha = 0 is Tr(Pi_rho dephase(rho)), the zero-error yield; the
+    alpha -> 1 limit is S(p) - S(w).
+    """
+    w, v = support_eigh(rho)
+    weights = np.abs(v) ** 2
+    for alpha in alphas:
+        if alpha == 1.0:
+            yield f"renyi_{alpha}", max(_entropy_bits(np.diag(rho).real) - _entropy_bits(w), 0.0)
+        else:
+            trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ weights))
+            yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0)
+
+
 def r_delta(rho) -> float:
     """Max-relative-entropy monotone: min{lambda : rho <= (1+lambda) dephase(rho)}.
 
@@ -42,45 +78,21 @@ def r_delta(rho) -> float:
     D^{-1/2} rho D^{-1/2} minus one, with D = dephase(rho) pseudo-inverted
     on its support; D is diagonal, so this only rescales the entries of rho.
     """
-    rho = check_density(rho)
-    q = _diag_power(rho, -0.5)
-    lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
-    return max(lam - 1.0, 0.0)
-
-
-def _entropy_bits(w) -> float:
-    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w)))
+    return next(_family(check_density(rho)))[1]
 
 
 def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
-    rho = check_density(rho)
-    s_rho = _entropy_bits(np.linalg.eigvalsh(rho))
-    s_deph = _entropy_bits(np.diag(rho).real)
-    return max(s_deph - s_rho, 0.0)
+    return renyi_relative(rho, 1.0)
 
 
 def renyi_relative(rho, alpha: float) -> float:
-    """Petz-Renyi relative entropy between rho and its dephasing, in bits.
-
-    Valid (data-processing-monotone) only for alpha in [0, 2]; values
-    outside that range are rejected. With rho = sum_k w_k v_k v_k^dag on its
-    support and p = diag(rho),
-
-        Tr rho^alpha dephase(rho)^(1-alpha) = sum_k w_k^alpha sum_x |v_xk|^2 p_x^(1-alpha),
-
-    which at alpha = 0 is Tr(Pi_rho dephase(rho)), the zero-error yield.
-    """
+    """Petz-Renyi relative entropy D_alpha(rho || dephase(rho)) in bits, for
+    alpha in [0, 2] (where it is data-processing monotone; others are
+    rejected). alpha = 1 is the relative entropy of coherence."""
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    if alpha == 1.0:
-        return rel_entropy_coherence(rho)
-    rho = check_density(rho)
-    w, v = support_eigh(rho)
-    trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ np.abs(v) ** 2))
-    return math.log2(trace) / (alpha - 1.0)
+    return next(_renyi_family(check_density(rho), (alpha,)))[1]
 
 
 def renyi_entropy(p, gamma: float) -> float:
@@ -114,7 +126,7 @@ def lp_moduli_norm(psi, p: float) -> float:
     return float(np.sum(q ** p) ** (1.0 / p))
 
 
-def monotone_report(rho, psi=None, alphas=DEFAULT_ALPHAS, ks=(2,), ps=DEFAULT_PS) -> MonotoneReport:
+def monotone_report(rho, psi=None) -> MonotoneReport:
     """Evaluate the full monotone family on a state.
 
     This is a necessary-conditions family only: no finite set of monotones
@@ -122,15 +134,15 @@ def monotone_report(rho, psi=None, alphas=DEFAULT_ALPHAS, ks=(2,), ps=DEFAULT_PS
     pure amplitude vector is available the pure-state-only quantifiers are
     included as well.
     """
-    rho = check_density(rho)
+    values = dict(_family(check_density(rho)))
     report = MonotoneReport(
-        r_delta=r_delta(rho),
-        rel_entropy_bits=rel_entropy_coherence(rho),
-        renyi=[(a, renyi_relative(rho, a)) for a in alphas],
-        l1=l1_norm(rho),
+        r_delta=values["r_delta"],
+        rel_entropy_bits=values["renyi_1.0"],
+        renyi=[(a, values[f"renyi_{a}"]) for a in DEFAULT_ALPHAS],
+        l1=values["l1"],
     )
     if psi is not None:
         psi = check_pure(psi)
-        report.c_k = [(k, c_k_monotone(psi, k)) for k in ks]
-        report.lp_moduli = [(p, lp_moduli_norm(psi, p)) for p in ps]
+        report.c_k = [(2, c_k_monotone(psi, 2))]
+        report.lp_moduli = [(p, lp_moduli_norm(psi, p)) for p in DEFAULT_PS]
     return report

@@ -7,8 +7,8 @@ covariance condition, forced into this affine form by the first) by
 Douglas-Rachford splitting on the Choi operator between the PSD cone and
 the affine constraint set, whose projection is a closed-form two-sided
 product once the Choi operator is realigned. Projection splitting cannot
-certify infeasibility, so non-convergence falls back to monotone
-certificates and, failing those, an honest "undetermined".
+certify infeasibility: a "no" is the first member of `monotones._family`
+that rises from rho to sigma, and non-convergence is an honest "undetermined".
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
-from .monotones import DEFAULT_ALPHAS, r_delta, renyi_relative
-from .states import check_density, dephase, l1_norm
+from .monotones import _family
+from .states import check_density, dephase
 
 DEFAULT_MAX_ITERS = 5000
-DEFAULT_RESIDUAL_TOL = 1e-7
+RESIDUAL_TOL = 1e-7
 CERT_MARGIN = 1e-7
-
-# looked up at call time, so a rebound module attribute is seen
-_CERT_MONOTONES = [("r_delta", lambda s: r_delta(s))] + [
-    (f"renyi_{a}", lambda s, a=a: renyi_relative(s, a)) for a in DEFAULT_ALPHAS
-]
 
 
 @dataclass
@@ -41,13 +36,14 @@ class FeasibilityVerdict:
     iterations: int
 
 
-def _monotone_certificate(rho, sigma, margin: float = CERT_MARGIN):
-    monotones = list(_CERT_MONOTONES)
-    if rho.shape == (2, 2) and sigma.shape == (2, 2):
-        monotones.append(("l1", l1_norm))
-    for name, fn in monotones:
-        v_in, v_out = fn(rho), fn(sigma)
-        if v_out > v_in + margin:
+def _monotone_certificate(rho, sigma):
+    """(name, v_in, v_out) of the first family member that rises by more than
+    CERT_MARGIN from rho to sigma (both validated); l1 counts for qubits only."""
+    qubits = rho.shape == sigma.shape == (2, 2)
+    for (name, v_in), (_, v_out) in zip(_family(rho), _family(sigma)):
+        if name == "l1" and not qubits:
+            break
+        if v_out > v_in + CERT_MARGIN:
             return name, v_in, v_out
     return None
 
@@ -90,14 +86,13 @@ def _project_psd(j):
     return (v * w) @ v.conj().T
 
 
-def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS,
-                     residual_tol: float = DEFAULT_RESIDUAL_TOL) -> FeasibilityVerdict:
+def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
-    Monotone certificates are evaluated first (they are cheap and sound);
-    otherwise Douglas-Rachford iterations search for a witness Choi
-    operator. The reported residual is the constraint violation of the
-    PSD shadow iterate, so a small residual means an almost-exact witness.
+    The monotone family is checked first (cheap and sound); otherwise
+    Douglas-Rachford iterations search for a witness Choi operator. The
+    reported residual is the constraint violation of the PSD shadow
+    iterate, so a small residual means an almost-exact witness.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -122,11 +117,11 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS,
     for iters in range(1, max_iters + 1):
         y = _project_psd(z.ravel()[to_j]).ravel()[to_m]
         residual = constraint_residual(y)
-        if residual <= residual_tol:
+        if residual <= RESIDUAL_TOL:
             break
         z = z + project_affine(2.0 * y - z) - y
 
-    if residual <= residual_tol:
+    if residual <= RESIDUAL_TOL:
         witness = QuantumChannel(din, dout, y.ravel()[to_j])
         ok_rho_dio, _ = is_rho_dio(witness, rho, atol=1e-6)
         image_err = float(np.linalg.norm(apply(witness, rho) - sigma))

@@ -173,20 +173,13 @@ def dilute_one_shot_bounds(rho, eps: float) -> tuple[RateReport, RateReport]:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     rho = check_density(rho)
     if eps == 0.0:
-        exact = dilute_zero_error(rho)
-        lower = RateReport(exact.one_shot_bits, exact.raw_value, 0.0, "one_shot")
-        upper = RateReport(exact.one_shot_bits, exact.raw_value, 0.0, "one_shot")
-        return lower, upper
-    unit_lo = _dilution_lower_unit(rho, eps)
-    unit_hi = _dilution_upper_unit(rho, eps)
-    unit_lo = min(unit_lo, unit_hi)  # the certified bound can never exceed the witness
-    lower = RateReport(
-        math.log2(guarded_ceil(unit_lo)), math.log2(unit_lo), eps, "one_shot"
-    )
-    upper = RateReport(
-        math.log2(guarded_ceil(unit_hi)), math.log2(unit_hi), eps, "one_shot"
-    )
-    return lower, upper
+        unit_lo = unit_hi = r_delta(rho) + 1.0
+    else:
+        unit_hi = _dilution_upper_unit(rho, eps)
+        # the certified bound can never exceed the witness
+        unit_lo = min(_dilution_lower_unit(rho, eps), unit_hi)
+    return tuple(RateReport(math.log2(guarded_ceil(u)), math.log2(u), float(eps), "one_shot")
+                 for u in (unit_lo, unit_hi))
 
 
 def asymptotic_rate(rho, sigma) -> float:

@@ -86,9 +86,9 @@ def l1_norm(rho) -> float:
     return float(np.sum(np.abs(rho)))
 
 
-def is_incoherent(rho, tol: float = 1e-9) -> bool:
+def is_incoherent(rho) -> bool:
     rho = check_density(rho)
-    return float(np.linalg.norm(rho - dephase(rho))) <= tol
+    return float(np.linalg.norm(rho - dephase(rho))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,8 @@ def state_from_json(doc) -> tuple[str, np.ndarray]:
         doc = json.loads(doc)
     try:
         kind = doc["kind"]
+        if kind not in ("density", "pure"):
+            raise ValueError(f"expected a density or pure state document, got kind {kind!r}")
         dim = int(doc["dim"])
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
@@ -122,11 +124,9 @@ def state_from_json(doc) -> tuple[str, np.ndarray]:
         if arr.shape != (dim, dim):
             raise ValueError(f"density shape {arr.shape} does not match dim {dim}")
         return "density", check_density(arr)
-    if kind == "pure":
-        if arr.shape != (dim,):
-            raise ValueError(f"pure shape {arr.shape} does not match dim {dim}")
-        return "pure", check_pure(arr)
-    raise ValueError(f"unknown state kind {kind!r}")
+    if arr.shape != (dim,):
+        raise ValueError(f"pure shape {arr.shape} does not match dim {dim}")
+    return "pure", check_pure(arr)
 
 
 def load_state(path) -> tuple[str, np.ndarray]:

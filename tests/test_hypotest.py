@@ -95,7 +95,7 @@ def test_dh_primal_is_feasible_and_dual_certified():
         sigma = rand_rho(rng, d)
         eps = float(rng.uniform(0.0, 0.8))
         res = dh_epsilon(rho, sigma, eps)
-        check_test_operator(res.primal, atol=1e-7)
+        check_test_operator(res.primal)
         assert np.trace(res.primal @ rho).real >= 1.0 - eps - 1e-7
         assert abs(res.gap) < 1e-6
         assert res.dual_t >= 0.0
@@ -206,7 +206,7 @@ def test_distill_fidelity_program_certificates():
         m = int(rng.integers(2, 5))
         rho = rand_rho(rng, d)
         prog = distill_fidelity_program(rho, m)
-        check_test_operator(prog.primal, atol=1e-7)
+        check_test_operator(prog.primal)
         weight = np.trace(prog.primal @ dephase(rho)).real
         assert abs(weight - 1.0 / m) < 1e-8
         assert 1.0 / m - 1e-9 <= prog.value <= 1.0 + 1e-12
@@ -228,7 +228,7 @@ def test_distill_fidelity_rejects_small_m():
 
 def _check_dh(rho, sigma, eps):
     res = dh_epsilon(rho, sigma, eps)
-    check_test_operator(res.primal, atol=1e-8)
+    check_test_operator(res.primal)
     assert np.trace(res.primal @ rho).real >= 1.0 - eps - 1e-8
     assert abs(res.gap) < 1e-6
     want = -bisect_dual_reference(-sigma, rho, 1.0 - eps)
@@ -240,7 +240,7 @@ def _check_dh(rho, sigma, eps):
 def _check_fidelity(rho, m):
     prog = distill_fidelity_program(rho, m)
     delta = dephase(rho)
-    check_test_operator(prog.primal, atol=1e-8)
+    check_test_operator(prog.primal)
     assert abs(np.trace(prog.primal @ delta).real - 1.0 / m) < 1e-8
     assert abs(prog.gap) < 1e-6
     want = bisect_dual_reference(rho, -delta, -1.0 / m)

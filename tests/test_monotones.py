@@ -16,6 +16,7 @@ from dcoh.monotones import (
     renyi_entropy,
     renyi_relative,
 )
+from dcoh.oracle import _monotone_certificate
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
@@ -99,6 +100,9 @@ def test_decompositions_per_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     rho = rand_rho(np.random.default_rng(5), 3, 2)
     sigma = rand_rho(np.random.default_rng(6), 3)
+    # rho -> mixed is a DIO map, so no monotone separates the pair; R_Delta
+    # certifies mixed -> rho
+    mixed = (rho + dephase(rho)) / 2
     for fn, expected in [
         (r_delta, 2),
         (lambda r: renyi_relative(r, 0.0), 2),
@@ -107,6 +111,9 @@ def test_decompositions_per_call(monkeypatch):
         (lambda r: renyi_relative(r, 1.0), 2),
         (lambda r: fidelity(r, sigma), 3),
         (lambda r: matrix_power(r, 0.5), 1),
+        (monotone_report, 3),
+        (lambda r: _monotone_certificate(r, mixed), 4),
+        (lambda r: _monotone_certificate(mixed, r), 2),
     ]:
         calls.clear()
         fn(rho)
@@ -222,8 +229,9 @@ def test_lp_moduli_norm():
 def test_monotone_report_shapes():
     rho = pure_to_density(QUTRIT)
     rep = monotone_report(rho, psi=QUTRIT)
-    assert rep.r_delta > 0
-    assert len(rep.renyi) == 5
+    assert rep.r_delta > 0 and rep.r_delta == r_delta(rho)
+    assert rep.renyi == [(a, renyi_relative(rho, a)) for a in DEFAULT_ALPHAS]
+    assert rep.rel_entropy_bits == rel_entropy_coherence(rho)
     assert rep.c_k and rep.lp_moduli
     rep_mixed = monotone_report(np.eye(3) / 3)
     assert rep_mixed.c_k == [] and rep_mixed.lp_moduli == []

@@ -15,6 +15,11 @@ def rand_rho(rng, d):
     return rho / np.trace(rho).real
 
 
+def rand_pure(rng, d):
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return pure_to_density(psi / np.linalg.norm(psi))
+
+
 # Reference: the dense constraint system L vec(J) = b in the Choi layout, one
 # row per entry of Tr_out J = 1, Lambda(rho) = sigma and
 # Lambda(dephase(rho)) = dephase(sigma).
@@ -167,6 +172,18 @@ def test_qubit_agreement_with_closed_form_decider():
         if verdict.status == "feasible":
             _verify_feasible(verdict, rho, sigma)
     assert determined >= 36  # >= 90% on this sample
+    # rank-deficient pairs (pure -> pure, pure -> mixed, mixed -> pure) are
+    # all determined
+    kinds = ((rand_pure, rand_pure), (rand_pure, rand_rho), (rand_rho, rand_pure))
+    for make_rho, make_sigma in kinds:
+        for _ in range(10):
+            rho, sigma = make_rho(rng, 2), make_sigma(rng, 2)
+            verdict = rho_dio_feasible(rho, sigma)
+            assert (verdict.status == "feasible") == qubit_decide(rho, sigma), (rho, sigma)
+            if verdict.status == "feasible":
+                _verify_feasible(verdict, rho, sigma)
+            else:
+                assert verdict.status == "infeasible-certified", (rho, sigma)
 
 
 def test_dimension_change_feasible_case():
