@@ -26,8 +26,8 @@ import numpy as np
 from .hypotest import check_test_operator
 from .linalg import check_hermitian, support_projector
 from .majorization import PREFIX_SLACK
-from .monotones import r_delta
-from .states import check_density, dephase, is_incoherent, l1_norm, max_coherent
+from .monotones import _r_delta
+from .states import _is_incoherent, _l1, check_density, dephase, max_coherent
 
 CHOI_PSD_ATOL = 1e-9
 TP_ATOL = 1e-9
@@ -164,11 +164,11 @@ def construct_dilute(m: int, omega) -> QuantumChannel:
     valid (Z PSD) exactly when R_Delta(omega) <= m - 1.
     """
     omega = check_density(omega)
-    r = r_delta(omega)
+    r = _r_delta(omega)
     if r > m - 1 + 1e-8:
         raise ValueError(f"R_Delta(omega) = {r!r} exceeds m - 1 = {m - 1}")
     if m == 1:
-        if not is_incoherent(omega):
+        if not _is_incoherent(omega):
             raise ValueError("m = 1 requires an incoherent target")
         return measure_prepare([(np.eye(1), omega)])
     z = (m * dephase(omega) - omega) / (m - 1)
@@ -187,13 +187,14 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     omega = check_density(omega)
     pi = support_projector(rho)
     lam = 1.0 / float(np.trace(pi @ dephase(rho)).real)
-    if r_delta(omega) + 1.0 > lam + 1e-9:
+    lam_omega = _r_delta(omega) + 1.0
+    if lam_omega > lam + 1e-9:
         raise ValueError(
-            f"R_Delta(omega) + 1 = {r_delta(omega) + 1.0!r} exceeds "
+            f"R_Delta(omega) + 1 = {lam_omega!r} exceeds "
             f"1/Tr(Pi_rho dephase(rho)) = {lam!r}"
         )
     if abs(lam - 1.0) <= 1e-12:
-        if not is_incoherent(omega):
+        if not _is_incoherent(omega):
             raise ValueError("full-support input admits only incoherent targets")
         return measure_prepare([(np.eye(rho.shape[0]), omega)])
     sigma = (lam * dephase(omega) - omega) / (lam - 1.0)
@@ -208,8 +209,8 @@ def qubit_decide(rho, sigma) -> bool:
     if rho.shape != (2, 2) or sigma.shape != (2, 2):
         raise ValueError("qubit_decide requires two single-qubit states")
     return (
-        r_delta(rho) >= r_delta(sigma) - PREFIX_SLACK
-        and l1_norm(rho) >= l1_norm(sigma) - PREFIX_SLACK
+        _r_delta(rho) >= _r_delta(sigma) - PREFIX_SLACK
+        and _l1(rho) >= _l1(sigma) - PREFIX_SLACK
     )
 
 

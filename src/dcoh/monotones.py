@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import rank_tol, support_eigh
-from .states import check_density, check_pure, coherence_distribution, prob_vector
+from .states import _l1, check_density, check_pure, coherence_distribution, prob_vector
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 DEFAULT_PS = (0.25, 0.5, 0.75, 1.25, 1.5, 2.0)
@@ -49,7 +49,7 @@ def _family(rho):
     lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
     yield "r_delta", max(lam - 1.0, 0.0)
     yield from _renyi_family(rho, DEFAULT_ALPHAS)
-    yield "l1", float(np.sum(np.abs(rho)))
+    yield "l1", _l1(rho)
 
 
 def _renyi_family(rho, alphas):
@@ -78,12 +78,22 @@ def r_delta(rho) -> float:
     D^{-1/2} rho D^{-1/2} minus one, with D = dephase(rho) pseudo-inverted
     on its support; D is diagonal, so this only rescales the entries of rho.
     """
-    return next(_family(check_density(rho)))[1]
+    return _r_delta(check_density(rho))
+
+
+def _r_delta(rho) -> float:
+    """r_delta of an already validated rho."""
+    return next(_family(rho))[1]
 
 
 def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
-    return renyi_relative(rho, 1.0)
+    return _rel_entropy(check_density(rho))
+
+
+def _rel_entropy(rho) -> float:
+    """rel_entropy_coherence of an already validated rho."""
+    return next(_renyi_family(rho, (1.0,)))[1]
 
 
 def renyi_relative(rho, alpha: float) -> float:

@@ -8,8 +8,9 @@ optima sit exactly on integers for structured states.
 The smoothed one-shot dilution cost is reported as a certified bracket
 from two exact one-dimensional programs, with no hypothesis-testing
 solve: the lower side maximizes a test-operator bound over all tests by
-Dinkelbach's iteration, and the upper side bisects for the cheapest
-fidelity-feasible witness on the segment from rho to dephase(rho).
+Dinkelbach's iteration, and the upper side brackets the cheapest
+fidelity-feasible witness on the segment from rho to dephase(rho) with
+safeguarded Newton and secant steps on the concave root fidelity.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import numpy as np
 
 from .hypotest import NPResult, dh_epsilon, dh_zero_closed_form
 from .linalg import fidelity_from_inner, support_eigh
-from .monotones import r_delta, rel_entropy_coherence
-from .states import check_density, dephase, is_incoherent
+from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence
+from .states import _is_incoherent, check_density, dephase
 
 INT_GUARD_RTOL = 1e-7
+# Width at which the upper unit's bracket on t stops.
+UPPER_TOL = 1e-12
 
 
 @dataclass
@@ -132,33 +135,77 @@ def _dilution_upper_unit(rho, eps: float) -> float:
     family w_t = (1-t) rho + t dephase(rho), whose cost is
     R_Delta(w_t) + 1 = t + (1-t)(R_Delta(rho)+1).
 
-    sqrt(F) is jointly concave, so F(rho, w_t) >= 1-eps holds exactly on an
-    interval [0, t*] (t = 0 is rho itself). t* is found by bisection to
-    machine resolution, and the returned cost is that of the largest t
-    that passed the fidelity check, so the bound comes with its witness.
+    g(t) = sqrt F(rho, w_t) is concave in t (sqrt(F) is jointly concave), so
+    F(rho, w_t) >= 1-eps holds exactly on an interval [0, t*] (t = 0 is rho
+    itself). t* is bracketed by [lo, hi], lo passing the fidelity check and
+    hi failing it, until hi - lo <= UPPER_TOL. The steps alternate between
+    two interpolants that concavity keeps on their own side: a Newton step
+    from a failing point stays failing (the tangent lies above g), and a
+    secant step from lo stays passing (the chord lies below g). The midpoint
+    is taken instead when an interpolant does not exist or the last two
+    points did not halve the bracket, and every point is kept UPPER_TOL/2
+    inside it. Each point is classified by the check itself, and the
+    returned cost is that of lo, so the bound comes with its witness.
     The fidelity is taken on the support of rho: with f = v sqrt(w) from
-    support_eigh(rho), f^dag w_t f is affine in t (f^dag rho f = diag(w^2)),
-    so each check is one eigvalsh. rho must already be a validated density
-    matrix.
+    support_eigh(rho), inner(t) = f^dag w_t f is affine in t
+    (f^dag rho f = diag(w^2)) and g(t) = Tr sqrt(inner(t)). A secant point
+    costs one eigvalsh; a Newton point one eigh, whose eigenpairs (x, u)
+    also give g'(t) = 1/2 sum_k u_k^dag (inner(1) - inner(0)) u_k / sqrt(x_k).
+    rho must already be a validated density matrix.
     """
-    lam0 = r_delta(rho) + 1.0
+    lam0 = _r_delta(rho) + 1.0
     w, v = support_eigh(rho)
     f = v * np.sqrt(w)
     inner_rho = np.diag(w**2)
     inner_delta = f.conj().T @ (np.diag(rho).real[:, None] * f)
+    slope = inner_delta - inner_rho
+    target = 1.0 - eps - 1e-12
+    root_target = math.sqrt(target)
 
-    def feasible(t: float) -> bool:
-        inner = (1.0 - t) * inner_rho + t * inner_delta
-        return fidelity_from_inner(inner) >= 1.0 - eps - 1e-12
+    def inner(t: float) -> np.ndarray:
+        return (1.0 - t) * inner_rho + t * inner_delta
 
-    lo, hi = (1.0, 1.0) if feasible(1.0) else (0.0, 1.0)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if feasible(mid):
-            lo = mid
+    def tangent(t: float) -> tuple[float, float, float]:
+        """(F, g, g') at t from one eigh."""
+        x, u = np.linalg.eigh(inner(t))
+        keep = x > 0.0
+        root = np.sqrt(x[keep])
+        u = u[:, keep]
+        g = float(np.sum(root))
+        dg = 0.5 * float(np.sum(np.sum(u.conj() * (slope @ u), axis=0).real / root))
+        return min(g * g, 1.0), g, dg
+
+    fid, g_hi, dg = tangent(1.0)
+    if fid >= target:
+        return 1.0
+    lo, hi, g_lo = 0.0, 1.0, float(np.sum(w))
+    tan = (1.0, g_hi, dg)  # tangent at the last failing Newton point
+    widths = (math.inf, math.inf)  # bracket width before each of the last two points
+    newton = True
+    while hi - lo > UPPER_TOL:
+        if newton:
+            t_tan, g_tan, dg_tan = tan
+            t = t_tan + (root_target - g_tan) / dg_tan if dg_tan < 0.0 else math.nan
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+            t = lo + (g_lo - root_target) / (g_lo - g_hi) * (hi - lo) if g_lo > g_hi else math.nan
+        if math.isnan(t) or hi - lo > 0.5 * widths[0]:
+            t = 0.5 * (lo + hi)
+        # an interpolant at or past an end only means rounding hides the root
+        # there; a point half a tolerance inside can still close the bracket
+        t = min(max(t, lo + 0.5 * UPPER_TOL), hi - 0.5 * UPPER_TOL)
+        widths = (widths[1], hi - lo)
+        if newton:
+            fid, g, dg = tangent(t)
+        else:
+            fid = fidelity_from_inner(inner(t))
+            g = math.sqrt(fid)
+        if fid >= target:
+            lo, g_lo = t, g
+        else:
+            hi, g_hi = t, g
+            if newton:
+                tan = (t, g, dg)
+        newton = not newton
     return lo + (1.0 - lo) * lam0
 
 
@@ -173,7 +220,7 @@ def dilute_one_shot_bounds(rho, eps: float) -> tuple[RateReport, RateReport]:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     rho = check_density(rho)
     if eps == 0.0:
-        unit_lo = unit_hi = r_delta(rho) + 1.0
+        unit_lo = unit_hi = _r_delta(rho) + 1.0
     else:
         unit_hi = _dilution_upper_unit(rho, eps)
         # the certified bound can never exceed the witness
@@ -190,8 +237,8 @@ def asymptotic_rate(rho, sigma) -> float:
     """
     rho = check_density(rho)
     sigma = check_density(sigma)
-    if is_incoherent(sigma):
+    if _is_incoherent(sigma):
         return math.inf
-    if is_incoherent(rho):
+    if _is_incoherent(rho):
         return 0.0
-    return rel_entropy_coherence(rho) / rel_entropy_coherence(sigma)
+    return _rel_entropy(rho) / _rel_entropy(sigma)

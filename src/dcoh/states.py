@@ -82,12 +82,20 @@ def max_coherent(m: int, dim: int | None = None) -> np.ndarray:
 
 def l1_norm(rho) -> float:
     """Entrywise l1 norm: sum of moduli of all matrix entries."""
-    rho = check_density(rho)
+    return _l1(check_density(rho))
+
+
+def _l1(rho) -> float:
+    """l1_norm of an already validated rho."""
     return float(np.sum(np.abs(rho)))
 
 
 def is_incoherent(rho) -> bool:
-    rho = check_density(rho)
+    return _is_incoherent(check_density(rho))
+
+
+def _is_incoherent(rho) -> bool:
+    """is_incoherent of an already validated rho."""
     return float(np.linalg.norm(rho - dephase(rho))) <= 1e-9
 
 

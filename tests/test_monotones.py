@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcoh.channels import apply, twirl_channel
+from dcoh.channels import apply, qubit_decide, twirl_channel
 from dcoh.hypotest import dh_zero_closed_form
 from dcoh.linalg import fidelity, matrix_power
 from dcoh.monotones import (
@@ -17,6 +17,7 @@ from dcoh.monotones import (
     renyi_relative,
 )
 from dcoh.oracle import _monotone_certificate
+from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
@@ -103,6 +104,8 @@ def test_decompositions_per_call(monkeypatch):
     # rho -> mixed is a DIO map, so no monotone separates the pair; R_Delta
     # certifies mixed -> rho
     mixed = (rho + dephase(rho)) / 2
+    qubits = [rand_rho(np.random.default_rng(s), 2) for s in (7, 8)]
+    # each validates its states once and decomposes them only for the answer
     for fn, expected in [
         (r_delta, 2),
         (lambda r: renyi_relative(r, 0.0), 2),
@@ -114,6 +117,9 @@ def test_decompositions_per_call(monkeypatch):
         (monotone_report, 3),
         (lambda r: _monotone_certificate(r, mixed), 4),
         (lambda r: _monotone_certificate(mixed, r), 2),
+        (lambda r: qubit_decide(*qubits), 4),
+        (lambda r: asymptotic_rate(r, sigma), 4),
+        (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
     ]:
         calls.clear()
         fn(rho)
