@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import check_test_operator
-from .linalg import check_hermitian, support_projector
+from .linalg import PSD_ATOL, check_hermitian, support_projector
 from .majorization import PREFIX_SLACK
 from .monotones import _r_delta
-from .states import _is_incoherent, _l1, check_density, dephase, max_coherent
+from .states import _is_incoherent, _l1, check_density, dephase, max_coherent, pure_to_density
 
-CHOI_PSD_ATOL = 1e-9
 TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
 KRAUS_TRUNC_RTOL = 1e-10
@@ -64,9 +63,8 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> list[np.ndarray]:
     return kraus
 
 
-def channel_from_kraus(kraus, input_dim: int | None = None, output_dim: int | None = None) -> QuantumChannel:
-    if input_dim is None:
-        output_dim, input_dim = np.shape(kraus[0])
+def channel_from_kraus(kraus) -> QuantumChannel:
+    output_dim, input_dim = np.shape(kraus[0])
     return QuantumChannel(input_dim, output_dim, choi_from_kraus(kraus, input_dim, output_dim))
 
 
@@ -80,7 +78,7 @@ def validate_channel(ch: QuantumChannel) -> None:
     """Check the CPTP invariants of the Choi operator."""
     j = check_hermitian(ch.choi, atol=1e-8)
     w = np.linalg.eigvalsh(j)
-    if w[0] < -CHOI_PSD_ATOL:
+    if w[0] < -PSD_ATOL:
         raise ValueError(f"Choi operator not PSD: min eigenvalue {w[0]:.3e}")
     j4 = j.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     tr_out = np.einsum("xaya->xy", j4)
@@ -158,22 +156,13 @@ def construct_distill(rho, m: int, x) -> QuantumChannel:
 
 
 def construct_dilute(m: int, omega) -> QuantumChannel:
-    """Dilution channel mapping Psi_m exactly to omega.
+    """Dilution channel mapping Psi_m exactly to omega: the support-projector
+    channel of `construct_prop5` at rho = Psi_m, where 1/Tr(Pi_rho dephase(rho)) = m.
 
-    Q -> <Psi_m,Q> omega + <1-Psi_m,Q> Z with Z = (m dephase(omega) - omega)/(m-1),
-    valid (Z PSD) exactly when R_Delta(omega) <= m - 1.
+    Q -> <Psi_m,Q> omega + <1-Psi_m,Q> (m dephase(omega) - omega)/(m-1),
+    valid exactly when R_Delta(omega) + 1 <= m.
     """
-    omega = check_density(omega)
-    r = _r_delta(omega)
-    if r > m - 1 + 1e-8:
-        raise ValueError(f"R_Delta(omega) = {r!r} exceeds m - 1 = {m - 1}")
-    if m == 1:
-        if not _is_incoherent(omega):
-            raise ValueError("m = 1 requires an incoherent target")
-        return measure_prepare([(np.eye(1), omega)])
-    z = (m * dephase(omega) - omega) / (m - 1)
-    psi_m = np.outer(max_coherent(m), max_coherent(m).conj())
-    return measure_prepare([(psi_m, omega), (np.eye(m) - psi_m, z)])
+    return construct_prop5(pure_to_density(max_coherent(m)), omega)
 
 
 def construct_prop5(rho, omega) -> QuantumChannel:

@@ -73,10 +73,6 @@ def _load_pure(path: str) -> np.ndarray:
     return _require_pure(path, *load_state(path))
 
 
-def _finite(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _diagnostics(result) -> dict:
     """Solver path and work counters of an NPResult or FidelityProgram."""
     return {key: getattr(result, key) for key in ("eig_calls", "path", "band_widenings")}
@@ -127,9 +123,7 @@ def cmd_distill(args):
         report = rates.distill_zero_error(rho)
     else:
         report = rates.distill_asymptotic(rho)
-    results = {**vars(report), "one_shot_bits": _finite(report.one_shot_bits),
-               "raw_value": _finite(report.raw_value)}
-    return [args.state], {"results": results, **fields}, EXIT_OK
+    return [args.state], {"results": vars(report), **fields}, EXIT_OK
 
 
 def cmd_decide(args):

@@ -23,7 +23,6 @@ class MajorizationWitness:
     """Bistochastic matrix T with T q = p, certifying p majorized by q."""
 
     matrix: np.ndarray
-    kind: str = "bistochastic"
 
 
 def _pad_pair(p, q) -> tuple[np.ndarray, np.ndarray]:

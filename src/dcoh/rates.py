@@ -60,7 +60,11 @@ def distill_one_shot(rho, eps: float) -> RateReport:
 
 
 def distill_one_shot_from(result: NPResult, eps: float) -> RateReport:
-    """One-shot yield from a solved D_H^eps(rho || dephase(rho))."""
+    """One-shot yield from a solved D_H^eps(rho || dephase(rho)). The value
+    is finite (Tr M dephase(rho) >= (1 - eps)/(R_Delta + 1)), so an infinite
+    one means 1 - eps is below what the solver resolves."""
+    if result.infinite:
+        raise ValueError(f"eps = {eps!r} is too close to 1 for the solver")
     m = guarded_floor(2.0 ** result.dh_bits)
     return RateReport(math.log2(m), result.dh_bits, eps, "one_shot")
 
@@ -160,7 +164,6 @@ def _dilution_upper_unit(rho, eps: float) -> float:
     inner_delta = f.conj().T @ (np.diag(rho).real[:, None] * f)
     slope = inner_delta - inner_rho
     target = 1.0 - eps - 1e-12
-    root_target = math.sqrt(target)
 
     def inner(t: float) -> np.ndarray:
         return (1.0 - t) * inner_rho + t * inner_delta
@@ -178,6 +181,7 @@ def _dilution_upper_unit(rho, eps: float) -> float:
     fid, g_hi, dg = tangent(1.0)
     if fid >= target:
         return 1.0
+    root_target = math.sqrt(target)
     lo, hi, g_lo = 0.0, 1.0, float(np.sum(w))
     tan = (1.0, g_hi, dg)  # tangent at the last failing Newton point
     widths = (math.inf, math.inf)  # bracket width before each of the last two points

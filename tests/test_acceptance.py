@@ -25,23 +25,12 @@ from dcoh.rates import (
 )
 from dcoh.states import dephase, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
+from helpers import QUTRIT, rand_rho, rand_pure
 
 
 def _verdict(n, label, ok, detail=""):
     print(f"criterion {n:02d} [{label}]: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"criterion {n}: {label} {detail}"
-
-
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def rand_pure(rng, d):
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
 
 
 def test_criterion_01_separation_example():

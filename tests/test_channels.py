@@ -28,15 +28,10 @@ from dcoh.channels import (
 from dcoh.hypotest import distill_fidelity_program
 from dcoh.linalg import fidelity
 from dcoh.monotones import r_delta
+from dcoh.rates import dilute_zero_error, distill_zero_error
 from dcoh.states import dephase, l1_norm, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
-
-
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import QUTRIT, rand_rho
 
 
 def rand_kraus(rng, d, n_kraus=3):
@@ -194,6 +189,37 @@ def test_construct_dilute_rejects_undersized_unit():
     omega = pure_to_density(max_coherent(4))
     with pytest.raises(ValueError, match="exceeds"):
         construct_dilute(2, omega)
+
+
+def test_construct_dilute_rejects_target_just_past_the_bound():
+    # R_Delta(omega) + 1 = 2 + 5e-9: past the 1e-9 slack, so no map Psi_2 -> omega
+    p = 3.75e-9
+    omega = (1 - p) * pure_to_density(max_coherent(2, dim=3)) + p * pure_to_density(max_coherent(3))
+    assert abs(r_delta(omega) + 1.0 - (2.0 + 5e-9)) < 1e-12
+    with pytest.raises(ValueError, match="exceeds"):
+        construct_dilute(2, omega)
+
+
+def test_zero_error_constructions_match_the_rates():
+    # the support-projector channel reaches Psi_m exactly at the zero-error
+    # distillation yield and dilutes Psi_m exactly at the zero-error cost;
+    # one unit more (less) is out of reach. The rates round with a 1e-7
+    # integer guard and the construction allows 1e-9, so the two may disagree
+    # within 1e-7 of an integer; generic states sit far from one.
+    rng = np.random.default_rng(40)
+    for d in range(2, 6):
+        for rank in range(1, d + 1):
+            for _ in range(5):
+                rho = rand_rho(rng, d, rank)
+                m = round(2.0 ** distill_zero_error(rho).one_shot_bits)
+                validate_channel(construct_prop5(rho, pure_to_density(max_coherent(m))))
+                with pytest.raises(ValueError, match="exceeds"):
+                    construct_prop5(rho, pure_to_density(max_coherent(m + 1)))
+                m = round(2.0 ** dilute_zero_error(rho).one_shot_bits)
+                validate_channel(construct_dilute(m, rho))
+                if m >= 2:
+                    with pytest.raises(ValueError, match="exceeds"):
+                        construct_dilute(m - 1, rho)
 
 
 def test_construct_dilute_trivial_unit_needs_incoherent_target():

@@ -12,7 +12,7 @@ from dcoh.channels import channel_to_json, dephasing_channel
 from dcoh.majorization import PREFIX_SLACK
 from dcoh.states import max_coherent, pure_to_density, state_to_json
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
+from helpers import QUTRIT
 
 
 @pytest.fixture
@@ -250,6 +250,11 @@ def test_oracle_zero_iterations_is_strict_json(capsys, files):
 def test_oracle_negative_iterations_exit_code(capsys, files):
     q = files["qutrit"]
     assert_input_error(capsys, ["oracle", q, q, "--max-iters", "-3"], "max_iters must be >= 0")
+
+
+def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
+    assert_input_error(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"],
+                       "too close to 1 for the solver")
 
 
 def test_emit_refuses_non_finite_values(capsys, monkeypatch, files):

@@ -12,14 +12,7 @@ from dcoh.hypotest import (
 )
 from dcoh.states import dephase, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
-
-
-def rand_rho(rng, d, rank=None):
-    rank = d if rank is None else rank
-    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import QUTRIT, rand_rho
 
 
 def bisect_dual_reference(a0, a1, c):

@@ -9,11 +9,7 @@ from dcoh.linalg import (
     support_projector,
 )
 
-
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import rand_rho
 
 
 def test_check_hermitian_rejects_asymmetric():

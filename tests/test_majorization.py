@@ -10,10 +10,7 @@ from dcoh.majorization import (
 )
 from dcoh.states import max_coherent
 
-
-def rand_pure(rng, d):
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return psi / np.linalg.norm(psi)
+from helpers import rand_pure
 
 
 def brute_majorizes(q, p):

@@ -20,14 +20,7 @@ from dcoh.oracle import _monotone_certificate
 from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds
 from dcoh.states import dephase, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
-
-
-def rand_rho(rng, d, rank=None):
-    rank = d if rank is None else rank
-    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import QUTRIT, rand_rho
 
 
 # References: the dense matrix-power formulas, with dephase(rho) decomposed

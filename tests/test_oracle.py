@@ -1,23 +1,10 @@
-import math
-
 import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
 from dcoh.oracle import _affine_projector, rho_dio_feasible
 from dcoh.states import dephase, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
-
-
-def rand_rho(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def rand_pure(rng, d):
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return pure_to_density(psi / np.linalg.norm(psi))
+from helpers import QUTRIT, rand_rho, rand_pure
 
 
 # Reference: the dense constraint system L vec(J) = b in the Choi layout, one
@@ -174,7 +161,10 @@ def test_qubit_agreement_with_closed_form_decider():
     assert determined >= 36  # >= 90% on this sample
     # rank-deficient pairs (pure -> pure, pure -> mixed, mixed -> pure) are
     # all determined
-    kinds = ((rand_pure, rand_pure), (rand_pure, rand_rho), (rand_rho, rand_pure))
+    def pure(rng, d):
+        return pure_to_density(rand_pure(rng, d))
+
+    kinds = ((pure, pure), (pure, rand_rho), (rand_rho, pure))
     for make_rho, make_sigma in kinds:
         for _ in range(10):
             rho, sigma = make_rho(rng, 2), make_sigma(rng, 2)

@@ -23,14 +23,7 @@ from dcoh.rates import (
 )
 from dcoh.states import dephase, max_coherent, pure_to_density
 
-QUTRIT = np.array([math.sqrt(5.0 / 8.0), math.sqrt(3.0 / 16.0), math.sqrt(3.0 / 16.0)])
-
-
-def rand_rho(rng, d, rank=None):
-    rank = d if rank is None else rank
-    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+from helpers import QUTRIT, rand_rho
 
 
 def test_guarded_rounding():
@@ -226,6 +219,18 @@ def test_dilution_upper_bound_witness_is_feasible():
     omega = (1.0 - t) * rho + t * dephase(rho)
     assert fidelity(rho, omega) >= 1.0 - eps - 1e-9
     assert abs((r_delta(omega) + 1.0) - 2.0 ** hi.raw_value) < 1e-7
+
+
+def test_distill_one_shot_rejects_eps_beyond_solver_resolution():
+    plus = pure_to_density(max_coherent(2))
+    with pytest.raises(ValueError, match="too close to 1"):
+        distill_one_shot(plus, 1.0 - 1e-12)
+
+
+def test_dilution_bounds_near_eps_one():
+    # at 1 - eps below the 1e-12 fidelity slack the t = 1 witness passes
+    lower, upper = dilute_one_shot_bounds(pure_to_density(max_coherent(2)), 1.0 - 1e-13)
+    assert lower.one_shot_bits == upper.one_shot_bits == 0.0
 
 
 def test_dilution_bounds_reject_bad_eps():
