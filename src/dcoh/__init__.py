@@ -8,12 +8,11 @@ from .channels import (
     construct_prop5,
     is_dio,
     is_rho_dio,
-    kraus_dio_conditions,
     qubit_decide,
     twirl_channel,
 )
-from .hypotest import dh_epsilon, dh_zero_closed_form, distill_fidelity
-from .linalg import fidelity, matrix_power, support_projector
+from .hypotest import dh_epsilon, distill_fidelity_program
+from .linalg import fidelity, support_projector
 from .majorization import (
     build_witness,
     dio_pure_decide,
@@ -23,11 +22,9 @@ from .majorization import (
 )
 from .monotones import (
     c_k_monotone,
-    lp_moduli_norm,
     monotone_report,
     r_delta,
     rel_entropy_coherence,
-    renyi_entropy,
     renyi_relative,
 )
 from .oracle import FeasibilityVerdict, rho_dio_feasible
@@ -36,11 +33,9 @@ from .rates import (
     dilute_asymptotic,
     dilute_one_shot_bounds,
     dilute_zero_error,
-    dilute_zero_error_asymptotic,
     distill_asymptotic,
     distill_one_shot,
     distill_zero_error,
-    distill_zero_error_asymptotic,
 )
 from .states import dephase, is_incoherent, l1_norm, max_coherent
 

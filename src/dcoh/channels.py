@@ -9,7 +9,7 @@ so J is PSD iff E is completely positive, and the partial trace of J over
 the output factor equals the input identity iff E is trace preserving.
 
 Kraus operators are an input format only: `channel_from_kraus` builds the
-Choi operator from them, and `kraus_from_choi` reads a set back out.
+Choi operator from them.
 
 Every constructed channel is measure-and-prepare, Q -> sum_k Tr(A_k Q) omega_k,
 and its Choi operator is sum_k A_k^T (x) omega_k (`measure_prepare`).
@@ -18,7 +18,6 @@ and its Choi operator is sum_k A_k^T (x) omega_k (`measure_prepare`).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from .states import _is_incoherent, _l1, check_density, dephase, max_coherent, p
 
 TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
-KRAUS_TRUNC_RTOL = 1e-10
 
 
 @dataclass
@@ -51,16 +49,6 @@ def choi_from_kraus(kraus, input_dim: int, output_dim: int) -> np.ndarray:
         v = k.T.reshape(-1)  # index (x, y) with the input index major
         j += np.outer(v, v.conj())
     return j
-
-
-def kraus_from_choi(choi, input_dim: int, output_dim: int) -> list[np.ndarray]:
-    w, v = np.linalg.eigh(check_hermitian(choi, atol=1e-8))
-    lam_max = float(w[-1]) if w.size else 0.0
-    kraus = []
-    for lam, vec in zip(w, v.T):
-        if lam > KRAUS_TRUNC_RTOL * max(lam_max, 1.0):
-            kraus.append(math.sqrt(lam) * vec.reshape(input_dim, output_dim).T)
-    return kraus
 
 
 def channel_from_kraus(kraus) -> QuantumChannel:
@@ -97,11 +85,13 @@ def apply(ch: QuantumChannel, rho) -> np.ndarray:
 
 
 def is_dio(ch: QuantumChannel) -> tuple[bool, float]:
-    """Check dephasing covariance for every input, via Choi equality.
+    """Check dephasing covariance for every input, via Choi equality
+    (Chitambar & Gour, PRA 94, 052336 (2016)).
 
-    The Choi entry J[(x,a),(y,b)] is <K(b,y), K(a,x)> for any Kraus set, so
-    this reads the same numbers as the Kraus-level conditions of
-    `kraus_dio_conditions`.
+    The Choi entry J[(x,a),(y,b)] is <K(b,y), K(a,x)> for any Kraus set, with
+    K(a,x) = (<a|K_1|x>, ..., <a|K_n|x>), so this reads the same numbers as
+    the Kraus-level conditions: those inner products vanish unless x = y
+    and a = b, or x != y and a != b.
     """
     j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     diag_in = np.eye(ch.input_dim, dtype=bool)[:, None, :, None]
@@ -201,35 +191,6 @@ def qubit_decide(rho, sigma) -> bool:
         _r_delta(rho) >= _r_delta(sigma) - PREFIX_SLACK
         and _l1(rho) >= _l1(sigma) - PREFIX_SLACK
     )
-
-
-def kraus_dio_conditions(kraus) -> tuple[np.ndarray, dict[str, float]]:
-    """Evaluate the on-average Kraus-level dephasing-covariance conditions.
-
-    Returns the column-stochastic matrix S[y, x] = ||K(y, x)||^2 built from
-    the vectors K(y, x) = (<y|K_1|x>, ..., <y|K_n|x>), together with the
-    maximum violations of:
-      diag_to_diag        <K(y,x), K(y1,x)> = S delta_{y y1}
-      offdiag_to_offdiag  <K(y,x), K(y,x1)> = S delta_{x x1}
-      column_stochastic   sum_y S[y, x] = 1
-    """
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    dout, din = kraus[0].shape
-    # vecs[y, x] is the length-n vector across Kraus operators
-    vecs = np.stack(kraus, axis=-1)  # (dout, din, n)
-    s = np.einsum("yxn,yxn->yx", vecs.conj(), vecs).real
-
-    gram_y = np.einsum("yxn,zxn->xyz", vecs.conj(), vecs)  # <K(y,x), K(z,x)>
-    viol1 = float(np.max(np.abs(gram_y[:, ~np.eye(dout, dtype=bool)]), initial=0.0))
-    gram_x = np.einsum("yxn,yzn->yxz", vecs.conj(), vecs)  # <K(y,x), K(y,z)>
-    viol2 = float(np.max(np.abs(gram_x[:, ~np.eye(din, dtype=bool)]), initial=0.0))
-
-    viol3 = float(np.max(np.abs(s.sum(axis=0) - 1.0)))
-    return s, {
-        "diag_to_diag": viol1,
-        "offdiag_to_offdiag": viol2,
-        "column_stochastic": viol3,
-    }
 
 
 # ---------------------------------------------------------------------------

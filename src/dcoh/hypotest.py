@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL, check_hermitian, rank_tol, support_projector
-from .monotones import renyi_relative
 from .states import check_density, dephase
 
 # Eigenvalues within ZERO_BAND of zero at the dual optimum form the
 # fractional eigenspace of the optimal test.
 ZERO_BAND = 1e-9
-# A dual subgradient this close to zero counts as a sign change.
+# A dual subgradient this close to zero counts as a sign change; _scalar_dual
+# caps it at half the constant slope |c|, so a small c is still resolved.
 SLOPE_TOL = 1e-12
 
 
@@ -95,6 +95,7 @@ def _scalar_dual(a0, a1, c: float, kinks):
     psi(t*), the path and the eigendecompositions used (the kinks' two too).
     """
     calls = 0
+    slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
 
     def at(t):
         # (t, eigh(A(t)) as w, v, a1 in that basis, masks of the eigenvalues
@@ -122,9 +123,9 @@ def _scalar_dual(a0, a1, c: float, kinks):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         ev = at(kinks[mid])
-        if ev[7] < -SLOPE_TOL:
+        if ev[7] < -slope_tol:
             lo, left = mid, ev
-        elif mid > 0 and ev[6] > SLOPE_TOL:  # t = 0 has no left slope
+        elif mid > 0 and ev[6] > slope_tol:  # t = 0 has no left slope
             hi = mid
         else:
             break
@@ -139,9 +140,9 @@ def _scalar_dual(a0, a1, c: float, kinks):
                 # geometric when a > 0: the last segment can span decades
                 t = math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
             f_old, ev = abs(f), at(t)
-            if ev[7] < -SLOPE_TOL:
+            if ev[7] < -slope_tol:
                 a, f = t, ev[7]
-            elif ev[6] > SLOPE_TOL:
+            elif ev[6] > slope_tol:
                 b, f = t, ev[6]
             else:
                 f = 0.0
@@ -193,15 +194,11 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         m, widenings = _recover_primal(w, v, rho, 1.0 - eps)
         dual = -psi
     optimal = float(np.trace(m @ sigma).real)
-    bits = math.inf if optimal <= 1e-12 else -math.log2(optimal)
+    # Tr(M rho) >= 1 - eps scales the attainable Tr(M sigma) with 1 - eps
+    infinite = optimal <= 1e-12 * (1.0 - eps)
+    bits = math.inf if infinite else -math.log2(optimal)
     return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings,
-                    infinite=optimal <= 1e-12)
-
-
-def dh_zero_closed_form(rho) -> float:
-    """Zero-error value -log2 Tr(Pi_rho dephase(rho)), in bits: the Petz-Renyi
-    D_0(rho || dephase(rho))."""
-    return renyi_relative(rho, 0.0)
+                    infinite=infinite)
 
 
 def distill_fidelity_program(rho, m: float) -> FidelityProgram:
@@ -222,8 +219,3 @@ def distill_fidelity_program(rho, m: float) -> FidelityProgram:
     value = float(np.trace(x @ rho).real)
     return FidelityProgram(min(max(value, 0.0), 1.0), x, t_star, dual, dual - value,
                            calls, path, widenings)
-
-
-def distill_fidelity(rho, m: float) -> float:
-    """Best fidelity with Psi_m achievable by an input-tailored protocol."""
-    return distill_fidelity_program(rho, m).value

@@ -4,9 +4,9 @@ All spectral helpers work on exactly Hermitian data: inputs are checked
 against a small asymmetry tolerance and then symmetrized, so downstream
 code never sees rounding-induced asymmetry.
 
-Every function of a PSD matrix (support projector, powers, fidelity)
-reads one decomposition, ``support_eigh``: a single ``eigh`` whose
-eigenvalues also serve the PSD check, truncated to the support.
+Every function of a PSD matrix (support projector, fidelity) reads one
+decomposition, ``support_eigh``: a single ``eigh`` whose eigenvalues also
+serve the PSD check, truncated to the support.
 """
 
 from __future__ import annotations
@@ -64,13 +64,8 @@ def support_eigh(a) -> tuple[np.ndarray, np.ndarray]:
 
 def support_projector(a) -> np.ndarray:
     """Projector onto the support (range) of a PSD matrix."""
-    return matrix_power(a, 0.0)
-
-
-def matrix_power(a, s: float) -> np.ndarray:
-    """PSD matrix power A^s; negative powers are taken on the support only."""
-    w, v = support_eigh(a)
-    return (v * w**s) @ v.conj().T
+    _, v = support_eigh(a)
+    return v @ v.conj().T
 
 
 def fidelity(rho, sigma) -> float:

@@ -7,8 +7,6 @@ input one; the deciders here work on the squared-moduli distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .states import coherence_distribution, prob_vector
@@ -16,13 +14,6 @@ from .states import coherence_distribution, prob_vector
 # Absolute slack on prefix-sum comparisons so exact boundary equalities
 # pass in floating point.
 PREFIX_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class MajorizationWitness:
-    """Bistochastic matrix T with T q = p, certifying p majorized by q."""
-
-    matrix: np.ndarray
 
 
 def _pad_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +72,9 @@ def _t_transform(d: int, j: int, k: int, lam: float) -> np.ndarray:
     return t
 
 
-def build_witness(q, p) -> MajorizationWitness:
-    """Construct a bistochastic T with T q = p via a chain of T-transforms.
+def build_witness(q, p) -> np.ndarray:
+    """Construct a bistochastic T with T q = p, certifying p majorized by q,
+    via a chain of T-transforms.
 
     Uses the Hardy-Littlewood-Polya construction on the sorted vectors:
     each step mixes the first still-unresolved coordinate where the source
@@ -124,5 +116,4 @@ def build_witness(q, p) -> MajorizationWitness:
     # Undo the sorting permutations: p = P_p^T total P_q q.
     pq = np.eye(d)[perm_q]          # pq @ q = qs
     pp = np.eye(d)[perm_p]          # pp @ p = ps
-    witness = pp.T @ total @ pq
-    return MajorizationWitness(matrix=witness)
+    return pp.T @ total @ pq

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import rank_tol, support_eigh
-from .states import _l1, check_density, check_pure, coherence_distribution, prob_vector
+from .states import _l1, check_density, check_pure, coherence_distribution
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
-DEFAULT_PS = (0.25, 0.5, 0.75, 1.25, 1.5, 2.0)
 
 
 @dataclass
@@ -26,7 +25,6 @@ class MonotoneReport:
     renyi: list[tuple[float, float]]
     l1: float
     c_k: list[tuple[int, float]] = field(default_factory=list)
-    lp_moduli: list[tuple[float, float]] = field(default_factory=list)
 
 
 def _diag_power(rho, s: float) -> np.ndarray:
@@ -105,19 +103,6 @@ def renyi_relative(rho, alpha: float) -> float:
     return next(_renyi_family(check_density(rho), (alpha,)))[1]
 
 
-def renyi_entropy(p, gamma: float) -> float:
-    """Renyi entropy of a probability vector, in bits; gamma=1 is Shannon."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    p = prob_vector(p)
-    if gamma == 1.0:
-        return _entropy_bits(p)
-    support = p[p > 1e-15]
-    if gamma == 0.0:
-        return math.log2(len(support))
-    return math.log2(float(np.sum(support ** gamma))) / (1.0 - gamma)
-
-
 def c_k_monotone(psi, k: int) -> float:
     """Tail sum of the sorted coherence distribution from position k (1-based)."""
     if k < 1:
@@ -126,22 +111,12 @@ def c_k_monotone(psi, k: int) -> float:
     return float(np.sum(p[k - 1:]))
 
 
-def lp_moduli_norm(psi, p: float) -> float:
-    """l_p norm of the squared moduli of the amplitudes; p=0 counts the support."""
-    if p < 0.0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    q = coherence_distribution(psi)
-    if p == 0.0:
-        return float(np.count_nonzero(q > 1e-15))
-    return float(np.sum(q ** p) ** (1.0 / p))
-
-
 def monotone_report(rho, psi=None) -> MonotoneReport:
     """Evaluate the full monotone family on a state.
 
     This is a necessary-conditions family only: no finite set of monotones
     is known to fully characterize input-tailored transformations. When the
-    pure amplitude vector is available the pure-state-only quantifiers are
+    pure amplitude vector is available the pure-state tail sum c_2 is
     included as well.
     """
     values = dict(_family(check_density(rho)))
@@ -154,5 +129,4 @@ def monotone_report(rho, psi=None) -> MonotoneReport:
     if psi is not None:
         psi = check_pure(psi)
         report.c_k = [(2, c_k_monotone(psi, 2))]
-        report.lp_moduli = [(p, lp_moduli_norm(psi, p)) for p in DEFAULT_PS]
     return report

@@ -3,7 +3,9 @@
 One-shot yields and costs are log2 of an integer unit count; the raw
 (pre-rounding) optimum is always reported alongside. An integer guard
 absorbs floating-point error before flooring/ceiling, since the exact
-optima sit exactly on integers for structured states.
+optima sit exactly on integers for structured states. The guard is an
+absolute window of INT_GUARD_ATOL units: a relative one would round a
+count above about 5e6 up past its certified optimum.
 
 The smoothed one-shot dilution cost is reported as a certified bracket
 from two exact one-dimensional programs, with no hypothesis-testing
@@ -20,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotest import NPResult, dh_epsilon, dh_zero_closed_form
+from .hypotest import NPResult, dh_epsilon
 from .linalg import fidelity_from_inner, support_eigh
-from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence
+from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence, renyi_relative
 from .states import _is_incoherent, check_density, dephase
 
-INT_GUARD_RTOL = 1e-7
+INT_GUARD_ATOL = 1e-7
 # Width at which the upper unit's bracket on t stops.
 UPPER_TOL = 1e-12
 
@@ -40,7 +42,7 @@ class RateReport:
 
 def _guarded_int(x: float) -> float:
     r = round(x)
-    if abs(x - r) <= INT_GUARD_RTOL * max(1.0, abs(x)):
+    if abs(x - r) <= INT_GUARD_ATOL:
         return float(r)
     return x
 
@@ -70,8 +72,9 @@ def distill_one_shot_from(result: NPResult, eps: float) -> RateReport:
 
 
 def distill_zero_error(rho) -> RateReport:
-    """Exact distillation yield from the support-projector closed form."""
-    raw = dh_zero_closed_form(rho)
+    """Exact distillation yield from the support-projector closed form
+    -log2 Tr(Pi_rho dephase(rho)), the Petz-Renyi D_0(rho || dephase(rho))."""
+    raw = renyi_relative(rho, 0.0)
     m = guarded_floor(2.0 ** raw)
     return RateReport(math.log2(m), raw, 0.0, "zero_error")
 
@@ -79,12 +82,6 @@ def distill_zero_error(rho) -> RateReport:
 def distill_asymptotic(rho) -> RateReport:
     value = rel_entropy_coherence(rho)
     return RateReport(value, value, 0.0, "asymptotic")
-
-
-def distill_zero_error_asymptotic(rho) -> RateReport:
-    """Un-floored zero-error value; exact by additivity under tensor powers."""
-    raw = dh_zero_closed_form(rho)
-    return RateReport(raw, raw, 0.0, "asymptotic")
 
 
 def dilute_zero_error(rho) -> RateReport:
@@ -97,11 +94,6 @@ def dilute_zero_error(rho) -> RateReport:
 def dilute_asymptotic(rho) -> RateReport:
     value = rel_entropy_coherence(rho)
     return RateReport(value, value, 0.0, "asymptotic")
-
-
-def dilute_zero_error_asymptotic(rho) -> RateReport:
-    raw = math.log2(r_delta(rho) + 1.0)
-    return RateReport(raw, raw, 0.0, "asymptotic")
 
 
 def _dilution_lower_unit(rho, eps: float) -> float:

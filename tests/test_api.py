@@ -1,0 +1,72 @@
+"""The public API has a reader for every name.
+
+Each name in `dcoh.__all__` must be read by the package itself outside its
+own definition, by the benchmark (which reaches dcoh only through
+`pkg.<module>.<name>` attribute chains), or be listed in the README's
+"Library API" section as a function kept for library users.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import dcoh
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dcoh"
+
+
+def _read_in_package() -> set[str]:
+    """Names the package modules read, outside the definition of each name."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            skip = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id != skip:
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr != skip:
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    # `from .states import ...` and `from . import channels` read modules
+                    names.update([sub.module] if sub.module else [a.name for a in sub.names])
+    return names
+
+
+def _read_by_bench() -> set[str]:
+    """Last links of the `pkg.<...>` attribute chains in bench/."""
+    names = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id == "pkg":
+                names.update(chain)
+    return names
+
+
+def _library_api() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Library API\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, "README.md has no '## Library API' section"
+    return re.findall(r"^- `(\w+)`", section.group(1), re.M)
+
+
+def test_every_public_name_has_a_reader():
+    readers = _read_in_package() | _read_by_bench() | set(_library_api())
+    unread = sorted(set(dcoh.__all__) - {"__version__"} - readers)
+    assert not unread, f"public names nothing reads: {unread}"
+
+
+def test_library_api_names_exist():
+    modules = [importlib.import_module(f"dcoh.{p.stem}")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    listed = _library_api()
+    assert listed
+    missing = [name for name in listed if not any(hasattr(m, name) for m in modules)]
+    assert not missing, f"README Library API names no dcoh function: {missing}"

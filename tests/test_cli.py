@@ -94,6 +94,7 @@ def test_monotones_qutrit_c2(capsys, files):
     assert code == 0
     c_k = dict(map(tuple, rep["results"]["c_k"]))
     assert abs(c_k[2] - 0.375) < 1e-12
+    assert "lp_moduli" not in rep["results"]
 
 
 def test_distill_zero_regime(capsys, files):
@@ -253,13 +254,18 @@ def test_oracle_negative_iterations_exit_code(capsys, files):
 
 
 def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
-    assert_input_error(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"],
-                       "too close to 1 for the solver")
+    # 1 - eps = 1e-12 is within the solver's resolution: floor(2 / (1 - eps)) units
+    code, rep = run(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"])
+    assert code == 0
+    raw = rep["results"]["raw_value"]
+    assert abs(raw - math.log2(2.0 / (1.0 - 0.999999999999))) <= 1e-9
+    assert rep["results"]["one_shot_bits"] == math.log2(math.floor(2.0 ** raw))
+    assert_input_error(capsys, ["distill", files["psi2_dm"], "--eps", "1"], "eps must be in [0, 1)")
 
 
 def test_emit_refuses_non_finite_values(capsys, monkeypatch, files):
     nan_report = SimpleNamespace(r_delta=math.nan, rel_entropy_bits=0.0, renyi=[], l1=1.0,
-                                 c_k=[], lp_moduli=[])
+                                 c_k=[])
     monkeypatch.setattr(cli.monotones, "monotone_report", lambda rho, psi=None: nan_report)
     assert_input_error(capsys, ["monotones", files["qutrit"]], "not JSON compliant")
 

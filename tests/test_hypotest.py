@@ -6,10 +6,9 @@ import pytest
 from dcoh.hypotest import (
     check_test_operator,
     dh_epsilon,
-    dh_zero_closed_form,
-    distill_fidelity,
     distill_fidelity_program,
 )
+from dcoh.monotones import renyi_relative
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
@@ -123,7 +122,7 @@ def test_dh_zero_matches_closed_form():
         d = int(rng.integers(2, 6))
         rho = rand_rho(rng, d)
         res = dh_epsilon(rho, dephase(rho), 0.0)
-        assert abs(res.dh_bits - dh_zero_closed_form(rho)) < 1e-9
+        assert abs(res.dh_bits - renyi_relative(rho, 0.0)) < 1e-9
         assert abs(res.gap) < 1e-9
 
 
@@ -131,7 +130,7 @@ def test_dh_qutrit_example_values():
     rho = pure_to_density(QUTRIT)
     # sum of squared populations is 59/128, so the zero-error value is
     # -log2(59/128)
-    assert abs(dh_zero_closed_form(rho) + math.log2(59.0 / 128.0)) < 1e-12
+    assert abs(renyi_relative(rho, 0.0) + math.log2(59.0 / 128.0)) < 1e-12
     res = dh_epsilon(rho, dephase(rho), 0.0)
     assert abs(res.optimal_value - 59.0 / 128.0) < 1e-12
 
@@ -161,11 +160,17 @@ def test_dh_identical_states_is_zero():
 
 
 def test_dh_orthogonal_supports_is_infinite():
-    rho = np.diag([1.0, 0.0])
-    sigma = np.diag([0.0, 1.0])
-    res = dh_epsilon(rho, sigma, 0.0)
-    assert res.infinite
-    assert math.isinf(res.dh_bits)
+    # a rank-1 rho against a rank-2 sigma on its orthogonal complement, in a
+    # random basis of C^3
+    rng = np.random.default_rng(17)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rotated = (u @ np.diag([1.0, 0.0, 0.0]) @ u.conj().T,
+               u @ np.diag([0.0, 0.3, 0.7]) @ u.conj().T)
+    for rho, sigma in [(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), rotated]:
+        for eps in (0.0, 0.1):
+            res = dh_epsilon(rho, sigma, eps)
+            assert res.infinite
+            assert math.isinf(res.dh_bits)
 
 
 def test_dh_rejects_bad_eps():
@@ -180,16 +185,16 @@ def test_distill_fidelity_diagonal_state():
     # for incoherent input the objective and the constraint coincide
     rho = np.diag([0.4, 0.35, 0.25])
     for m in (2, 3):
-        assert abs(distill_fidelity(rho, m) - 1.0 / m) < 1e-9
+        assert abs(distill_fidelity_program(rho, m).value - 1.0 / m) < 1e-9
 
 
 def test_distill_fidelity_pure_threshold():
     # unit fidelity exactly when the largest squared amplitude is <= 1/m
     rho = pure_to_density(QUTRIT)
-    assert abs(distill_fidelity(rho, 2) - 1.0) < 1e-9
-    assert distill_fidelity(rho, 3) < 1.0 - 1e-6
+    assert abs(distill_fidelity_program(rho, 2).value - 1.0) < 1e-9
+    assert distill_fidelity_program(rho, 3).value < 1.0 - 1e-6
     psi = max_coherent(3)
-    assert abs(distill_fidelity(pure_to_density(psi), 3) - 1.0) < 1e-9
+    assert abs(distill_fidelity_program(pure_to_density(psi), 3).value - 1.0) < 1e-9
 
 
 def test_distill_fidelity_program_certificates():
@@ -210,13 +215,13 @@ def test_distill_fidelity_program_certificates():
 def test_distill_fidelity_decreasing_in_m():
     rng = np.random.default_rng(404)
     rho = rand_rho(rng, 4)
-    vals = [distill_fidelity(rho, m) for m in (2, 3, 4, 6)]
+    vals = [distill_fidelity_program(rho, m).value for m in (2, 3, 4, 6)]
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 def test_distill_fidelity_rejects_small_m():
     with pytest.raises(ValueError):
-        distill_fidelity(np.eye(2) / 2, 0.5)
+        distill_fidelity_program(np.eye(2) / 2, 0.5)
 
 
 def _check_dh(rho, sigma, eps):

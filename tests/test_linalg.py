@@ -5,7 +5,6 @@ from dcoh.linalg import (
     check_hermitian,
     check_psd,
     fidelity,
-    matrix_power,
     support_projector,
 )
 
@@ -50,21 +49,6 @@ def test_support_projector_idempotent_and_acts_as_identity():
     assert np.allclose(pi @ pi, pi, atol=1e-12)
     assert abs(np.trace(pi).real - 1.0) < 1e-9
     assert np.allclose(pi @ rho, rho, atol=1e-12)
-
-
-def test_matrix_power_pseudo_inverse():
-    # negative powers act on the support only
-    d = np.diag([0.5, 0.5, 0.0])
-    inv_sqrt = matrix_power(d, -0.5)
-    expect = np.diag([np.sqrt(2.0), np.sqrt(2.0), 0.0])
-    assert np.allclose(inv_sqrt, expect, atol=1e-12)
-
-
-def test_matrix_power_composes():
-    rng = np.random.default_rng(13)
-    rho = rand_rho(rng, 4)
-    half = matrix_power(rho, 0.5)
-    assert np.allclose(half @ half, rho, atol=1e-10)
 
 
 def test_fidelity_self_and_symmetry():

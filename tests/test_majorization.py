@@ -105,8 +105,8 @@ def test_build_witness_maps_q_to_p():
         if not majorizes(q, p):
             continue
         w = build_witness(q, p)
-        _check_bistochastic(w.matrix)
-        assert np.allclose(w.matrix @ q, p, atol=1e-9)
+        _check_bistochastic(w)
+        assert np.allclose(w @ q, p, atol=1e-9)
         built += 1
     assert built > 10  # the sampler does hit majorized pairs
 
@@ -120,8 +120,8 @@ def test_build_witness_mixture_pairs():
         mix = sum(np.eye(d)[:, rng.permutation(d)] for _ in range(3)) / 3.0
         p = mix @ q
         w = build_witness(q, p)
-        _check_bistochastic(w.matrix)
-        assert np.allclose(w.matrix @ q, p, atol=1e-9)
+        _check_bistochastic(w)
+        assert np.allclose(w @ q, p, atol=1e-9)
 
 
 def test_build_witness_rejects_non_majorized():
@@ -132,5 +132,5 @@ def test_build_witness_rejects_non_majorized():
 def test_build_witness_identity_case():
     p = np.array([0.6, 0.3, 0.1])
     w = build_witness(p, p)
-    assert np.allclose(w.matrix @ p, p, atol=1e-12)
-    _check_bistochastic(w.matrix)
+    assert np.allclose(w @ p, p, atol=1e-12)
+    _check_bistochastic(w)

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from dcoh.channels import apply, qubit_decide, twirl_channel
-from dcoh.hypotest import dh_zero_closed_form
-from dcoh.linalg import fidelity, matrix_power
+from dcoh.linalg import fidelity, support_projector
 from dcoh.monotones import (
     DEFAULT_ALPHAS,
     c_k_monotone,
-    lp_moduli_norm,
     monotone_report,
     r_delta,
     rel_entropy_coherence,
-    renyi_entropy,
     renyi_relative,
 )
 from dcoh.oracle import _monotone_certificate
@@ -77,8 +74,6 @@ def test_support_formulas_match_matrix_power_references():
         for alpha in (0.0, 0.25, 0.5, 1.5, 2.0):
             ref = _renyi_reference(rho, alpha)
             assert abs(renyi_relative(rho, alpha) - ref) <= 1e-12 * max(1.0, abs(ref))
-        ref = _renyi_reference(rho, 0.0)
-        assert abs(dh_zero_closed_form(rho) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_decompositions_per_call(monkeypatch):
@@ -106,7 +101,7 @@ def test_decompositions_per_call(monkeypatch):
         (lambda r: renyi_relative(r, 2.0), 2),
         (lambda r: renyi_relative(r, 1.0), 2),
         (lambda r: fidelity(r, sigma), 3),
-        (lambda r: matrix_power(r, 0.5), 1),
+        (support_projector, 1),
         (monotone_report, 3),
         (lambda r: _monotone_certificate(r, mixed), 4),
         (lambda r: _monotone_certificate(mixed, r), 2),
@@ -191,15 +186,6 @@ def test_renyi_relative_vanishes_on_incoherent():
         assert abs(renyi_relative(rho, a)) < 1e-9
 
 
-def test_renyi_entropy_limits():
-    p = [0.5, 0.25, 0.25]
-    assert abs(renyi_entropy(p, 0.0) - math.log2(3)) < 1e-12
-    assert abs(renyi_entropy(p, 1.0) - 1.5) < 1e-12
-    assert abs(renyi_entropy(p, 2.0) + math.log2(0.375)) < 1e-12
-    with pytest.raises(ValueError):
-        renyi_entropy(p, -1.0)
-
-
 def test_c2_separation_point():
     # the qutrit example scores strictly below Psi_2 on C_2 even though the
     # transformation into Psi_2 is possible with an input-tailored channel
@@ -216,24 +202,15 @@ def test_c_k_edges():
         c_k_monotone(psi, 0)
 
 
-def test_lp_moduli_norm():
-    psi = max_coherent(4)
-    assert abs(lp_moduli_norm(psi, 1.0) - 1.0) < 1e-12
-    assert abs(lp_moduli_norm(psi, 0.5) - 4.0) < 1e-12
-    assert lp_moduli_norm(psi, 0.0) == 4.0
-    with pytest.raises(ValueError):
-        lp_moduli_norm(psi, -0.5)
-
-
 def test_monotone_report_shapes():
     rho = pure_to_density(QUTRIT)
     rep = monotone_report(rho, psi=QUTRIT)
     assert rep.r_delta > 0 and rep.r_delta == r_delta(rho)
     assert rep.renyi == [(a, renyi_relative(rho, a)) for a in DEFAULT_ALPHAS]
     assert rep.rel_entropy_bits == rel_entropy_coherence(rho)
-    assert rep.c_k and rep.lp_moduli
+    assert rep.c_k == [(2, c_k_monotone(QUTRIT, 2))]
     rep_mixed = monotone_report(np.eye(3) / 3)
-    assert rep_mixed.c_k == [] and rep_mixed.lp_moduli == []
+    assert rep_mixed.c_k == []
     assert abs(rep_mixed.l1 - 1.0) < 1e-12
 
 

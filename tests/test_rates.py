@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcoh.hypotest import dh_epsilon
+from dcoh.hypotest import NPResult, dh_epsilon
 from dcoh.linalg import fidelity, fidelity_from_inner, support_eigh
 from dcoh.monotones import r_delta
 from dcoh.rates import (
@@ -13,11 +13,10 @@ from dcoh.rates import (
     dilute_asymptotic,
     dilute_one_shot_bounds,
     dilute_zero_error,
-    dilute_zero_error_asymptotic,
     distill_asymptotic,
     distill_one_shot,
+    distill_one_shot_from,
     distill_zero_error,
-    distill_zero_error_asymptotic,
     guarded_ceil,
     guarded_floor,
 )
@@ -34,10 +33,22 @@ def test_guarded_rounding():
     assert guarded_ceil(3.0 + 1e-3) == 4
 
 
+def test_guarded_rounding_never_passes_the_optimum():
+    # the window is absolute: a count within 1e-7 of an integer rounds to it,
+    # one 6e-5 below 2e6 does not, however large the count
+    assert guarded_floor(2e6 - 6e-5) == 1999999
+    assert guarded_ceil(2e9 + 1e-3) == 2000000001
+    plus = pure_to_density(max_coherent(2))
+    rep = distill_one_shot(plus, 0.999999)
+    assert 2.0 ** rep.raw_value < 2e6
+    assert rep.one_shot_bits == math.log2(1999999)
+
+
 def test_distill_zero_error_qutrit_is_one_bit():
     rep = distill_zero_error(pure_to_density(QUTRIT))
     assert rep.one_shot_bits == 1.0
-    # the un-floored optimum sits strictly above one bit
+    # the un-floored optimum -log2(59/128) sits strictly above one bit
+    assert abs(rep.raw_value + math.log2(59 / 128)) < 1e-12
     assert rep.raw_value > 1.0
 
 
@@ -69,14 +80,9 @@ def test_dilute_zero_error_values():
     # cost is log2 of the smallest usable unit, ceil(R_Delta + 1)
     rho = pure_to_density(QUTRIT)
     assert dilute_zero_error(rho).one_shot_bits == math.log2(3)
+    assert abs(dilute_zero_error(rho).raw_value - math.log2(3.0)) < 1e-9
     assert dilute_zero_error(pure_to_density(max_coherent(4))).one_shot_bits == 2.0
     assert dilute_zero_error(np.diag([0.5, 0.5])).one_shot_bits == 0.0
-
-
-def test_zero_error_asymptotics_unfloored():
-    rho = pure_to_density(QUTRIT)
-    assert abs(distill_zero_error_asymptotic(rho).raw_value + math.log2(59 / 128)) < 1e-12
-    assert abs(dilute_zero_error_asymptotic(rho).raw_value - math.log2(3.0)) < 1e-9
 
 
 def test_dilution_bounds_bracket_and_eps_zero_collapse():
@@ -222,9 +228,20 @@ def test_dilution_upper_bound_witness_is_feasible():
 
 
 def test_distill_one_shot_rejects_eps_beyond_solver_resolution():
+    # 1 - eps = 1e-12 is resolved: against I/2 the optimal test is
+    # (1 - eps)|+><+|, so D_H^eps = log2(2 / (1 - eps)), and the yield floors it
     plus = pure_to_density(max_coherent(2))
+    eps = 1.0 - 1e-12
+    res = dh_epsilon(plus, dephase(plus), eps)
+    assert abs(res.dh_bits - math.log2(2.0 / (1.0 - eps))) <= 1e-9
+    assert abs(res.gap) <= 1e-20
+    rep = distill_one_shot_from(res, eps)
+    assert rep.one_shot_bits == math.log2(math.floor(2.0 ** res.dh_bits))
+    # an infinite solve can only mean an eps the solver cannot resolve
+    unresolved = NPResult(0.0, math.inf, np.zeros((2, 2)), math.inf, 0.0, 0.0, 2,
+                          "closed_form", 0, infinite=True)
     with pytest.raises(ValueError, match="too close to 1"):
-        distill_one_shot(plus, 1.0 - 1e-12)
+        distill_one_shot_from(unresolved, eps)
 
 
 def test_dilution_bounds_near_eps_one():
