@@ -160,14 +160,15 @@ def construct_prop5(rho, omega) -> QuantumChannel:
 
     Q -> <Pi_rho,Q> omega + <1-Pi_rho,Q> sigma with
     sigma = (lam dephase(omega) - omega)/(lam - 1), lam = 1/Tr(Pi_rho dephase(rho)).
-    Exists whenever R_Delta(omega) + 1 <= lam.
+    Exists whenever R_Delta(omega) + 1 <= lam; built when that holds within
+    PREFIX_SLACK, the comparison the rates round every unit count with.
     """
     rho = check_density(rho)
     omega = check_density(omega)
     pi = support_projector(rho)
     lam = 1.0 / float(np.trace(pi @ dephase(rho)).real)
     lam_omega = _r_delta(omega) + 1.0
-    if lam_omega > lam + 1e-9:
+    if lam_omega > lam + PREFIX_SLACK:
         raise ValueError(
             f"R_Delta(omega) + 1 = {lam_omega!r} exceeds "
             f"1/Tr(Pi_rho dephase(rho)) = {lam!r}"

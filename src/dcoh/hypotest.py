@@ -43,7 +43,6 @@ class NPResult:
     eig_calls: int
     path: str
     band_widenings: int
-    infinite: bool = False
 
 
 @dataclass
@@ -195,10 +194,8 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         dual = -psi
     optimal = float(np.trace(m @ sigma).real)
     # Tr(M rho) >= 1 - eps scales the attainable Tr(M sigma) with 1 - eps
-    infinite = optimal <= 1e-12 * (1.0 - eps)
-    bits = math.inf if infinite else -math.log2(optimal)
-    return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings,
-                    infinite=infinite)
+    bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
+    return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings)
 
 
 def distill_fidelity_program(rho, m: float) -> FidelityProgram:

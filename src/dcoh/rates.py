@@ -1,11 +1,13 @@
 """One-shot, zero-error and asymptotic distillation/dilution rates.
 
 One-shot yields and costs are log2 of an integer unit count; the raw
-(pre-rounding) optimum is always reported alongside. An integer guard
-absorbs floating-point error before flooring/ceiling, since the exact
-optima sit exactly on integers for structured states. The guard is an
-absolute window of INT_GUARD_ATOL units: a relative one would round a
-count above about 5e6 up past its certified optimum.
+(pre-rounding) optimum is always reported alongside. A count is rounded
+with the comparison `channels.construct_prop5` makes before it builds
+the channel: a yield x reaches m units of Psi_m when m <= x + PREFIX_SLACK,
+and a cost x is met by m units when x <= m + PREFIX_SLACK. So every
+zero-error count is one the construction accepts, the exactly-integral
+optima of structured states survive floating-point dust, and the
+absolute slack never rounds a large count past its computed optimum.
 
 The smoothed one-shot dilution cost is reported as a certified bracket
 from two exact one-dimensional programs, with no hypothesis-testing
@@ -24,10 +26,10 @@ import numpy as np
 
 from .hypotest import NPResult, dh_epsilon
 from .linalg import fidelity_from_inner, support_eigh
+from .majorization import PREFIX_SLACK
 from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence, renyi_relative
 from .states import _is_incoherent, check_density, dephase
 
-INT_GUARD_ATOL = 1e-7
 # Width at which the upper unit's bracket on t stops.
 UPPER_TOL = 1e-12
 
@@ -40,19 +42,14 @@ class RateReport:
     regime: str
 
 
-def _guarded_int(x: float) -> float:
-    r = round(x)
-    if abs(x - r) <= INT_GUARD_ATOL:
-        return float(r)
-    return x
-
-
 def guarded_floor(x: float) -> int:
-    return int(math.floor(_guarded_int(x)))
+    """Largest m with m <= x + PREFIX_SLACK: the units of Psi_m a yield x reaches."""
+    return math.floor(x + PREFIX_SLACK)
 
 
 def guarded_ceil(x: float) -> int:
-    return int(math.ceil(_guarded_int(x)))
+    """Smallest m with x <= m + PREFIX_SLACK: the units of Psi_m a cost x needs."""
+    return math.ceil(x - PREFIX_SLACK)
 
 
 def distill_one_shot(rho, eps: float) -> RateReport:
@@ -65,7 +62,7 @@ def distill_one_shot_from(result: NPResult, eps: float) -> RateReport:
     """One-shot yield from a solved D_H^eps(rho || dephase(rho)). The value
     is finite (Tr M dephase(rho) >= (1 - eps)/(R_Delta + 1)), so an infinite
     one means 1 - eps is below what the solver resolves."""
-    if result.infinite:
+    if math.isinf(result.dh_bits):
         raise ValueError(f"eps = {eps!r} is too close to 1 for the solver")
     m = guarded_floor(2.0 ** result.dh_bits)
     return RateReport(math.log2(m), result.dh_bits, eps, "one_shot")
@@ -86,9 +83,8 @@ def distill_asymptotic(rho) -> RateReport:
 
 def dilute_zero_error(rho) -> RateReport:
     """Exact dilution cost log2 ceil(R_Delta + 1)."""
-    raw = math.log2(r_delta(rho) + 1.0)
-    m = guarded_ceil(2.0 ** raw)
-    return RateReport(math.log2(m), raw, 0.0, "zero_error")
+    unit = r_delta(rho) + 1.0
+    return RateReport(math.log2(guarded_ceil(unit)), math.log2(unit), 0.0, "zero_error")
 
 
 def dilute_asymptotic(rho) -> RateReport:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from dcoh.channels import apply, construct_dilute, construct_distill, construct_prop5, is_rho_dio, qubit_decide, validate_channel
+from dcoh.channels import apply, construct_dilute, construct_distill, construct_prop5, is_dio, is_rho_dio, qubit_decide, validate_channel
 from dcoh.hypotest import dh_epsilon, distill_fidelity_program
 from dcoh.linalg import fidelity
 from dcoh.majorization import build_witness, dio_pure_decide, dio_to_maxcoherent_decide
@@ -184,6 +184,8 @@ def test_criterion_08_channel_constructions():
         unit = pure_to_density(max_coherent(munit))
         ok &= float(np.max(np.abs(apply(dil, unit) - omega))) <= 1e-8
         ok &= is_rho_dio(dil, unit, atol=1e-8)[0]
+        # zero-error dilution needs no more than DIO: the channel is covariant on every input
+        ok &= is_dio(dil)[0]
     _verdict(8, "channel constructions", ok)
 
 

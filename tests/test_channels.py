@@ -25,7 +25,7 @@ from dcoh.channels import (
 from dcoh.hypotest import distill_fidelity_program
 from dcoh.linalg import fidelity
 from dcoh.monotones import r_delta
-from dcoh.rates import dilute_zero_error, distill_zero_error
+from dcoh.rates import dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
 from dcoh.states import dephase, l1_norm, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
@@ -187,28 +187,55 @@ def test_construct_dilute_rejects_target_just_past_the_bound():
     assert abs(r_delta(omega) + 1.0 - (2.0 + 5e-9)) < 1e-12
     with pytest.raises(ValueError, match="exceeds"):
         construct_dilute(2, omega)
+    # the cost and both sides of the eps = 0 bracket round up to the 3 units
+    # the construction accepts
+    reports = [dilute_zero_error(omega), *dilute_one_shot_bounds(omega, 0.0)]
+    assert [rep.one_shot_bits for rep in reports] == [math.log2(3)] * 3
+    validate_channel(construct_dilute(3, omega))
+
+
+def _pure_with_yield(x, n):
+    """Pure state in C^n with 1/Tr(Pi_rho dephase(rho)) = 1/sum_x p_x^2 = x <= n:
+    weight q on |0> and the rest spread evenly, q solving q^2 + (1-q)^2/(n-1) = 1/x."""
+    q = (1.0 + math.sqrt((n - 1) * (n / x - 1.0))) / n
+    return pure_to_density(np.sqrt([q] + [(1.0 - q) / (n - 1)] * (n - 1)))
+
+
+def _mixed_with_cost(x, n):
+    """(1-t) Psi_n + t 1/n, whose R_Delta + 1 = n - t (n - 1) is x."""
+    t = (n - x) / (n - 1)
+    return (1.0 - t) * pure_to_density(max_coherent(n)) + t * np.eye(n) / n
 
 
 def test_zero_error_constructions_match_the_rates():
     # the support-projector channel reaches Psi_m exactly at the zero-error
     # distillation yield and dilutes Psi_m exactly at the zero-error cost;
-    # one unit more (less) is out of reach. The rates round with a 1e-7
-    # integer guard and the construction allows 1e-9, so the two may disagree
-    # within 1e-7 of an integer; generic states sit far from one.
+    # one unit more (less) is out of reach. Besides generic states, the
+    # targets include unit counts just off an integer, where the rounding
+    # slack decides
     rng = np.random.default_rng(40)
-    for d in range(2, 6):
-        for rank in range(1, d + 1):
-            for _ in range(5):
-                rho = rand_rho(rng, d, rank)
-                m = round(2.0 ** distill_zero_error(rho).one_shot_bits)
-                validate_channel(construct_prop5(rho, pure_to_density(max_coherent(m))))
-                with pytest.raises(ValueError, match="exceeds"):
-                    construct_prop5(rho, pure_to_density(max_coherent(m + 1)))
-                m = round(2.0 ** dilute_zero_error(rho).one_shot_bits)
-                validate_channel(construct_dilute(m, rho))
-                if m >= 2:
-                    with pytest.raises(ValueError, match="exceeds"):
-                        construct_dilute(m - 1, rho)
+    states = [rand_rho(rng, d, rank) for d in range(2, 6) for rank in range(1, d + 1)
+              for _ in range(5)]
+    edges = [(k, k + sign * off) for k in (2, 3) for off in (1e-10, 5e-9, 5e-8) for sign in (1, -1)]
+    for k, x in edges:
+        states += [_pure_with_yield(x, k + 1), _mixed_with_cost(x, k + 1)]
+    for rho in states:
+        m = round(2.0 ** distill_zero_error(rho).one_shot_bits)
+        validate_channel(construct_prop5(rho, pure_to_density(max_coherent(m))))
+        with pytest.raises(ValueError, match="exceeds"):
+            construct_prop5(rho, pure_to_density(max_coherent(m + 1)))
+        m = round(2.0 ** dilute_zero_error(rho).one_shot_bits)
+        validate_channel(construct_dilute(m, rho))
+        if m >= 2:
+            with pytest.raises(ValueError, match="exceeds"):
+                construct_dilute(m - 1, rho)
+    # the slack absorbs 1e-10 and no more
+    for k, x in edges:
+        near = abs(x - k) < 1e-9
+        assert round(2.0 ** distill_zero_error(_pure_with_yield(x, k + 1)).one_shot_bits) == (
+            k if near else math.floor(x))
+        assert round(2.0 ** dilute_zero_error(_mixed_with_cost(x, k + 1)).one_shot_bits) == (
+            k if near else math.ceil(x))
 
 
 def test_construct_dilute_trivial_unit_needs_incoherent_target():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dcoh import channels, cli
+from dcoh import channels, cli, rates
 from dcoh.channels import channel_to_json, dephasing_channel
 from dcoh.majorization import PREFIX_SLACK
 from dcoh.states import max_coherent, pure_to_density, state_to_json
@@ -108,6 +108,19 @@ def test_distill_one_shot_reports_certificates(capsys, files):
     assert code == 0
     assert abs(rep["certificates"]["duality_gap"]) < 1e-6
     assert rep["results"]["eps"] == 0.0
+
+
+def test_distill_count_just_below_an_integer_matches_prop5(capsys, files, tmp_path):
+    # sum_x p_x^2 = 1/(2 - 5e-9): one unit of Psi_2 is 5e-9 out of reach, past
+    # the decision slack, so every distill report and the construction say 0 bits
+    edge = tmp_path / "edge.json"
+    edge.write_text(state_to_json(np.array([0.7071244586350581, 0.7070891032960952])))
+    for argv in (["--regime", "zero"], []):
+        code, rep = run(capsys, ["distill", str(edge), *argv])
+        assert code == 0
+        assert rep["results"]["one_shot_bits"] == 0.0
+    assert_input_error(capsys, ["channel", "--construct", "prop5", "--state", str(edge),
+                                "--target", files["psi2_dm"]], "exceeds")
 
 
 def test_distill_asymptotic(capsys, files):
@@ -229,8 +242,9 @@ def test_reported_decision_tolerance_is_the_deciders_slack(capsys, files, monkey
     ):
         _, rep = run(capsys, argv)
         assert rep["tolerances"] == {"decision": PREFIX_SLACK}
-    # the qubit decider compares R_Delta and l1 with the same constant
-    assert channels.PREFIX_SLACK == PREFIX_SLACK
+    # the qubit decider and construct_prop5 compare with the same constant,
+    # and the rates round every unit count with it
+    assert channels.PREFIX_SLACK == rates.PREFIX_SLACK == PREFIX_SLACK
 
 
 def test_channel_construct_missing_arguments(capsys, files):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcoh.channels import apply, qubit_decide, twirl_channel
+from dcoh.channels import apply, construct_prop5, qubit_decide, twirl_channel
 from dcoh.linalg import fidelity, support_projector
 from dcoh.monotones import (
     DEFAULT_ALPHAS,
@@ -14,7 +14,7 @@ from dcoh.monotones import (
     renyi_relative,
 )
 from dcoh.oracle import _monotone_certificate
-from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds
+from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
@@ -108,6 +108,10 @@ def test_decompositions_per_call(monkeypatch):
         (lambda r: qubit_decide(*qubits), 4),
         (lambda r: asymptotic_rate(r, sigma), 4),
         (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
+        # rounding a unit count decomposes nothing
+        (distill_zero_error, 2),
+        (dilute_zero_error, 2),
+        (lambda r: construct_prop5(r, dephase(r)), 4),
     ]:
         calls.clear()
         fn(rho)

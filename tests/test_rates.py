@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcoh.channels import construct_dilute, validate_channel
 from dcoh.hypotest import NPResult, dh_epsilon
 from dcoh.linalg import fidelity, fidelity_from_inner, support_eigh
 from dcoh.monotones import r_delta
@@ -34,8 +35,8 @@ def test_guarded_rounding():
 
 
 def test_guarded_rounding_never_passes_the_optimum():
-    # the window is absolute: a count within 1e-7 of an integer rounds to it,
-    # one 6e-5 below 2e6 does not, however large the count
+    # the slack is absolute: a count within PREFIX_SLACK (1e-9) of an integer
+    # rounds to it, one 6e-5 below 2e6 does not, however large the count
     assert guarded_floor(2e6 - 6e-5) == 1999999
     assert guarded_ceil(2e9 + 1e-3) == 2000000001
     plus = pure_to_density(max_coherent(2))
@@ -227,6 +228,27 @@ def test_dilution_upper_bound_witness_is_feasible():
     assert abs((r_delta(omega) + 1.0) - 2.0 ** hi.raw_value) < 1e-7
 
 
+def test_dilution_upper_count_admits_its_witness():
+    # eps chosen by bisection so that the witness w_t costs 2 + 5e-8 units:
+    # the upper side must report the 3 units construct_dilute needs for it
+    rho = 0.999 * pure_to_density(max_coherent(2, dim=3)) + 0.001 * pure_to_density(max_coherent(3))
+    lam0 = r_delta(rho) + 1.0
+    lo, hi = 1e-4, 1e-2  # the witness cost falls as eps grows
+    for _ in range(60):
+        eps = 0.5 * (lo + hi)
+        if 2.0 ** dilute_one_shot_bounds(rho, eps)[1].raw_value > 2.0 + 5e-8:
+            lo = eps
+        else:
+            hi = eps
+    _, upper = dilute_one_shot_bounds(rho, lo)
+    unit = 2.0 ** upper.raw_value
+    assert abs(unit - (2.0 + 5e-8)) < 1e-12
+    t = (lam0 - unit) / (lam0 - 1.0)
+    omega = (1.0 - t) * rho + t * dephase(rho)
+    assert upper.one_shot_bits == math.log2(3)
+    validate_channel(construct_dilute(round(2.0 ** upper.one_shot_bits), omega))
+
+
 def test_distill_one_shot_rejects_eps_beyond_solver_resolution():
     # 1 - eps = 1e-12 is resolved: against I/2 the optimal test is
     # (1 - eps)|+><+|, so D_H^eps = log2(2 / (1 - eps)), and the yield floors it
@@ -239,7 +261,7 @@ def test_distill_one_shot_rejects_eps_beyond_solver_resolution():
     assert rep.one_shot_bits == math.log2(math.floor(2.0 ** res.dh_bits))
     # an infinite solve can only mean an eps the solver cannot resolve
     unresolved = NPResult(0.0, math.inf, np.zeros((2, 2)), math.inf, 0.0, 0.0, 2,
-                          "closed_form", 0, infinite=True)
+                          "closed_form", 0)
     with pytest.raises(ValueError, match="too close to 1"):
         distill_one_shot_from(unresolved, eps)
 
