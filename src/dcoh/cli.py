@@ -6,12 +6,16 @@ report shares (`command`, `inputs`, `tolerances`, `wall_time_s`) and
 writes the report to stdout as strict JSON.
 
 Exit codes: 0 success / affirmative decision, 1 negative decision,
-2 undetermined, 3 input or validation error.
+2 undetermined (the oracle only), 3 input or validation error, usage
+errors included (an unknown subcommand or flag, a missing argument, a
+value argparse cannot convert); those print one `error: ...` line on
+stderr like every other input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -212,8 +216,21 @@ def cmd_oracle(args):
     return inputs, {"results": results}, ORACLE_EXIT[verdict.status]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so `main` reports them as input
+    errors (exit 3, one line) instead of argparse printing usage and exiting 2.
+    Subparsers are built with the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    # built on the first `main` call, not at import; `main` looks the handler
+    # up by command name, so the cached parser pins no function and a cmd_*
+    # rebound on the module (a tracing wrapper, say) is the one that runs
+    parser = _Parser(
         prog="dcoh",
         description="Coherence monotones, transformation deciders and channel "
         "synthesis for dephasing-covariant operations.",
@@ -222,19 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monotones", help="evaluate the monotone family on a state")
     p.add_argument("state")
-    p.set_defaults(func=cmd_monotones)
 
     p = sub.add_parser("distill", help="distillation rates")
     p.add_argument("state")
     p.add_argument("--eps", type=float, help="smoothing (one-shot only, default 0)")
     p.add_argument("--regime", choices=["one-shot", "zero", "asymptotic"], default="one-shot")
-    p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("decide", help="pure-state / heralded / qubit transformation decisions")
     p.add_argument("states", nargs="+", help="state file(s)")
     p.add_argument("--heralded", metavar="ENSEMBLE", help="heralded ensemble JSON file")
     p.add_argument("--qubit", action="store_true", help="decide a qubit density-matrix pair")
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("channel", help="construct or verify channels")
     group = p.add_mutually_exclusive_group(required=True)
@@ -245,23 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="maximally coherent unit size (default 2)")
     p.add_argument("--out", help="where to write the constructed channel")
     p.add_argument("--rho", help="input state for the rho-DIO verification")
-    p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("oracle", help="feasibility oracle for rho -> sigma")
     p.add_argument("rho")
     p.add_argument("sigma")
     p.add_argument("--max-iters", type=int, default=oracle.DEFAULT_MAX_ITERS)
-    p.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = _parser().parse_args(argv)
+        started = time.perf_counter()
         args.mode = _mode(args)
         _check_flags(args)
-        paths, fields, code = args.func(args)
+        paths, fields, code = globals()[f"cmd_{args.command}"](args)
         report = {
             "command": args.command,
             "inputs": [_input_entry(p) for p in paths],

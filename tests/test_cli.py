@@ -1,6 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -479,3 +483,85 @@ def test_modes_default_the_flags_they_read(capsys, files):
     _, given = run(capsys, argv + ["--m", "2"])
     _, default = run(capsys, argv)
     assert given["results"] == default["results"]
+
+
+# argparse's own usage errors: exit 3 with one stderr line, like every other input error
+USAGE_ERRORS = {
+    "eps-not-a-float": (["distill", "@qutrit", "--eps", "abc"], "invalid float value: 'abc'"),
+    "max-iters-not-an-int": (["oracle", "@qutrit", "@qutrit", "--max-iters", "x"],
+                             "invalid int value: 'x'"),
+    "oracle-missing-sigma": (["oracle", "@qutrit"], "the following arguments are required: sigma"),
+    "unknown-regime": (["distill", "@qutrit", "--regime", "bogus"], "invalid choice: 'bogus'"),
+    "unknown-subcommand": (["bogus"], "invalid choice: 'bogus'"),
+    "no-arguments": ([], "the following arguments are required: command"),
+    "unknown-flag": (["monotones", "@qutrit", "--bogus"], "unrecognized arguments: --bogus"),
+    "channel-without-mode": (["channel", "--state", "@qutrit"],
+                             "one of the arguments --construct --verify is required"),
+    "construct-and-verify": (["channel", "--construct", "distill", "--verify", "@deph"],
+                             "not allowed with argument"),
+}
+
+
+@pytest.mark.parametrize("argv, match", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_3_with_one_line(capsys, files, argv, match):
+    assert_input_error(capsys, fill(argv, files), match)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dcoh")
+
+
+def test_parser_is_built_once_per_process(capsys, files, monkeypatch):
+    # importing the module builds nothing: the parser is made on the first call
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import dcoh.cli; assert dcoh.cli._parser.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    run(capsys, fill(MODES["monotones"], files))  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in ("monotones", "distill-zero", "decide-pure", "verify"):
+        code, _ = run(capsys, fill(MODES[name], files))
+        assert code in (0, 1)
+    assert_input_error(capsys, fill(USAGE_ERRORS["eps-not-a-float"][0], files), "invalid float")
+    assert built == []
+
+
+def test_main_reads_the_handler_at_call_time(capsys, files, monkeypatch):
+    # a handler rebound after the parser is built is the one that runs, so a
+    # wrapper set on the module (as the bench tracer sets one) sees each call
+    run(capsys, fill(MODES["monotones"], files))  # the parser exists from here on
+    seen = []
+    original = cli.cmd_monotones
+
+    def recorder(args):
+        seen.append(args.state)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_monotones", recorder)
+    code, rep = run(capsys, ["monotones", files["qutrit"]])
+    assert code == 0 and rep["command"] == "monotones"
+    assert seen == [files["qutrit"]]
+
+
+def test_usage_errors_leave_the_cached_parser_intact(capsys, files):
+    # two commands whose absent flags `main` defaults (--eps 0, --m 2)
+    argvs = [["distill", files["psi2_dm"]],
+             ["channel", "--construct", "distill", "--state", files["qutrit"]]]
+    before = [run(capsys, argv) for argv in argvs]
+    for argv, match in USAGE_ERRORS.values():
+        assert_input_error(capsys, fill(argv, files), match)
+    after = [run(capsys, argv) for argv in argvs]
+    for (code1, rep1), (code2, rep2) in zip(before, after):
+        rep1.pop("wall_time_s")
+        rep2.pop("wall_time_s")
+        assert code1 == code2 == 0 and rep1 == rep2
