@@ -8,8 +8,11 @@ writes the report to stdout as strict JSON.
 Exit codes: 0 success / affirmative decision, 1 negative decision,
 2 undetermined (the oracle only), 3 input or validation error, usage
 errors included (an unknown subcommand or flag, a missing argument, a
-value argparse cannot convert); those print one `error: ...` line on
-stderr like every other input error.
+value argparse cannot convert); those print one `error: dcoh <sub>: ...`
+line on stderr like every other input error.
+
+The parser is built on the first `main` call and reused by later calls
+in the same process.
 """
 
 from __future__ import annotations
@@ -219,10 +222,11 @@ def cmd_oracle(args):
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ValueError, so `main` reports them as input
     errors (exit 3, one line) instead of argparse printing usage and exiting 2.
-    Subparsers are built with the same class."""
+    Subparsers are built with the same class; the message names the parser
+    that rejected the input (`dcoh oracle: ...`)."""
 
     def error(self, message):
-        raise ValueError(message)
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache
@@ -273,7 +277,10 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         args.mode = _mode(args)
         _check_flags(args)
-        paths, fields, code = globals()[f"cmd_{args.command}"](args)
+        # an AttributeError (a subparser without its cmd_*) is not caught:
+        # it is a fault of this module, not of the input
+        handler = getattr(sys.modules[__name__], f"cmd_{args.command}")
+        paths, fields, code = handler(args)
         report = {
             "command": args.command,
             "inputs": [_input_entry(p) for p in paths],
