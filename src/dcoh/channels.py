@@ -234,8 +234,3 @@ def channel_from_json(doc) -> QuantumChannel:
     if "kraus" in doc and np.max(np.abs(choi_from_kraus(kraus, din, dout) - choi)) > 1e-8:
         raise ValueError("stored Kraus operators do not match the Choi operator")
     return ch
-
-
-def load_channel(path) -> QuantumChannel:
-    with open(path, encoding="utf-8") as fh:
-        return channel_from_json(fh.read())

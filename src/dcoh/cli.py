@@ -1,9 +1,11 @@
 """Batch command-line front end with deterministic JSON reports.
 
-Each subcommand returns (input paths, report fields, exit code); `main`
-alone times the run, hashes the inputs, adds the envelope keys every
-report shares (`command`, `inputs`, `tolerances`, `wall_time_s`) and
-writes the report to stdout as strict JSON.
+Each subcommand returns (inputs, report fields, exit code); `main` alone
+times the run, adds the envelope keys every report shares (`command`,
+`inputs`, `tolerances`, `wall_time_s`) and writes the report to stdout as
+strict JSON. Each input file is opened once, and its `inputs` entry holds
+the sha256 of the bytes that were parsed, even when `--out` then
+overwrites the file.
 
 Exit codes: 0 success / affirmative decision, 1 negative decision,
 2 undetermined (the oracle only), 3 input or validation error, usage
@@ -30,7 +32,7 @@ import numpy as np
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .states import dephase, load_state, pure_to_density, state_from_json
+from .states import dephase, pure_to_density, state_from_json
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -54,9 +56,13 @@ MODE_FLAGS = {
 }
 
 
-def _input_entry(path: str) -> dict:
+def _read(inputs: list, path: str) -> str:
+    """The text of an input file; appends its path and the sha256 of the
+    bytes read to `inputs`, the report's `inputs` list."""
     with open(path, "rb") as fh:
-        return {"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        data = fh.read()
+    inputs.append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
+    return data.decode("utf-8")
 
 
 def _json_default(obj):
@@ -65,8 +71,8 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _load_density(path: str) -> np.ndarray:
-    kind, arr = load_state(path)
+def _load_density(inputs: list, path: str) -> np.ndarray:
+    kind, arr = state_from_json(_read(inputs, path))
     return pure_to_density(arr) if kind == "pure" else arr
 
 
@@ -76,8 +82,8 @@ def _require_pure(where: str, kind: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _load_pure(path: str) -> np.ndarray:
-    return _require_pure(path, *load_state(path))
+def _load_pure(inputs: list, path: str) -> np.ndarray:
+    return _require_pure(path, *state_from_json(_read(inputs, path)))
 
 
 def _diagnostics(result) -> dict:
@@ -111,15 +117,17 @@ def _check_flags(args) -> None:
 
 
 def cmd_monotones(args):
-    kind, arr = load_state(args.state)
+    inputs = []
+    kind, arr = state_from_json(_read(inputs, args.state))
     psi = arr if kind == "pure" else None
     rho = pure_to_density(arr) if kind == "pure" else arr
     report = monotones.monotone_report(rho, psi=psi)
-    return [args.state], {"results": vars(report)}, EXIT_OK
+    return inputs, {"results": vars(report)}, EXIT_OK
 
 
 def cmd_distill(args):
-    rho = _load_density(args.state)
+    inputs = []
+    rho = _load_density(inputs, args.state)
     fields = {"certificates": {}}
     if args.mode == "one-shot":
         np_result = dh_epsilon(rho, dephase(rho), args.eps)
@@ -130,7 +138,7 @@ def cmd_distill(args):
         report = rates.distill_zero_error(rho)
     else:
         report = rates.distill_asymptotic(rho)
-    return [args.state], {"results": vars(report), **fields}, EXIT_OK
+    return inputs, {"results": vars(report), **fields}, EXIT_OK
 
 
 def cmd_decide(args):
@@ -138,26 +146,23 @@ def cmd_decide(args):
     if len(args.states) != want:
         raise ValueError(f"decide in {args.mode} mode takes {want} state file(s), "
                          f"got {len(args.states)}")
+    inputs = []
     if args.mode == "qubit":
-        inputs = args.states
-        decision = ch.qubit_decide(*map(_load_density, inputs))
+        decision = ch.qubit_decide(*[_load_density(inputs, p) for p in args.states])
     elif args.mode == "heralded":
-        psi_path, ens_path = inputs = [args.states[0], args.heralded]
-        psi = _load_pure(psi_path)
-        with open(ens_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        psi = _load_pure(inputs, args.states[0])
+        doc = json.loads(_read(inputs, args.heralded))
         try:
             items = [(float(item["prob"]), item["state"]) for item in doc["items"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ensemble document: {exc}") from exc
         ensemble = [
-            (prob, _require_pure(f"{ens_path} item {i}", *state_from_json(state)))
+            (prob, _require_pure(f"{args.heralded} item {i}", *state_from_json(state)))
             for i, (prob, state) in enumerate(items)
         ]
         decision = majorization.heralded_decide(psi, ensemble)
     else:
-        inputs = args.states
-        decision = majorization.dio_pure_decide(*map(_load_pure, inputs))
+        decision = majorization.dio_pure_decide(*[_load_pure(inputs, p) for p in args.states])
     fields = {"mode": args.mode, "results": {"possible": bool(decision)}}
     return inputs, fields, EXIT_OK if decision else EXIT_NO
 
@@ -169,18 +174,17 @@ def cmd_channel(args):
         raise ValueError(f"channel --construct {args.construct} needs --state")
     if args.construct == "prop5" and args.target is None:
         raise ValueError("channel --construct prop5 needs --target")
-    inputs, extras, fields = [args.state], {}, {}
+    inputs, extras, fields = [], {}, {}
     if args.construct == "distill":
-        rho = _load_density(args.state)
+        rho = _load_density(inputs, args.state)
         program = distill_fidelity_program(rho, args.m)
         channel = ch.construct_distill(rho, args.m, program.primal)
         extras = {"fidelity": program.value, "duality_gap": program.gap}
         fields["diagnostics"] = _diagnostics(program)
     elif args.construct == "dilute":
-        channel = ch.construct_dilute(args.m, _load_density(args.state))
+        channel = ch.construct_dilute(args.m, _load_density(inputs, args.state))
     else:  # prop5
-        inputs.append(args.target)
-        channel = ch.construct_prop5(*map(_load_density, inputs))
+        channel = ch.construct_prop5(*[_load_density(inputs, p) for p in (args.state, args.target)])
     ch.validate_channel(channel)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,20 +196,21 @@ def cmd_channel(args):
 
 
 def _verify_channel(args):
-    channel = ch.load_channel(args.verify)
+    inputs = []
+    channel = ch.channel_from_json(_read(inputs, args.verify))
     dio_ok, dio_viol = ch.is_dio(channel)
     results = {"cptp": True, "dio": bool(dio_ok), "dio_violation": dio_viol}
-    inputs, affirmative = [args.verify], dio_ok
+    affirmative = dio_ok
     if args.rho:
-        affirmative, rdio_viol = ch.is_rho_dio(channel, _load_density(args.rho))
+        affirmative, rdio_viol = ch.is_rho_dio(channel, _load_density(inputs, args.rho))
         results.update(rho_dio=bool(affirmative), rho_dio_violation=rdio_viol)
-        inputs.append(args.rho)
     return inputs, {"mode": "verify", "results": results}, EXIT_OK if affirmative else EXIT_NO
 
 
 def cmd_oracle(args):
-    inputs = [args.rho, args.sigma]
-    verdict = oracle.rho_dio_feasible(*map(_load_density, inputs), max_iters=args.max_iters)
+    inputs = []
+    rho, sigma = (_load_density(inputs, p) for p in (args.rho, args.sigma))
+    verdict = oracle.rho_dio_feasible(rho, sigma, max_iters=args.max_iters)
     results = {
         "status": verdict.status,
         "iterations": verdict.iterations,
@@ -216,7 +221,9 @@ def cmd_oracle(args):
         results["certificate"] = {"monotone": name, "value_in": v_in, "value_out": v_out}
     if verdict.witness is not None:
         results["witness"] = json.loads(ch.channel_to_json(verdict.witness))
-    return inputs, {"results": results}, ORACLE_EXIT[verdict.status]
+    # (iteration, residual) pairs, written as JSON arrays; each residual is finite
+    diagnostics = {"residual_checkpoints": verdict.residual_checkpoints}
+    return inputs, {"results": results, "diagnostics": diagnostics}, ORACLE_EXIT[verdict.status]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,10 +287,10 @@ def main(argv=None) -> int:
         # an AttributeError (a subparser without its cmd_*) is not caught:
         # it is a fault of this module, not of the input
         handler = getattr(sys.modules[__name__], f"cmd_{args.command}")
-        paths, fields, code = handler(args)
+        inputs, fields, code = handler(args)
         report = {
             "command": args.command,
-            "inputs": [_input_entry(p) for p in paths],
+            "inputs": inputs,
             # the slack every decider compares with: prefix sums, the qubit
             # decider's R_Delta and l1 comparisons, every rounded unit count
             # and construct_prop5's R_Delta(omega) + 1 bound

@@ -25,6 +25,7 @@ from .states import check_density, dephase
 DEFAULT_MAX_ITERS = 5000
 RESIDUAL_TOL = 1e-7
 CERT_MARGIN = 1e-7
+RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)
 
 
 @dataclass
@@ -34,6 +35,8 @@ class FeasibilityVerdict:
     certificate: tuple[str, float, float] | None
     residual: float
     iterations: int
+    # (iteration, residual) at RESIDUAL_CHECKPOINTS and at the last iteration
+    residual_checkpoints: tuple[tuple[int, float], ...]
 
 
 def _monotone_certificate(rho, sigma):
@@ -48,18 +51,18 @@ def _monotone_certificate(rho, sigma):
     return None
 
 
-def _affine_projector(rho, sigma):
-    """Projection onto the constraint set and its residual, both on the
-    realigned M[(x,y),(a,b)] = J[(x,a),(y,b)], where vec Lambda(Q) = vec(Q)^T M.
+def _affine_set(rho, sigma):
+    """The constraint set on the realigned M[(x,y),(a,b)] = J[(x,a),(y,b)],
+    where vec Lambda(Q) = vec(Q)^T M, as (left, right, p, x, image, e, c).
 
-    The image constraints act on the left, X M = Y (rows vec rho, vec
-    dephase(rho) and vec sigma, vec dephase(sigma)), trace preservation on
-    the right, M e = c (e = vec 1_out, c = vec 1_in), so the projection is
+    The image constraints act on the left, x M = image (rows vec rho,
+    vec dephase(rho) and vec sigma, vec dephase(sigma)), trace preservation
+    on the right, M e = c (e = vec 1_out, c = vec 1_in). The projection is
     M -> left M right + p for two orthogonal projectors and a point p.
     """
     din, dout = rho.shape[0], sigma.shape[0]
     x = np.stack([rho.reshape(-1), dephase(rho).reshape(-1)])
-    y = np.stack([sigma.reshape(-1), dephase(sigma).reshape(-1)])
+    image = np.stack([sigma.reshape(-1), dephase(sigma).reshape(-1)])
     e = np.eye(dout, dtype=complex).reshape(-1)
     c = np.eye(din, dtype=complex).reshape(-1)
     # X^+ through the 2x2 Gram, which is singular when rho is incoherent
@@ -67,23 +70,8 @@ def _affine_projector(rho, sigma):
     left = np.eye(din * din) - b @ x
     right = np.eye(dout * dout) - np.outer(e, e) / dout
     # a point of the set, fixed by the projection: left B = 0 and e^T right = 0
-    p = b @ y + np.outer(left @ c, e) / dout
-
-    def project(m):
-        return left @ m @ right + p
-
-    def residual(m):
-        r_image, r_trace = x @ m - y, m @ e - c
-        return math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
-
-    return project, residual
-
-
-def _project_psd(j):
-    j = (j + j.conj().T) / 2
-    w, v = np.linalg.eigh(j)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    p = b @ image + np.outer(left @ c, e) / dout
+    return left, right, p, x, image, e, c
 
 
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
@@ -101,31 +89,47 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
 
     cert = _monotone_certificate(rho, sigma)
     if cert is not None:
-        return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0)
+        return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout
-    project_affine, constraint_residual = _affine_projector(rho, sigma)
+    left, right, p, x, image, e, c = _affine_set(rho, sigma)
     # z and y stay realigned; flat positions take J to M and M back to J
     to_m = np.arange(n * n).reshape(din, dout, din, dout).swapaxes(1, 2).reshape(din * din, -1)
     to_j = np.arange(n * n).reshape(din, din, dout, dout).swapaxes(1, 2).reshape(n, n)
     # start from the constant channel Q -> Tr(Q) sigma
-    z = project_affine(measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m])
+    z = left @ measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m] @ right + p
 
     residual = float("inf")
     iters = 0
-    for iters in range(1, max_iters + 1):
-        y = _project_psd(z.ravel()[to_j]).ravel()[to_m]
-        residual = constraint_residual(y)
+    checkpoints = []
+    # the loop runs in segments that end at the checkpoints, so recording
+    # them costs nothing in the iterations between
+    for stop in sorted({k for k in (*RESIDUAL_CHECKPOINTS, max_iters) if 0 < k <= max_iters}):
+        for iters in range(iters + 1, stop + 1):
+            # PSD projection: eigh reads the lower triangle of the Choi iterate,
+            # which is Hermitian up to rounding. `.dot` and `np.maximum` give the
+            # same numbers as `@` and `clip` with less call overhead, most of
+            # their cost at these sizes
+            w, v = np.linalg.eigh(z.ravel()[to_j])
+            psd = (v * np.maximum(w, 0.0)).dot(v.conj().T)
+            y = psd.ravel()[to_m]
+            r_image, r_trace = x.dot(y) - image, y.dot(e) - c
+            residual = math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
+            if residual <= RESIDUAL_TOL:
+                break
+            # reflect through the PSD point, project onto the affine set, step
+            z += left.dot(2.0 * y - z).dot(right) + p - y
+        checkpoints.append((iters, residual))
         if residual <= RESIDUAL_TOL:
             break
-        z = z + project_affine(2.0 * y - z) - y
+    checkpoints = tuple(checkpoints)
 
     if residual <= RESIDUAL_TOL:
-        witness = QuantumChannel(din, dout, y.ravel()[to_j])
+        witness = QuantumChannel(din, dout, psd)
         ok_rho_dio, _ = is_rho_dio(witness, rho, atol=1e-6)
         image_err = float(np.linalg.norm(apply(witness, rho) - sigma))
         if ok_rho_dio and image_err <= 1e-6:
-            return FeasibilityVerdict("feasible", witness, None, residual, iters)
+            return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
 
-    return FeasibilityVerdict("undetermined", None, None, residual, iters)
+    return FeasibilityVerdict("undetermined", None, None, residual, iters, checkpoints)

@@ -135,8 +135,3 @@ def state_from_json(doc) -> tuple[str, np.ndarray]:
     if arr.shape != (dim,):
         raise ValueError(f"pure shape {arr.shape} does not match dim {dim}")
     return "pure", check_pure(arr)
-
-
-def load_state(path) -> tuple[str, np.ndarray]:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_json(fh.read())

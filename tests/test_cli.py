@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import hashlib
 import json
 import math
@@ -271,6 +272,27 @@ def test_oracle_negative_iterations_exit_code(capsys, files):
     assert_input_error(capsys, ["oracle", q, q, "--max-iters", "-3"], "max_iters must be >= 0")
 
 
+def test_oracle_reports_its_residual_checkpoints(capsys, files):
+    # qutrit -> Psi_2 converges after 126 iterations; the trajectory is read at
+    # 1, 10, 100 and 1000 and at the last iteration, and stays strict JSON
+    q, psi2 = files["qutrit"], files["psi2_dm"]
+    code, rep = run(capsys, ["oracle", q, psi2])
+    assert code == 0 and "witness" in rep["results"]
+    checkpoints = rep["diagnostics"]["residual_checkpoints"]
+    iterations = rep["results"]["iterations"]
+    assert [k for k, _ in checkpoints] == [1, 10, 100, iterations]
+    assert checkpoints[-1][1] == rep["results"]["residual"] <= 1e-7 < checkpoints[0][1]
+    code, rep = run(capsys, ["oracle", q, psi2, "--max-iters", "12"])
+    assert code == 2
+    assert [k for k, _ in rep["diagnostics"]["residual_checkpoints"]] == [1, 10, 12]
+    assert rep["diagnostics"]["residual_checkpoints"][-1][1] == rep["results"]["residual"]
+    # no iteration, no checkpoint: a certified pair and a zero budget
+    for argv in (["oracle", files["flat"], psi2], ["oracle", q, psi2, "--max-iters", "0"]):
+        code, rep = run(capsys, argv)
+        assert code in (1, 2)
+        assert rep["diagnostics"] == {"residual_checkpoints": []}
+
+
 def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
     # 1 - eps = 1e-12 is within the solver's resolution: floor(2 / (1 - eps)) units
     code, rep = run(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"])
@@ -393,6 +415,41 @@ def test_success_reports_share_one_envelope(capsys, files, argv):
         {"path": p, "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()} for p in inputs
     ]
     assert rep["inputs"] == with_hash
+
+
+def test_inputs_hash_the_bytes_that_were_parsed(capsys, files, tmp_path):
+    # --out over the input file: the report hashes the state it read, not
+    # the channel written over it afterwards
+    state = tmp_path / "state.json"
+    state.write_bytes(Path(files["psi2_dm"]).read_bytes())
+    read = hashlib.sha256(state.read_bytes()).hexdigest()
+    code, rep = run(capsys, ["channel", "--construct", "dilute", "--state", str(state),
+                             "--m", "2", "--out", str(state)])
+    assert code == 0
+    assert hashlib.sha256(state.read_bytes()).hexdigest() != read  # now the channel
+    assert rep["inputs"] == [{"path": str(state), "sha256": read}]
+    # test_success_reports_share_one_envelope checks the hashes of every
+    # mode's untouched inputs, the heralded ensemble included
+
+
+@pytest.mark.parametrize("argv", MODES.values(), ids=MODES.keys())
+def test_each_input_is_opened_once(capsys, files, argv, monkeypatch):
+    opened = []
+    builtin_open = builtins.open
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return builtin_open(path, *args, **kwargs)
+
+    argv = fill(argv, files)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    code = cli.main(argv)
+    monkeypatch.undo()
+    rep = strict_loads(capsys.readouterr().out)
+    assert code in (0, 1, 2)
+    reads = [p for p in opened if p.startswith(files["tmp"]) and p != files["out"]]
+    assert reads == [entry["path"] for entry in rep["inputs"]]
+    assert len(set(reads)) == len(reads)
 
 
 BAD_DOCS = {

@@ -1,7 +1,7 @@
 import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
-from dcoh.oracle import _affine_projector, rho_dio_feasible
+from dcoh.oracle import RESIDUAL_TOL, _affine_set, rho_dio_feasible
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho, rand_pure
@@ -38,6 +38,17 @@ def unalign(m, din, dout):
     return m.reshape(din, din, dout, dout).swapaxes(1, 2).reshape(din * dout, din * dout)
 
 
+def project(aff, m):
+    left, right, p = aff[:3]
+    return left @ m @ right + p
+
+
+def residual(aff, m):
+    """The oracle's stopping residual: the violation of x M = image and M e = c."""
+    x, image, e, c = aff[3:]
+    return np.linalg.norm(np.concatenate([(x @ m - image).ravel(), m @ e - c]))
+
+
 def _verify_feasible(verdict, rho, sigma):
     assert verdict.status == "feasible"
     assert verdict.witness is not None
@@ -67,8 +78,8 @@ def test_constraint_rows_match_the_three_constraints():
         (lam(dephase(rho)) - dephase(sigma)).reshape(-1),
     ])
     assert np.allclose(lmat @ j.reshape(-1) - b, want, atol=1e-12)
-    _, residual = _affine_projector(rho, sigma)
-    assert abs(residual(realign(j, din, dout)) - np.linalg.norm(want)) < 1e-12
+    aff = _affine_set(rho, sigma)
+    assert abs(residual(aff, realign(j, din, dout)) - np.linalg.norm(want)) < 1e-12
     # a DIO channel (phased embeddings of the input basis) meets every row
     # once sigma is its image
     dout = 4
@@ -80,8 +91,8 @@ def test_constraint_rows_match_the_three_constraints():
     ch = channel_from_kraus(kraus)
     lmat, b = dense_constraint_system(rho, apply(ch, rho))
     assert np.max(np.abs(lmat @ ch.choi.reshape(-1) - b)) < 1e-12
-    _, residual = _affine_projector(rho, apply(ch, rho))
-    assert residual(realign(ch.choi, din, dout)) < 1e-12
+    aff = _affine_set(rho, apply(ch, rho))
+    assert residual(aff, realign(ch.choi, din, dout)) < 1e-12
 
 
 def _projection_cases():
@@ -99,15 +110,15 @@ def test_affine_projection_matches_pinv_reference():
     for rho, sigma in _projection_cases():
         din, dout = rho.shape[0], sigma.shape[0]
         lmat, b = dense_constraint_system(rho, sigma)
-        project, residual = _affine_projector(rho, sigma)
+        aff = _affine_set(rho, sigma)
         for _ in range(3):
             j = rng.normal(size=(din * dout,) * 2) + 1j * rng.normal(size=(din * dout,) * 2)
             v = j.reshape(-1)
             want = v - np.linalg.pinv(lmat) @ (lmat @ v - b)
-            got = project(realign(j, din, dout))
+            got = project(aff, realign(j, din, dout))
             assert np.max(np.abs(unalign(got, din, dout).reshape(-1) - want)) < 1e-12
-            assert np.max(np.abs(project(got) - got)) < 1e-12
-            assert residual(got) < 1e-12
+            assert np.max(np.abs(project(aff, got) - got)) < 1e-12
+            assert residual(aff, got) < 1e-12
 
 
 def test_qutrit_to_maxcoherent_is_feasible():
@@ -204,3 +215,62 @@ def test_undetermined_is_reported_honestly():
     assert verdict.status in ("feasible", "infeasible-certified", "undetermined")
     if verdict.status == "undetermined":
         assert verdict.certificate is None and verdict.witness is None
+
+
+def _reference_dr(rho, sigma, max_iters):
+    """Douglas-Rachford in the plain Choi layout: a pinv projection onto
+    L vec(J) = b, eigh of the symmetrised iterate for the PSD cone. Returns
+    the residual after each iteration, stopping at the oracle's tolerance."""
+    din, dout = rho.shape[0], sigma.shape[0]
+    lmat, b = dense_constraint_system(rho, sigma)
+    lpinv = np.linalg.pinv(lmat)
+
+    def affine(v):
+        return v - lpinv @ (lmat @ v - b)
+
+    def psd(v):
+        j = v.reshape(din * dout, -1)
+        w, u = np.linalg.eigh((j + j.conj().T) / 2)
+        return ((u * np.clip(w, 0.0, None)) @ u.conj().T).reshape(-1)
+
+    z = affine(np.kron(np.eye(din), sigma).reshape(-1))  # Q -> Tr(Q) sigma
+    residuals = []
+    for _ in range(max_iters):
+        y = psd(z)
+        residuals.append(np.linalg.norm(lmat @ y - b))
+        if residuals[-1] <= RESIDUAL_TOL:
+            break
+        z = z + affine(2 * y - z) - y
+    return residuals
+
+
+def test_douglas_rachford_matches_a_dense_reference():
+    rng = np.random.default_rng(0)
+    max_iters = 300
+    seen = set()
+    for _ in range(6):
+        rho, sigma = rand_rho(rng, 3), rand_rho(rng, 3)
+        verdict = rho_dio_feasible(rho, sigma, max_iters=max_iters)
+        seen.add(verdict.status)
+        residuals = _reference_dr(rho, sigma, max_iters)
+        if verdict.status == "infeasible-certified":
+            # no witness exists, so the reference cannot converge either
+            assert verdict.iterations == 0 and verdict.residual_checkpoints == ()
+            assert len(residuals) == max_iters and residuals[-1] > RESIDUAL_TOL
+            continue
+        converged = residuals[-1] <= RESIDUAL_TOL
+        assert verdict.status == ("feasible" if converged else "undetermined")
+        assert verdict.iterations == len(residuals)
+        if converged:
+            _verify_feasible(verdict, rho, sigma)
+        else:
+            assert abs(verdict.residual - residuals[-1]) <= 1e-9 * residuals[-1]
+        # checkpoints at 1, 10, 100 and the last iteration, read off the same trajectory
+        stops = [k for k in (1, 10, 100) if k < len(residuals)] + [len(residuals)]
+        assert [k for k, _ in verdict.residual_checkpoints] == stops
+        for k, r in verdict.residual_checkpoints:
+            if residuals[k - 1] > RESIDUAL_TOL:
+                assert abs(r - residuals[k - 1]) <= 1e-9 * residuals[k - 1]
+            else:
+                assert r <= RESIDUAL_TOL
+    assert seen == {"feasible", "infeasible-certified", "undetermined"}

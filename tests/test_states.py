@@ -10,7 +10,6 @@ from dcoh.states import (
     dephase,
     is_incoherent,
     l1_norm,
-    load_state,
     max_coherent,
     prob_vector,
     pure_to_density,
@@ -114,7 +113,7 @@ def test_json_round_trip_density(tmp_path):
     rho /= np.trace(rho).real
     path = tmp_path / "rho.json"
     path.write_text(state_to_json(rho))
-    kind, back = load_state(path)
+    kind, back = state_from_json(path.read_text())
     assert kind == "density"
     assert np.allclose(back, rho, atol=1e-12)
 
