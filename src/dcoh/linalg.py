@@ -55,7 +55,12 @@ def support_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     One eigh both validates (Hermitian, min eigenvalue >= -PSD_ATOL) and
     decomposes; eigenvalues at or below rank_tol are dropped.
     """
-    w, v = np.linalg.eigh(check_hermitian(a))
+    return _support_eigh(check_hermitian(a))
+
+
+def _support_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """support_eigh of an exactly Hermitian ``a``."""
+    w, v = np.linalg.eigh(a)
     if w.size and w[0] < -PSD_ATOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     keep = w > rank_tol(w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import rank_tol, support_eigh
-from .states import _l1, check_density, check_pure, coherence_distribution
+from .states import _density_eigh, _l1, check_density, check_pure, coherence_distribution
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -39,27 +39,29 @@ def _entropy_bits(w) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def _family(rho):
+def _family(rho, eig=None):
     """(name, value) pairs of a validated rho in certificate order: r_delta,
     renyi_alpha for alpha in DEFAULT_ALPHAS, l1. Each is computed when asked
-    for, so a caller that stops at r_delta never runs support_eigh."""
+    for. eig is rho's support eigenpairs (w, v) when the caller has them;
+    otherwise support_eigh runs when the first Renyi member is asked for, so
+    a caller that stops at r_delta never runs it."""
     q = _diag_power(rho, -0.5)
     lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
     yield "r_delta", max(lam - 1.0, 0.0)
-    yield from _renyi_family(rho, DEFAULT_ALPHAS)
+    w, v = support_eigh(rho) if eig is None else eig
+    yield from _renyi_family(rho, w, v, DEFAULT_ALPHAS)
     yield "l1", _l1(rho)
 
 
-def _renyi_family(rho, alphas):
-    """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from one
-    support_eigh of a validated rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
+def _renyi_family(rho, w, v, alphas):
+    """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from the
+    support eigenpairs of a validated rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
 
         Tr rho^alpha dephase(rho)^(1-alpha) = sum_k w_k^alpha sum_x |v_xk|^2 p_x^(1-alpha),
 
     which at alpha = 0 is Tr(Pi_rho dephase(rho)), the zero-error yield; the
     alpha -> 1 limit is S(p) - S(w).
     """
-    w, v = support_eigh(rho)
     weights = np.abs(v) ** 2
     for alpha in alphas:
         if alpha == 1.0:
@@ -86,12 +88,12 @@ def _r_delta(rho) -> float:
 
 def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
-    return _rel_entropy(check_density(rho))
+    return next(_renyi_family(*_density_eigh(rho), (1.0,)))[1]
 
 
 def _rel_entropy(rho) -> float:
     """rel_entropy_coherence of an already validated rho."""
-    return next(_renyi_family(rho, (1.0,)))[1]
+    return next(_renyi_family(rho, *support_eigh(rho), (1.0,)))[1]
 
 
 def renyi_relative(rho, alpha: float) -> float:
@@ -100,7 +102,7 @@ def renyi_relative(rho, alpha: float) -> float:
     rejected). alpha = 1 is the relative entropy of coherence."""
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    return next(_renyi_family(check_density(rho), (alpha,)))[1]
+    return next(_renyi_family(*_density_eigh(rho), (alpha,)))[1]
 
 
 def c_k_monotone(psi, k: int) -> float:
@@ -119,7 +121,8 @@ def monotone_report(rho, psi=None) -> MonotoneReport:
     pure amplitude vector is available the pure-state tail sum c_2 is
     included as well.
     """
-    values = dict(_family(check_density(rho)))
+    rho, w, v = _density_eigh(rho)
+    values = dict(_family(rho, (w, v)))
     report = MonotoneReport(
         r_delta=values["r_delta"],
         rel_entropy_bits=values["renyi_1.0"],

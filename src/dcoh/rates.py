@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import NPResult, dh_epsilon
-from .linalg import fidelity_from_inner, support_eigh
 from .majorization import PREFIX_SLACK
 from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence, renyi_relative
-from .states import _is_incoherent, check_density, dephase
+from .states import _density_eigh, _is_incoherent, check_density, dephase
 
 # Width at which the upper unit's bracket on t stops.
 UPPER_TOL = 1e-12
@@ -107,22 +106,26 @@ def _dilution_lower_unit(rho, eps: float) -> float:
     from the trivial bound lam = 1, the ratios increase to the maximum;
     the iteration stops at the first one that does not. Each iterate is
     the bound of an explicit test, so the result is certified whenever
-    the iteration stops. rho must already be a validated density matrix.
+    the iteration stops. A step is one eigh of a copy of rho with
+    lam diag(rho) subtracted from its diagonal. rho must already be a
+    validated density matrix.
     """
-    diag = np.diag(rho).real
+    diag = rho.diagonal().real
     s = math.sqrt(max(eps, 0.0))
     lam = 1.0
     while True:
-        w, v = np.linalg.eigh(rho - lam * np.diag(diag))
+        pencil = rho.copy()
+        pencil.reshape(-1)[::len(diag) + 1] -= lam * diag
+        w, v = np.linalg.eigh(pencil)
         vk = v[:, w > 0.0]
-        num = float(np.sum(vk.conj() * (rho @ vk)).real) - s
-        den = float(diag @ np.sum(np.abs(vk) ** 2, axis=1)) + s
+        num = float((vk.conj() * rho.dot(vk)).sum().real) - s
+        den = float(diag.dot((np.abs(vk) ** 2).sum(axis=1))) + s
         if not (den > 0.0 and num / den > lam):
             return lam
         lam = num / den
 
 
-def _dilution_upper_unit(rho, eps: float) -> float:
+def _dilution_upper_unit(rho, w, v, eps: float) -> float:
     """Upper bound on the smoothed dilution unit count from the witness
     family w_t = (1-t) rho + t dephase(rho), whose cost is
     R_Delta(w_t) + 1 = t + (1-t)(R_Delta(rho)+1).
@@ -138,39 +141,48 @@ def _dilution_upper_unit(rho, eps: float) -> float:
     points did not halve the bracket, and every point is kept UPPER_TOL/2
     inside it. Each point is classified by the check itself, and the
     returned cost is that of lo, so the bound comes with its witness.
-    The fidelity is taken on the support of rho: with f = v sqrt(w) from
-    support_eigh(rho), inner(t) = f^dag w_t f is affine in t
-    (f^dag rho f = diag(w^2)) and g(t) = Tr sqrt(inner(t)). A secant point
-    costs one eigvalsh; a Newton point one eigh, whose eigenpairs (x, u)
-    also give g'(t) = 1/2 sum_k u_k^dag (inner(1) - inner(0)) u_k / sqrt(x_k).
+    The fidelity is taken on the support of rho, whose eigenpairs (w, v)
+    (support_eigh of rho) the caller passes: with f = v sqrt(w),
+    inner(t) = f^dag w_t f = D + t S, D = diag(w^2) = f^dag rho f and
+    S = f^dag dephase(rho) f - D, and g(t) = Tr sqrt(inner(t)). S is made
+    exactly Hermitian once, so inner(t) is one scaled copy of S plus a
+    diagonal. A secant point costs one eigvalsh of it; a Newton point one
+    eigh, whose eigenpairs (x, u) also give g'(t) = 1/2 sum_k u_k^dag S u_k / sqrt(x_k).
     rho must already be a validated density matrix.
     """
     lam0 = _r_delta(rho) + 1.0
-    w, v = support_eigh(rho)
     f = v * np.sqrt(w)
-    inner_rho = np.diag(w**2)
-    inner_delta = f.conj().T @ (np.diag(rho).real[:, None] * f)
-    slope = inner_delta - inner_rho
+    w2 = w**2
+    slope = f.conj().T.dot(rho.diagonal().real[:, None] * f)
+    slope.reshape(-1)[::len(w) + 1] -= w2
+    slope = (slope + slope.conj().T) / 2
     target = 1.0 - eps - 1e-12
 
     def inner(t: float) -> np.ndarray:
-        return (1.0 - t) * inner_rho + t * inner_delta
+        a = t * slope
+        a.reshape(-1)[::len(w) + 1] += w2
+        return a
 
     def tangent(t: float) -> tuple[float, float, float]:
         """(F, g, g') at t from one eigh."""
         x, u = np.linalg.eigh(inner(t))
         keep = x > 0.0
         root = np.sqrt(x[keep])
-        u = u[:, keep]
-        g = float(np.sum(root))
-        dg = 0.5 * float(np.sum(np.sum(u.conj() * (slope @ u), axis=0).real / root))
+        g = float(root.sum())
+        dg = 0.5 * float(((u.conj() * slope.dot(u)).sum(axis=0).real[keep] / root).sum())
         return min(g * g, 1.0), g, dg
+
+    def chord(t: float) -> tuple[float, float]:
+        """(F, sqrt F) at t from one eigvalsh."""
+        x = np.linalg.eigvalsh(inner(t))
+        fid = min(float(np.sqrt(x[x > 0.0]).sum()) ** 2, 1.0)
+        return fid, math.sqrt(fid)
 
     fid, g_hi, dg = tangent(1.0)
     if fid >= target:
         return 1.0
     root_target = math.sqrt(target)
-    lo, hi, g_lo = 0.0, 1.0, float(np.sum(w))
+    lo, hi, g_lo = 0.0, 1.0, float(w.sum())
     tan = (1.0, g_hi, dg)  # tangent at the last failing Newton point
     widths = (math.inf, math.inf)  # bracket width before each of the last two points
     newton = True
@@ -189,8 +201,7 @@ def _dilution_upper_unit(rho, eps: float) -> float:
         if newton:
             fid, g, dg = tangent(t)
         else:
-            fid = fidelity_from_inner(inner(t))
-            g = math.sqrt(fid)
+            fid, g = chord(t)
         if fid >= target:
             lo, g_lo = t, g
         else:
@@ -207,14 +218,16 @@ def dilute_one_shot_bounds(rho, eps: float) -> tuple[RateReport, RateReport]:
     The lower side is a Dinkelbach test bound and the upper side the cost
     of a checked witness (see the two unit helpers above). At eps = 0 only
     w = rho is feasible, so both sides collapse to the exact zero-error cost.
+    For eps > 0, rho is validated by the eigh that gives the upper side its
+    support eigenpairs, the only decomposition of rho itself.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    rho = check_density(rho)
     if eps == 0.0:
-        unit_lo = unit_hi = _r_delta(rho) + 1.0
+        unit_lo = unit_hi = _r_delta(check_density(rho)) + 1.0
     else:
-        unit_hi = _dilution_upper_unit(rho, eps)
+        rho, w, v = _density_eigh(rho)
+        unit_hi = _dilution_upper_unit(rho, w, v, eps)
         # the certified bound can never exceed the witness
         unit_lo = min(_dilution_lower_unit(rho, eps), unit_hi)
     return tuple(RateReport(math.log2(guarded_ceil(u)), math.log2(u), float(eps), "one_shot")

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .linalg import check_psd
+from .linalg import _support_eigh, check_hermitian, check_psd
 
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-9
@@ -22,7 +22,19 @@ PROB_CLAMP = 1e-12
 
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD, unit trace); returns it symmetrized."""
-    rho = check_psd(rho)
+    return _check_trace(check_psd(rho))
+
+
+def _density_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_density by decomposing: (rho symmetrized, w, v) with (w, v) its
+    support_eigh, from one eigh that also serves the PSD check. Same checks,
+    in the same order and with the same messages, as check_density."""
+    rho = check_hermitian(rho)
+    w, v = _support_eigh(rho)
+    return _check_trace(rho), w, v
+
+
+def _check_trace(rho) -> np.ndarray:
     tr = float(np.trace(rho).real)
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")

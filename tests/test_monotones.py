@@ -15,7 +15,7 @@ from dcoh.monotones import (
 )
 from dcoh.oracle import _monotone_certificate
 from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
-from dcoh.states import dephase, max_coherent, pure_to_density
+from dcoh.states import check_density, dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -96,26 +96,57 @@ def test_decompositions_per_call(monkeypatch):
     # each validates its states once and decomposes them only for the answer
     for fn, expected in [
         (r_delta, 2),
-        (lambda r: renyi_relative(r, 0.0), 2),
-        (lambda r: renyi_relative(r, 0.5), 2),
-        (lambda r: renyi_relative(r, 2.0), 2),
-        (lambda r: renyi_relative(r, 1.0), 2),
+        # the Renyi family is validated by its own support eigh
+        (lambda r: renyi_relative(r, 0.0), 1),
+        (lambda r: renyi_relative(r, 0.5), 1),
+        (lambda r: renyi_relative(r, 2.0), 1),
+        (lambda r: renyi_relative(r, 1.0), 1),
         (lambda r: fidelity(r, sigma), 3),
         (support_projector, 1),
-        (monotone_report, 3),
+        (monotone_report, 2),
         (lambda r: _monotone_certificate(r, mixed), 4),
         (lambda r: _monotone_certificate(mixed, r), 2),
         (lambda r: qubit_decide(*qubits), 4),
         (lambda r: asymptotic_rate(r, sigma), 4),
         (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
+        # the eigh that validates rho is its only decomposition; the rest
+        # are the upper unit's R_Delta and steps and the Dinkelbach steps
+        (lambda r: dilute_one_shot_bounds(r, 0.1), 13),
         # rounding a unit count decomposes nothing
-        (distill_zero_error, 2),
+        (distill_zero_error, 1),
         (dilute_zero_error, 2),
         (lambda r: construct_prop5(r, dephase(r)), 4),
     ]:
         calls.clear()
         fn(rho)
         assert len(calls) == expected
+
+
+BAD_STATES = {
+    "non-square": np.ones((2, 3)) / 2,
+    "non-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "nan": np.full((2, 2), np.nan),
+    "not-psd": np.diag([1.5, -0.5]),
+    "trace-2": np.eye(2),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STATES)
+def test_validation_by_decomposing_rejects_what_check_density_rejects(name):
+    # the bracket at eps > 0 and the Renyi family validate rho by the eigh
+    # they decompose it with; they must refuse it exactly as check_density does
+    with pytest.raises(ValueError) as want:
+        check_density(BAD_STATES[name])
+    for fn in (
+        lambda r: dilute_one_shot_bounds(r, 0.0),
+        lambda r: dilute_one_shot_bounds(r, 0.1),
+        lambda r: renyi_relative(r, 0.5),
+        rel_entropy_coherence,
+        monotone_report,
+    ):
+        with pytest.raises(ValueError) as got:
+            fn(BAD_STATES[name])
+        assert str(got.value) == str(want.value)
 
 
 def test_r_delta_maxcoherent():
