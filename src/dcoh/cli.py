@@ -223,6 +223,9 @@ def cmd_oracle(args):
         results["witness"] = json.loads(ch.channel_to_json(verdict.witness))
     # (iteration, residual) pairs, written as JSON arrays; each residual is finite
     diagnostics = {"residual_checkpoints": verdict.residual_checkpoints}
+    if verdict.separation is not None:
+        t, h_rho, h_sigma = verdict.separation
+        diagnostics["testing_curve"] = {"t": t, "h_rho": h_rho, "h_sigma": h_sigma}
     return inputs, {"results": results, "diagnostics": diagnostics}, ORACLE_EXIT[verdict.status]
 
 

@@ -45,12 +45,19 @@ def _family(rho, eig=None):
     for. eig is rho's support eigenpairs (w, v) when the caller has them;
     otherwise support_eigh runs when the first Renyi member is asked for, so
     a caller that stops at r_delta never runs it."""
-    q = _diag_power(rho, -0.5)
-    lam = float(np.max(np.linalg.eigvalsh(q[:, None] * rho * q[None, :])))
+    lam = float(np.max(_coherence_spectrum(rho)))
     yield "r_delta", max(lam - 1.0, 0.0)
     w, v = support_eigh(rho) if eig is None else eig
     yield from _renyi_family(rho, w, v, DEFAULT_ALPHAS)
     yield "l1", _l1(rho)
+
+
+def _coherence_spectrum(rho) -> np.ndarray:
+    """Eigenvalues of the coherence matrix D^{-1/2} rho D^{-1/2} of a validated
+    rho, D = dephase(rho) pseudo-inverted on its support; the largest is
+    r_delta + 1. D is diagonal, so this only rescales the entries of rho."""
+    q = _diag_power(rho, -0.5)
+    return np.linalg.eigvalsh(q[:, None] * rho * q[None, :])
 
 
 def _renyi_family(rho, w, v, alphas):
@@ -88,12 +95,12 @@ def _r_delta(rho) -> float:
 
 def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
-    return next(_renyi_family(*_density_eigh(rho), (1.0,)))[1]
+    return _rel_entropy(*_density_eigh(rho))
 
 
-def _rel_entropy(rho) -> float:
-    """rel_entropy_coherence of an already validated rho."""
-    return next(_renyi_family(rho, *support_eigh(rho), (1.0,)))[1]
+def _rel_entropy(rho, w, v) -> float:
+    """rel_entropy_coherence of a validated rho with support eigenpairs (w, v)."""
+    return next(_renyi_family(rho, w, v, (1.0,)))[1]
 
 
 def renyi_relative(rho, alpha: float) -> float:

@@ -9,6 +9,14 @@ the affine constraint set, whose projection is a closed-form two-sided
 product once the Choi operator is realigned. Projection splitting cannot
 certify infeasibility: a "no" is the first member of `monotones._family`
 that rises from rho to sigma, and non-convergence is an honest "undetermined".
+
+Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
+are compared. Such a map takes rho - t dephase(rho) to
+sigma - t dephase(sigma) and contracts the trace norm, so h_sigma <= h_rho
+for every t >= 0 (relative majorization; sufficient for qubits). A t at
+which h_sigma rises above h_rho by more than CERT_MARGIN proves that no
+witness exists: the verdict stays "undetermined", carries that point as
+`separation`, and runs no iteration.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
-from .monotones import _family
+from .monotones import _coherence_spectrum, _family
 from .states import check_density, dephase
 
 DEFAULT_MAX_ITERS = 5000
@@ -37,6 +45,9 @@ class FeasibilityVerdict:
     iterations: int
     # (iteration, residual) at RESIDUAL_CHECKPOINTS and at the last iteration
     residual_checkpoints: tuple[tuple[int, float], ...]
+    # (t, h_rho(t), h_sigma(t)) where sigma's testing curve rises above rho's;
+    # None when the curves did not separate
+    separation: tuple[float, float, float] | None = None
 
 
 def _monotone_certificate(rho, sigma):
@@ -48,6 +59,28 @@ def _monotone_certificate(rho, sigma):
             break
         if v_out > v_in + CERT_MARGIN:
             return name, v_in, v_out
+    return None
+
+
+def _testing_curve(x, t) -> np.ndarray:
+    """h_x(t) = Tr(x - t dephase(x))_+ of a validated x at each t, from one
+    stacked eigvalsh."""
+    pencil = x - t[:, None, None] * dephase(x)
+    return np.maximum(np.linalg.eigvalsh(pencil), 0.0).sum(axis=1)
+
+
+def _curve_separation(rho, sigma):
+    """(t, h_rho(t), h_sigma(t)) at the t where h_sigma rises most above h_rho,
+    when by more than CERT_MARGIN, else None (both validated). The t are the
+    kinks of both curves, where x - t dephase(x) is singular (the coherence
+    spectra), and the midpoints between consecutive kinks; below the first
+    kink both curves are 1 - t, past the last both are 0."""
+    kinks = np.unique(np.concatenate([_coherence_spectrum(rho), _coherence_spectrum(sigma)]))
+    t = np.concatenate([kinks, (kinks[1:] + kinks[:-1]) / 2])
+    h_rho, h_sigma = _testing_curve(rho, t), _testing_curve(sigma, t)
+    k = int(np.argmax(h_sigma - h_rho))
+    if h_sigma[k] > h_rho[k] + CERT_MARGIN:
+        return float(t[k]), float(h_rho[k]), float(h_sigma[k])
     return None
 
 
@@ -77,10 +110,12 @@ def _affine_set(rho, sigma):
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
-    The monotone family is checked first (cheap and sound); otherwise
-    Douglas-Rachford iterations search for a witness Choi operator. The
-    reported residual is the constraint violation of the PSD shadow
-    iterate, so a small residual means an almost-exact witness.
+    The monotone family is checked first (cheap and sound), then the
+    testing curves: a separation rules out every witness, so no iteration
+    runs, and neither does a zero budget. Otherwise Douglas-Rachford
+    iterations search for a witness Choi operator. The reported residual is
+    the constraint violation of the PSD shadow iterate, so a small residual
+    means an almost-exact witness; it is inf when no iteration ran.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -90,6 +125,9 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     cert = _monotone_certificate(rho, sigma)
     if cert is not None:
         return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
+    separation = _curve_separation(rho, sigma)
+    if separation is not None or max_iters == 0:
+        return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout
@@ -100,12 +138,11 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     # start from the constant channel Q -> Tr(Q) sigma
     z = left @ measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m] @ right + p
 
-    residual = float("inf")
     iters = 0
     checkpoints = []
     # the loop runs in segments that end at the checkpoints, so recording
     # them costs nothing in the iterations between
-    for stop in sorted({k for k in (*RESIDUAL_CHECKPOINTS, max_iters) if 0 < k <= max_iters}):
+    for stop in sorted({k for k in (*RESIDUAL_CHECKPOINTS, max_iters) if k <= max_iters}):
         for iters in range(iters + 1, stop + 1):
             # PSD projection: eigh reads the lower triangle of the Choi iterate,
             # which is Hermitian up to rounding. `.dot` and `np.maximum` give the

@@ -240,10 +240,11 @@ def asymptotic_rate(rho, sigma) -> float:
     Returns math.inf when the target is incoherent (unbounded rate) and 0
     when only the source is incoherent.
     """
-    rho = check_density(rho)
-    sigma = check_density(sigma)
+    # each state's validating eigh also serves its relative entropy
+    rho, w_rho, v_rho = _density_eigh(rho)
+    sigma, w_sigma, v_sigma = _density_eigh(sigma)
     if _is_incoherent(sigma):
         return math.inf
     if _is_incoherent(rho):
         return 0.0
-    return _rel_entropy(rho) / _rel_entropy(sigma)
+    return _rel_entropy(rho, w_rho, v_rho) / _rel_entropy(sigma, w_sigma, v_sigma)

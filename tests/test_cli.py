@@ -293,6 +293,28 @@ def test_oracle_reports_its_residual_checkpoints(capsys, files):
         assert rep["diagnostics"] == {"residual_checkpoints": []}
 
 
+def test_oracle_reports_a_testing_curve_separation(capsys, tmp_path):
+    # no monotone of the family rises from rho to sigma, but sigma's testing
+    # curve Tr(X - t dephase(X))_+ rises above rho's: undetermined, with the
+    # separating point and no iteration
+    rho = np.array([[0.1, -0.2, -0.05], [-0.2, 0.5, -0.05], [-0.05, -0.05, 0.4]])
+    sigma = np.array([[0.4, 0.15, -0.2], [0.15, 0.3, -0.1], [-0.2, -0.1, 0.3]])
+    paths = []
+    for name, x in (("rho", rho), ("sigma", sigma)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(state_to_json(x.astype(complex)))
+    code, rep = run(capsys, ["oracle", *map(str, paths)])
+    assert code == 2
+    assert rep["results"] == {"status": "undetermined", "iterations": 0, "residual": None}
+    curve = rep["diagnostics"]["testing_curve"]
+    assert rep["diagnostics"] == {"residual_checkpoints": [], "testing_curve": curve}
+    t = curve["t"]
+    assert curve["h_sigma"] > curve["h_rho"] + 1e-7
+    for x, h in ((rho, curve["h_rho"]), (sigma, curve["h_sigma"])):
+        trace_norm = np.linalg.svd(x - t * np.diag(np.diag(x)), compute_uv=False).sum()
+        assert abs(h - (1.0 - t + trace_norm) / 2) <= 1e-12
+
+
 def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
     # 1 - eps = 1e-12 is within the solver's resolution: floor(2 / (1 - eps)) units
     code, rep = run(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"])

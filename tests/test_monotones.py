@@ -13,7 +13,7 @@ from dcoh.monotones import (
     rel_entropy_coherence,
     renyi_relative,
 )
-from dcoh.oracle import _monotone_certificate
+from dcoh.oracle import _curve_separation, _monotone_certificate
 from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
 from dcoh.states import check_density, dephase, max_coherent, pure_to_density
 
@@ -106,8 +106,10 @@ def test_decompositions_per_call(monkeypatch):
         (monotone_report, 2),
         (lambda r: _monotone_certificate(r, mixed), 4),
         (lambda r: _monotone_certificate(mixed, r), 2),
+        # per state, its coherence spectrum (the kinks) and one stacked eigvalsh
+        (lambda r: _curve_separation(r, mixed), 4),
         (lambda r: qubit_decide(*qubits), 4),
-        (lambda r: asymptotic_rate(r, sigma), 4),
+        (lambda r: asymptotic_rate(r, sigma), 2),
         (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
         # the eigh that validates rho is its only decomposition; the rest
         # are the upper unit's R_Delta and steps and the Dinkelbach steps

@@ -1,8 +1,9 @@
 import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
-from dcoh.oracle import RESIDUAL_TOL, _affine_set, rho_dio_feasible
-from dcoh.states import dephase, max_coherent, pure_to_density
+from dcoh import oracle
+from dcoh.oracle import CERT_MARGIN, RESIDUAL_TOL, _affine_set, _curve_separation, rho_dio_feasible
+from dcoh.states import check_density, dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho, rand_pure
 
@@ -247,16 +248,19 @@ def _reference_dr(rho, sigma, max_iters):
 def test_douglas_rachford_matches_a_dense_reference():
     rng = np.random.default_rng(0)
     max_iters = 300
+    cases = [(rand_rho(rng, 3), rand_rho(rng, 3), max_iters) for _ in range(6)]
+    # qutrit -> Psi_2 is feasible but needs 126 iterations: a run that stops
+    # unconverged on its budget
+    cases.append((pure_to_density(QUTRIT), pure_to_density(max_coherent(2)), 60))
     seen = set()
-    for _ in range(6):
-        rho, sigma = rand_rho(rng, 3), rand_rho(rng, 3)
-        verdict = rho_dio_feasible(rho, sigma, max_iters=max_iters)
-        seen.add(verdict.status)
-        residuals = _reference_dr(rho, sigma, max_iters)
-        if verdict.status == "infeasible-certified":
+    for rho, sigma, budget in cases:
+        verdict = rho_dio_feasible(rho, sigma, max_iters=budget)
+        seen.add("separated" if verdict.separation is not None else verdict.status)
+        residuals = _reference_dr(rho, sigma, budget)
+        if verdict.status == "infeasible-certified" or verdict.separation is not None:
             # no witness exists, so the reference cannot converge either
             assert verdict.iterations == 0 and verdict.residual_checkpoints == ()
-            assert len(residuals) == max_iters and residuals[-1] > RESIDUAL_TOL
+            assert len(residuals) == budget and residuals[-1] > RESIDUAL_TOL
             continue
         converged = residuals[-1] <= RESIDUAL_TOL
         assert verdict.status == ("feasible" if converged else "undetermined")
@@ -273,4 +277,87 @@ def test_douglas_rachford_matches_a_dense_reference():
                 assert abs(r - residuals[k - 1]) <= 1e-9 * residuals[k - 1]
             else:
                 assert r <= RESIDUAL_TOL
-    assert seen == {"feasible", "infeasible-certified", "undetermined"}
+    assert seen == {"feasible", "infeasible-certified", "separated", "undetermined"}
+
+
+def svd_testing_curve(x, t):
+    """h_x(t) = Tr(x - t dephase(x))_+ = (1 - t + ||x - t dephase(x)||_1) / 2,
+    the trace norm from singular values."""
+    return (1.0 - t + np.linalg.svd(x - t * dephase(x), compute_uv=False).sum()) / 2
+
+
+def test_testing_curve_decides_qubits():
+    # for qubits the curve order is also sufficient, so it separates exactly
+    # the pairs the closed-form decider rejects
+    rng = np.random.default_rng(16)
+    pairs = [(rand_rho(rng, 2), rand_rho(rng, 2)) for _ in range(1000)]
+    # rank-deficient pairs too: pure -> pure, pure -> mixed, mixed -> pure
+    pure = [pure_to_density(rand_pure(rng, 2)) for _ in range(200)]
+    pairs += [(pure[k], pure[k + 1]) for k in range(0, 100, 2)]
+    pairs += [(pure[100 + k], rand_rho(rng, 2)) for k in range(50)]
+    pairs += [(rand_rho(rng, 2), pure[150 + k]) for k in range(50)]
+    separated = 0
+    for rho, sigma in pairs:
+        rho, sigma = check_density(rho), check_density(sigma)
+        sep = _curve_separation(rho, sigma)
+        assert (sep is not None) == (not qubit_decide(rho, sigma)), (rho, sigma)
+        separated += sep is not None
+    assert 300 < separated < 900
+
+
+# Verdicts on the oracle_pairs pool (seed 7: 24 pairs at d = 3, then 24 at
+# d = 4) and on six pairs feasible by construction at d = 3..8: the
+# certificate's monotone, the iteration count of a feasible pair, or None
+# for undetermined.
+POOL_VERDICTS = [
+    "r_delta", None, "r_delta", "r_delta", 25, "r_delta", "r_delta", 28, "r_delta",
+    "r_delta", "r_delta", 55, 8, 30, "renyi_2.0", "r_delta", 26, 15, "r_delta", 117,
+    "r_delta", None, 1, "renyi_2.0",
+    "r_delta", "r_delta", 202, "r_delta", "r_delta", "r_delta", "r_delta", None, None,
+    "renyi_0.5", "r_delta", "r_delta", "r_delta", "r_delta", "r_delta", 38, "r_delta",
+    "r_delta", "r_delta", "r_delta", None, "r_delta", "r_delta", None,
+    15, 8, 1, 8, 6, 5,
+]
+
+
+def _pool_pairs():
+    pool = np.random.default_rng(7)
+    pairs = [(rand_rho(pool, d), rand_rho(pool, d)) for d in (3, 4) for _ in range(24)]
+    rng = np.random.default_rng(16)
+    for d in range(3, 9):
+        # permute, then mix with the dephased input: feasible by construction
+        rho = rand_rho(rng, d, d if d % 2 else d // 2)
+        perm = np.eye(d)[rng.permutation(d)]
+        p = float(rng.uniform(0.1, 0.9))
+        pairs.append((rho, (1.0 - p) * perm @ rho @ perm.T + p * dephase(rho)))
+    return pairs
+
+
+def test_testing_curve_separates_every_undetermined_pool_pair():
+    for (rho, sigma), want in zip(_pool_pairs(), POOL_VERDICTS, strict=True):
+        verdict = rho_dio_feasible(rho, sigma)
+        if isinstance(want, str):
+            assert verdict.status == "infeasible-certified"
+            assert verdict.certificate[0] == want
+            assert verdict.separation is None
+        elif isinstance(want, int):
+            # the curves of a feasible pair never separate
+            _verify_feasible(verdict, rho, sigma)
+            assert verdict.iterations == want and verdict.separation is None
+        else:
+            assert verdict.status == "undetermined" and verdict.iterations == 0
+            assert verdict.witness is None and verdict.certificate is None
+            t, h_rho, h_sigma = verdict.separation
+            assert t >= 0.0 and h_sigma > h_rho + CERT_MARGIN
+            assert abs(h_rho - svd_testing_curve(rho, t)) <= 1e-12
+            assert abs(h_sigma - svd_testing_curve(sigma, t)) <= 1e-12
+
+
+def test_zero_budget_builds_no_constraint_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_affine_set called with no iteration to run")
+
+    monkeypatch.setattr(oracle, "_affine_set", refuse)
+    verdict = rho_dio_feasible(pure_to_density(QUTRIT), pure_to_density(max_coherent(2)), 0)
+    assert verdict.status == "undetermined" and verdict.separation is None
+    assert verdict.iterations == 0 and verdict.residual_checkpoints == ()
