@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import check_test_operator
-from .linalg import PSD_ATOL, check_hermitian, support_projector
+from .linalg import PSD_ATOL, check_hermitian
 from .majorization import PREFIX_SLACK
-from .monotones import _r_delta
-from .states import _is_incoherent, _l1, check_density, dephase, max_coherent, pure_to_density
+from .monotones import r_delta
+from .states import dephase, density, is_incoherent, l1_norm, max_coherent, pure_to_density
 
 TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
@@ -103,7 +103,7 @@ def is_dio(ch: QuantumChannel) -> tuple[bool, float]:
 
 def is_rho_dio(ch: QuantumChannel, rho, atol: float = DIO_ATOL) -> tuple[bool, float]:
     """Check dephasing covariance for the specific input state rho."""
-    rho = check_density(rho)
+    rho = density(rho).rho
     left = dephase(apply(ch, rho))
     right = apply(ch, dephase(rho))
     violation = float(np.linalg.norm(left - right))
@@ -133,7 +133,7 @@ def construct_distill(rho, m: int, x) -> QuantumChannel:
     CPTP and dephasing-covariant on the input rho; the achieved fidelity
     with Psi_m is then exactly <X, rho>.
     """
-    rho = check_density(rho)
+    rho = density(rho).rho
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     x = check_test_operator(x)
@@ -163,18 +163,18 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     Exists whenever R_Delta(omega) + 1 <= lam; built when that holds within
     PREFIX_SLACK, the comparison the rates round every unit count with.
     """
-    rho = check_density(rho)
-    omega = check_density(omega)
-    pi = support_projector(rho)
+    state, target = density(rho), density(omega)
+    rho, omega = state.rho, target.rho
+    pi = state.v @ state.v.conj().T
     lam = 1.0 / float(np.trace(pi @ dephase(rho)).real)
-    lam_omega = _r_delta(omega) + 1.0
+    lam_omega = r_delta(target) + 1.0
     if lam_omega > lam + PREFIX_SLACK:
         raise ValueError(
             f"R_Delta(omega) + 1 = {lam_omega!r} exceeds "
             f"1/Tr(Pi_rho dephase(rho)) = {lam!r}"
         )
     if abs(lam - 1.0) <= 1e-12:
-        if not _is_incoherent(omega):
+        if not is_incoherent(target):
             raise ValueError("full-support input admits only incoherent targets")
         return measure_prepare([(np.eye(rho.shape[0]), omega)])
     sigma = (lam * dephase(omega) - omega) / (lam - 1.0)
@@ -184,13 +184,12 @@ def construct_prop5(rho, omega) -> QuantumChannel:
 def qubit_decide(rho, sigma) -> bool:
     """Single-qubit transformation decider: rho -> sigma is possible iff
     both R_Delta and the entrywise l1 norm are non-increasing (within PREFIX_SLACK)."""
-    rho = check_density(rho)
-    sigma = check_density(sigma)
-    if rho.shape != (2, 2) or sigma.shape != (2, 2):
+    rho, sigma = density(rho), density(sigma)
+    if rho.rho.shape != (2, 2) or sigma.rho.shape != (2, 2):
         raise ValueError("qubit_decide requires two single-qubit states")
     return (
-        _r_delta(rho) >= _r_delta(sigma) - PREFIX_SLACK
-        and _l1(rho) >= _l1(sigma) - PREFIX_SLACK
+        r_delta(rho) >= r_delta(sigma) - PREFIX_SLACK
+        and l1_norm(rho) >= l1_norm(sigma) - PREFIX_SLACK
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .states import dephase, pure_to_density, state_from_json
+from .states import Density, dephase, density, pure_to_density, state_from_json
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -71,9 +71,10 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _load_density(inputs: list, path: str) -> np.ndarray:
-    kind, arr = state_from_json(_read(inputs, path))
-    return pure_to_density(arr) if kind == "pure" else arr
+def _load_density(inputs: list, path: str) -> Density:
+    """The state in a file as a Density, validated once for every call it reaches."""
+    kind, state = state_from_json(_read(inputs, path))
+    return density(pure_to_density(state)) if kind == "pure" else state
 
 
 def _require_pure(where: str, kind: str, arr: np.ndarray) -> np.ndarray:
@@ -130,7 +131,7 @@ def cmd_distill(args):
     rho = _load_density(inputs, args.state)
     fields = {"certificates": {}}
     if args.mode == "one-shot":
-        np_result = dh_epsilon(rho, dephase(rho), args.eps)
+        np_result = dh_epsilon(rho, dephase(rho.rho), args.eps)
         report = rates.distill_one_shot_from(np_result, args.eps)
         fields["certificates"] = {"dual_value": np_result.dual_value, "duality_gap": np_result.gap}
         fields["diagnostics"] = _diagnostics(np_result)

@@ -26,7 +26,7 @@ def check_hermitian(a, atol: float = HERM_ATOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
     if not asym <= atol:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
@@ -36,8 +36,7 @@ def check_hermitian(a, atol: float = HERM_ATOL) -> np.ndarray:
 
 def rank_tol(w) -> float:
     """Eigen-truncation threshold for a spectrum ``w``."""
-    lam_max = float(np.max(np.abs(w))) if np.size(w) else 0.0
-    return RANK_RTOL * max(1.0, lam_max)
+    return RANK_RTOL * max(1.0, float(np.abs(w).max(initial=0.0)))
 
 
 def check_psd(a) -> np.ndarray:

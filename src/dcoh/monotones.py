@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import rank_tol, support_eigh
-from .states import _density_eigh, _l1, check_density, check_pure, coherence_distribution
+from .linalg import rank_tol
+from .states import check_pure, coherence_distribution, density, l1_norm
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -29,7 +29,7 @@ class MonotoneReport:
 
 def _diag_power(rho, s: float) -> np.ndarray:
     """diag(rho)^s on the support of dephase(rho), zero off it."""
-    p = np.diag(rho).real
+    p = rho.diagonal().real
     keep = p > rank_tol(p)
     return np.where(keep, p, 1.0) ** s * keep
 
@@ -39,17 +39,14 @@ def _entropy_bits(w) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def _family(rho, eig=None):
-    """(name, value) pairs of a validated rho in certificate order: r_delta,
+def _family(state):
+    """(name, value) pairs of a Density in certificate order: r_delta,
     renyi_alpha for alpha in DEFAULT_ALPHAS, l1. Each is computed when asked
-    for. eig is rho's support eigenpairs (w, v) when the caller has them;
-    otherwise support_eigh runs when the first Renyi member is asked for, so
-    a caller that stops at r_delta never runs it."""
-    lam = float(np.max(_coherence_spectrum(rho)))
+    for, so a caller that stops at r_delta decomposes nothing more."""
+    lam = float(_coherence_spectrum(state.rho)[-1])  # eigvalsh sorts ascending
     yield "r_delta", max(lam - 1.0, 0.0)
-    w, v = support_eigh(rho) if eig is None else eig
-    yield from _renyi_family(rho, w, v, DEFAULT_ALPHAS)
-    yield "l1", _l1(rho)
+    yield from _renyi_family(state, DEFAULT_ALPHAS)
+    yield "l1", l1_norm(state)
 
 
 def _coherence_spectrum(rho) -> np.ndarray:
@@ -60,16 +57,17 @@ def _coherence_spectrum(rho) -> np.ndarray:
     return np.linalg.eigvalsh(q[:, None] * rho * q[None, :])
 
 
-def _renyi_family(rho, w, v, alphas):
+def _renyi_family(state, alphas):
     """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from the
-    support eigenpairs of a validated rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
+    support eigenpairs of a Density, rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
 
         Tr rho^alpha dephase(rho)^(1-alpha) = sum_k w_k^alpha sum_x |v_xk|^2 p_x^(1-alpha),
 
     which at alpha = 0 is Tr(Pi_rho dephase(rho)), the zero-error yield; the
     alpha -> 1 limit is S(p) - S(w).
     """
-    weights = np.abs(v) ** 2
+    rho, w = state.rho, state.w
+    weights = np.abs(state.v) ** 2
     for alpha in alphas:
         if alpha == 1.0:
             yield f"renyi_{alpha}", max(_entropy_bits(np.diag(rho).real) - _entropy_bits(w), 0.0)
@@ -79,28 +77,14 @@ def _renyi_family(rho, w, v, alphas):
 
 
 def r_delta(rho) -> float:
-    """Max-relative-entropy monotone: min{lambda : rho <= (1+lambda) dephase(rho)}.
-
-    Computed in closed form as the largest eigenvalue of
-    D^{-1/2} rho D^{-1/2} minus one, with D = dephase(rho) pseudo-inverted
-    on its support; D is diagonal, so this only rescales the entries of rho.
-    """
-    return _r_delta(check_density(rho))
-
-
-def _r_delta(rho) -> float:
-    """r_delta of an already validated rho."""
-    return next(_family(rho))[1]
+    """Max-relative-entropy monotone min{lambda : rho <= (1+lambda) dephase(rho)}:
+    the largest eigenvalue of the coherence matrix (`_coherence_spectrum`) minus one."""
+    return next(_family(density(rho)))[1]
 
 
 def rel_entropy_coherence(rho) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho), in bits."""
-    return _rel_entropy(*_density_eigh(rho))
-
-
-def _rel_entropy(rho, w, v) -> float:
-    """rel_entropy_coherence of a validated rho with support eigenpairs (w, v)."""
-    return next(_renyi_family(rho, w, v, (1.0,)))[1]
+    return renyi_relative(rho, 1.0)
 
 
 def renyi_relative(rho, alpha: float) -> float:
@@ -109,7 +93,7 @@ def renyi_relative(rho, alpha: float) -> float:
     rejected). alpha = 1 is the relative entropy of coherence."""
     if not 0.0 <= alpha <= 2.0:
         raise ValueError(f"alpha must be in [0, 2], got {alpha}")
-    return next(_renyi_family(*_density_eigh(rho), (alpha,)))[1]
+    return next(_renyi_family(density(rho), (alpha,)))[1]
 
 
 def c_k_monotone(psi, k: int) -> float:
@@ -128,8 +112,7 @@ def monotone_report(rho, psi=None) -> MonotoneReport:
     pure amplitude vector is available the pure-state tail sum c_2 is
     included as well.
     """
-    rho, w, v = _density_eigh(rho)
-    values = dict(_family(rho, (w, v)))
+    values = dict(_family(density(rho)))
     report = MonotoneReport(
         r_delta=values["r_delta"],
         rel_entropy_bits=values["renyi_1.0"],

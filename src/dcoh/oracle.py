@@ -28,10 +28,12 @@ import numpy as np
 
 from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
 from .monotones import _coherence_spectrum, _family
-from .states import check_density, dephase
+from .states import dephase, density
 
 DEFAULT_MAX_ITERS = 5000
 RESIDUAL_TOL = 1e-7
+# A converged witness must be covariant on rho and reach sigma within this.
+WITNESS_TOL = 1e-6
 CERT_MARGIN = 1e-7
 RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)
 
@@ -50,11 +52,11 @@ class FeasibilityVerdict:
     separation: tuple[float, float, float] | None = None
 
 
-def _monotone_certificate(rho, sigma):
+def _monotone_certificate(state, target):
     """(name, v_in, v_out) of the first family member that rises by more than
-    CERT_MARGIN from rho to sigma (both validated); l1 counts for qubits only."""
-    qubits = rho.shape == sigma.shape == (2, 2)
-    for (name, v_in), (_, v_out) in zip(_family(rho), _family(sigma)):
+    CERT_MARGIN from state to target (two Density values); l1 counts for qubits only."""
+    qubits = state.rho.shape == target.rho.shape == (2, 2)
+    for (name, v_in), (_, v_out) in zip(_family(state), _family(target)):
         if name == "l1" and not qubits:
             break
         if v_out > v_in + CERT_MARGIN:
@@ -119,10 +121,10 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    rho = check_density(rho)
-    sigma = check_density(sigma)
+    state, target = density(rho), density(sigma)
+    rho, sigma = state.rho, target.rho
 
-    cert = _monotone_certificate(rho, sigma)
+    cert = _monotone_certificate(state, target)
     if cert is not None:
         return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
     separation = _curve_separation(rho, sigma)
@@ -164,9 +166,9 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
 
     if residual <= RESIDUAL_TOL:
         witness = QuantumChannel(din, dout, psd)
-        ok_rho_dio, _ = is_rho_dio(witness, rho, atol=1e-6)
+        ok_rho_dio, _ = is_rho_dio(witness, state, atol=WITNESS_TOL)
         image_err = float(np.linalg.norm(apply(witness, rho) - sigma))
-        if ok_rho_dio and image_err <= 1e-6:
+        if ok_rho_dio and image_err <= WITNESS_TOL:
             return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
 
     return FeasibilityVerdict("undetermined", None, None, residual, iters, checkpoints)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .hypotest import NPResult, dh_epsilon
 from .majorization import PREFIX_SLACK
-from .monotones import _r_delta, _rel_entropy, r_delta, rel_entropy_coherence, renyi_relative
-from .states import _density_eigh, _is_incoherent, check_density, dephase
+from .monotones import r_delta, rel_entropy_coherence, renyi_relative
+from .states import dephase, density, is_incoherent
 
 # Width at which the upper unit's bracket on t stops.
 UPPER_TOL = 1e-12
@@ -53,8 +53,8 @@ def guarded_ceil(x: float) -> int:
 
 def distill_one_shot(rho, eps: float) -> RateReport:
     """Largest log2 m such that Psi_m is reachable within error eps."""
-    rho = check_density(rho)
-    return distill_one_shot_from(dh_epsilon(rho, dephase(rho), eps), eps)
+    state = density(rho)
+    return distill_one_shot_from(dh_epsilon(state, dephase(state.rho), eps), eps)
 
 
 def distill_one_shot_from(result: NPResult, eps: float) -> RateReport:
@@ -104,7 +104,8 @@ def _dilution_lower_unit(rho, eps: float) -> float:
     best test is the projector onto the positive eigenspace of
     rho - lam dephase(rho), and its own ratio is the next lam. Starting
     from the trivial bound lam = 1, the ratios increase to the maximum;
-    the iteration stops at the first one that does not. Each iterate is
+    the iteration stops at the first one that does not rise by more than
+    1e-14 relative and returns the larger of the last two. Each iterate is
     the bound of an explicit test, so the result is certified whenever
     the iteration stops. A step is one eigh of a copy of rho with
     lam diag(rho) subtracted from its diagonal. rho must already be a
@@ -120,12 +121,14 @@ def _dilution_lower_unit(rho, eps: float) -> float:
         vk = v[:, w > 0.0]
         num = float((vk.conj() * rho.dot(vk)).sum().real) - s
         den = float(diag.dot((np.abs(vk) ** 2).sum(axis=1))) + s
-        if not (den > 0.0 and num / den > lam):
-            return lam
+        # a rise of 1e-14 relative or less is rounding in the ratio, not a
+        # better test: keep the larger ratio and skip the eigh after it
+        if not (den > 0.0 and num / den > lam * (1.0 + 1e-14)):
+            return max(lam, num / den) if den > 0.0 else lam
         lam = num / den
 
 
-def _dilution_upper_unit(rho, w, v, eps: float) -> float:
+def _dilution_upper_unit(state, eps: float) -> float:
     """Upper bound on the smoothed dilution unit count from the witness
     family w_t = (1-t) rho + t dephase(rho), whose cost is
     R_Delta(w_t) + 1 = t + (1-t)(R_Delta(rho)+1).
@@ -141,17 +144,17 @@ def _dilution_upper_unit(rho, w, v, eps: float) -> float:
     points did not halve the bracket, and every point is kept UPPER_TOL/2
     inside it. Each point is classified by the check itself, and the
     returned cost is that of lo, so the bound comes with its witness.
-    The fidelity is taken on the support of rho, whose eigenpairs (w, v)
-    (support_eigh of rho) the caller passes: with f = v sqrt(w),
+    The fidelity is taken on the support of rho, from the eigenpairs (w, v)
+    of its Density: with f = v sqrt(w),
     inner(t) = f^dag w_t f = D + t S, D = diag(w^2) = f^dag rho f and
     S = f^dag dephase(rho) f - D, and g(t) = Tr sqrt(inner(t)). S is made
     exactly Hermitian once, so inner(t) is one scaled copy of S plus a
     diagonal. A secant point costs one eigvalsh of it; a Newton point one
     eigh, whose eigenpairs (x, u) also give g'(t) = 1/2 sum_k u_k^dag S u_k / sqrt(x_k).
-    rho must already be a validated density matrix.
     """
-    lam0 = _r_delta(rho) + 1.0
-    f = v * np.sqrt(w)
+    rho, w = state.rho, state.w
+    lam0 = r_delta(state) + 1.0
+    f = state.v * np.sqrt(w)
     w2 = w**2
     slope = f.conj().T.dot(rho.diagonal().real[:, None] * f)
     slope.reshape(-1)[::len(w) + 1] -= w2
@@ -218,18 +221,18 @@ def dilute_one_shot_bounds(rho, eps: float) -> tuple[RateReport, RateReport]:
     The lower side is a Dinkelbach test bound and the upper side the cost
     of a checked witness (see the two unit helpers above). At eps = 0 only
     w = rho is feasible, so both sides collapse to the exact zero-error cost.
-    For eps > 0, rho is validated by the eigh that gives the upper side its
-    support eigenpairs, the only decomposition of rho itself.
+    The eigh that validates rho, giving the upper side its support
+    eigenpairs, is the only decomposition of rho itself.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
+    state = density(rho)
     if eps == 0.0:
-        unit_lo = unit_hi = _r_delta(check_density(rho)) + 1.0
+        unit_lo = unit_hi = r_delta(state) + 1.0
     else:
-        rho, w, v = _density_eigh(rho)
-        unit_hi = _dilution_upper_unit(rho, w, v, eps)
+        unit_hi = _dilution_upper_unit(state, eps)
         # the certified bound can never exceed the witness
-        unit_lo = min(_dilution_lower_unit(rho, eps), unit_hi)
+        unit_lo = min(_dilution_lower_unit(state.rho, eps), unit_hi)
     return tuple(RateReport(math.log2(guarded_ceil(u)), math.log2(u), float(eps), "one_shot")
                  for u in (unit_lo, unit_hi))
 
@@ -241,10 +244,9 @@ def asymptotic_rate(rho, sigma) -> float:
     when only the source is incoherent.
     """
     # each state's validating eigh also serves its relative entropy
-    rho, w_rho, v_rho = _density_eigh(rho)
-    sigma, w_sigma, v_sigma = _density_eigh(sigma)
-    if _is_incoherent(sigma):
+    rho, sigma = density(rho), density(sigma)
+    if is_incoherent(sigma):
         return math.inf
-    if _is_incoherent(rho):
+    if is_incoherent(rho):
         return 0.0
-    return _rel_entropy(rho, w_rho, v_rho) / _rel_entropy(sigma, w_sigma, v_sigma)
+    return rel_entropy_coherence(rho) / rel_entropy_coherence(sigma)

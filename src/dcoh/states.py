@@ -8,6 +8,7 @@ array; any basis change is the caller's responsibility.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +21,39 @@ NORM_ATOL = 1e-9
 PROB_CLAMP = 1e-12
 
 
-def check_density(rho) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD, unit trace); returns it symmetrized."""
-    return _check_trace(check_psd(rho))
+@dataclass(frozen=True, eq=False)
+class Density:
+    """A validated density matrix: rho symmetrized and its support eigenpairs
+    (w, v), as read-only arrays. Built by `density`, which a function taking
+    a state runs once; its callees read the value without validating again."""
+
+    rho: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
 
 
-def _density_eigh(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """check_density by decomposing: (rho symmetrized, w, v) with (w, v) its
-    support_eigh, from one eigh that also serves the PSD check. Same checks,
-    in the same order and with the same messages, as check_density."""
+def density(rho) -> Density:
+    """Validate a density matrix (Hermitian, PSD, unit trace) by one eigh that
+    also serves the rank cut, with check_density's checks, order and
+    messages. A Density is returned unchanged."""
+    if isinstance(rho, Density):
+        return rho
     rho = check_hermitian(rho)
     w, v = _support_eigh(rho)
-    return _check_trace(rho), w, v
+    _check_trace(rho)
+    for a in (rho, w, v):
+        a.setflags(write=False)
+    return Density(rho, w, v)
+
+
+def check_density(rho) -> np.ndarray:
+    """Validate a density matrix (Hermitian, PSD, unit trace) without
+    decomposing it; returns it symmetrized, or a Density's rho as it is."""
+    return rho.rho if isinstance(rho, Density) else _check_trace(check_psd(rho))
 
 
 def _check_trace(rho) -> np.ndarray:
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
     return rho
@@ -94,20 +112,11 @@ def max_coherent(m: int, dim: int | None = None) -> np.ndarray:
 
 def l1_norm(rho) -> float:
     """Entrywise l1 norm: sum of moduli of all matrix entries."""
-    return _l1(check_density(rho))
-
-
-def _l1(rho) -> float:
-    """l1_norm of an already validated rho."""
-    return float(np.sum(np.abs(rho)))
+    return float(np.sum(np.abs(density(rho).rho)))
 
 
 def is_incoherent(rho) -> bool:
-    return _is_incoherent(check_density(rho))
-
-
-def _is_incoherent(rho) -> bool:
-    """is_incoherent of an already validated rho."""
+    rho = density(rho).rho
     return float(np.linalg.norm(rho - dephase(rho))) <= 1e-9
 
 
@@ -126,8 +135,10 @@ def state_to_json(obj) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def state_from_json(doc) -> tuple[str, np.ndarray]:
-    """Parse and validate a JSON state document; returns (kind, array)."""
+def state_from_json(doc) -> tuple[str, Density | np.ndarray]:
+    """Parse and validate a JSON state document; returns (kind, state), the
+    state a Density for a density document and an amplitude vector for a
+    pure one."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     try:
@@ -143,7 +154,7 @@ def state_from_json(doc) -> tuple[str, np.ndarray]:
     if kind == "density":
         if arr.shape != (dim, dim):
             raise ValueError(f"density shape {arr.shape} does not match dim {dim}")
-        return "density", check_density(arr)
+        return "density", density(arr)
     if arr.shape != (dim,):
         raise ValueError(f"pure shape {arr.shape} does not match dim {dim}")
     return "pure", check_pure(arr)

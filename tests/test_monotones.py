@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,9 +14,23 @@ from dcoh.monotones import (
     rel_entropy_coherence,
     renyi_relative,
 )
-from dcoh.oracle import _curve_separation, _monotone_certificate
-from dcoh.rates import asymptotic_rate, dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
-from dcoh.states import check_density, dephase, max_coherent, pure_to_density
+from dcoh import cli
+from dcoh.oracle import _curve_separation, rho_dio_feasible
+from dcoh.rates import (
+    asymptotic_rate,
+    dilute_one_shot_bounds,
+    dilute_zero_error,
+    distill_one_shot,
+    distill_zero_error,
+)
+from dcoh.states import (
+    check_density,
+    density,
+    dephase,
+    max_coherent,
+    pure_to_density,
+    state_to_json,
+)
 
 from helpers import QUTRIT, rand_rho
 
@@ -76,7 +91,7 @@ def test_support_formulas_match_matrix_power_references():
             assert abs(renyi_relative(rho, alpha) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_decompositions_per_call(monkeypatch):
+def test_decompositions_per_call(monkeypatch, tmp_path):
     calls = []
 
     def counting(decompose):
@@ -93,10 +108,14 @@ def test_decompositions_per_call(monkeypatch):
     # certifies mixed -> rho
     mixed = (rho + dephase(rho)) / 2
     qubits = [rand_rho(np.random.default_rng(s), 2) for s in (7, 8)]
-    # each validates its states once and decomposes them only for the answer
+    paths = {}
+    for name, state in (("rho", rho), ("mixed", mixed), ("q7", qubits[0]), ("q8", qubits[1])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(state_to_json(state))
+    # each validates its states once, by the eigh that also gives their
+    # support eigenpairs, and decomposes them again only for the answer
     for fn, expected in [
         (r_delta, 2),
-        # the Renyi family is validated by its own support eigh
         (lambda r: renyi_relative(r, 0.0), 1),
         (lambda r: renyi_relative(r, 0.5), 1),
         (lambda r: renyi_relative(r, 2.0), 1),
@@ -104,9 +123,10 @@ def test_decompositions_per_call(monkeypatch):
         (lambda r: fidelity(r, sigma), 3),
         (support_projector, 1),
         (monotone_report, 2),
-        (lambda r: _monotone_certificate(r, mixed), 4),
-        (lambda r: _monotone_certificate(mixed, r), 2),
-        # per state, its coherence spectrum (the kinks) and one stacked eigvalsh
+        # per state, its validation and R_Delta; then per state its coherence
+        # spectrum (the kinks) and one stacked eigvalsh for the curves
+        (lambda r: rho_dio_feasible(r, mixed, 0), 8),
+        (lambda r: rho_dio_feasible(mixed, r, 0), 4),
         (lambda r: _curve_separation(r, mixed), 4),
         (lambda r: qubit_decide(*qubits), 4),
         (lambda r: asymptotic_rate(r, sigma), 2),
@@ -114,10 +134,18 @@ def test_decompositions_per_call(monkeypatch):
         # the eigh that validates rho is its only decomposition; the rest
         # are the upper unit's R_Delta and steps and the Dinkelbach steps
         (lambda r: dilute_one_shot_bounds(r, 0.1), 13),
+        # validation, then dh_epsilon's check of dephase(rho) and its solve
+        (lambda r: distill_one_shot(r, 0.1), 6),
         # rounding a unit count decomposes nothing
         (distill_zero_error, 1),
         (dilute_zero_error, 2),
-        (lambda r: construct_prop5(r, dephase(r)), 4),
+        # the support projector is v v^dag of rho's validating eigh
+        (lambda r: construct_prop5(r, dephase(r)), 3),
+        # state_from_json validates each input once; the call reads its value
+        (lambda r: cli.main(["monotones", paths["rho"]]), 2),
+        (lambda r: cli.main(["decide", "--qubit", paths["q7"], paths["q8"]]), 4),
+        (lambda r: cli.main(["distill", paths["rho"], "--regime", "zero"]), 1),
+        (lambda r: cli.main(["oracle", paths["rho"], paths["mixed"], "--max-iters", "0"]), 8),
     ]:
         calls.clear()
         fn(rho)
@@ -134,21 +162,59 @@ BAD_STATES = {
 
 
 @pytest.mark.parametrize("name", BAD_STATES)
-def test_validation_by_decomposing_rejects_what_check_density_rejects(name):
-    # the bracket at eps > 0 and the Renyi family validate rho by the eigh
-    # they decompose it with; they must refuse it exactly as check_density does
+def test_validation_by_decomposing_rejects_what_check_density_rejects(name, tmp_path, capsys):
+    # every function that validates through a Density refuses a bad matrix
+    # exactly as check_density does
     with pytest.raises(ValueError) as want:
         check_density(BAD_STATES[name])
     for fn in (
+        density,
         lambda r: dilute_one_shot_bounds(r, 0.0),
         lambda r: dilute_one_shot_bounds(r, 0.1),
         lambda r: renyi_relative(r, 0.5),
         rel_entropy_coherence,
         monotone_report,
+        lambda r: qubit_decide(r, r),
+        lambda r: construct_prop5(r, r),
+        lambda r: rho_dio_feasible(r, r),
+        lambda r: asymptotic_rate(r, r),
     ):
         with pytest.raises(ValueError) as got:
             fn(BAD_STATES[name])
         assert str(got.value) == str(want.value)
+    # a state document of the wrong shape is refused before validation
+    if name != "non-square":
+        bad = np.asarray(BAD_STATES[name], dtype=complex)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "density", "dim": 2, "re": bad.real.tolist(),
+                                    "im": bad.imag.tolist()}))
+        capsys.readouterr()
+        assert cli.main(["monotones", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {want.value}\n"
+
+
+def test_a_density_value_is_read_only():
+    state = density(rand_rho(np.random.default_rng(3), 3, 2))
+    for a in (state.rho, state.w, state.v):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a += 0.0
+
+
+def test_a_density_value_is_not_decomposed_again(monkeypatch):
+    state = density(rand_rho(np.random.default_rng(4), 3, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Density was decomposed again")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert density(state) is state
+    assert check_density(state) is state.rho
+    for alpha in DEFAULT_ALPHAS:
+        renyi_relative(state, alpha)
 
 
 def test_r_delta_maxcoherent():

@@ -21,7 +21,7 @@ from dcoh.rates import (
     guarded_ceil,
     guarded_floor,
 )
-from dcoh.states import dephase, max_coherent, pure_to_density
+from dcoh.states import density, dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -150,9 +150,53 @@ def test_dilution_units_match_grid_references():
         lo, ref_lo = _dilution_lower_unit(rho, eps), _twelve_point_lower_unit(rho, eps)
         assert lo >= ref_lo - 1e-12
         tighter += lo > ref_lo + 1e-9
-        unit = _dilution_upper_unit(rho, *support_eigh(rho), eps)
+        unit = _dilution_upper_unit(density(rho), eps)
         assert abs(unit - _grid_upper_unit(rho, eps)) <= 1e-9
     assert tighter > 0
+
+
+def _dinkelbach_to_the_end(rho, eps):
+    """Reference lower unit: Dinkelbach's iteration run while the ratio
+    rises at all, with its number of eigh calls."""
+    delta, s = dephase(rho), math.sqrt(eps)
+    lam, steps = 1.0, 0
+    while True:
+        w, v = np.linalg.eigh(rho - lam * delta)
+        steps += 1
+        p = v[:, w > 0.0] @ v[:, w > 0.0].conj().T
+        num = float(np.trace(p @ rho).real) - s
+        den = float(np.trace(p @ delta).real) + s
+        if not (den > 0.0 and num / den > lam):
+            return lam, steps
+        lam = num / den
+
+
+def test_dinkelbach_skips_the_steps_that_only_round(monkeypatch):
+    # the lower unit stops once the next ratio rises by 1e-14 relative or
+    # less: it saves eigh calls, and its value moves only by that rounding
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(75)
+    steps = ref_steps = 0
+    for d in range(2, 7):
+        for rank in range(1, d + 1):
+            rho = rand_rho(rng, d, rank)
+            for eps in (1e-6, 1e-3, 0.01, 0.1, 0.5):
+                ref, n = _dinkelbach_to_the_end(rho, eps)
+                ref_steps += n
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "eigh", counting)
+                    lam = _dilution_lower_unit(rho, eps)
+                steps += len(calls)
+                assert abs(lam - ref) <= 1e-13 * ref, (d, rank, eps, lam, ref)
+    # measured 383 against 414; without the stop the unit makes 411
+    assert steps <= 0.95 * ref_steps, (steps, ref_steps)
 
 
 def _bisected_upper_unit(rho, eps):
@@ -196,13 +240,13 @@ def test_upper_unit_matches_bisection_reference(monkeypatch):
                 rho = rand_rho(rng, d, rank)
                 delta = dephase(rho)
                 lam0 = r_delta(rho) + 1.0
-                w, v = support_eigh(rho)
+                state = density(rho)
                 for eps in (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.7):
                     with monkeypatch.context() as m:
                         for name in ("eigh", "eigvalsh"):
                             m.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
                         calls.clear()
-                        unit = _dilution_upper_unit(rho, w, v, eps)
+                        unit = _dilution_upper_unit(state, eps)
                         counts.append(len(calls))
                     want = _bisected_upper_unit(rho, eps)
                     assert abs(unit - want) <= 1e-11 * want, (d, rank, eps, unit, want)

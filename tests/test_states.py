@@ -115,7 +115,7 @@ def test_json_round_trip_density(tmp_path):
     path.write_text(state_to_json(rho))
     kind, back = state_from_json(path.read_text())
     assert kind == "density"
-    assert np.allclose(back, rho, atol=1e-12)
+    assert np.allclose(back.rho, rho, atol=1e-12)
 
 
 def test_json_round_trip_pure():
