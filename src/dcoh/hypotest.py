@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RANK_RTOL, check_hermitian, rank_tol, support_projector
+from .monotones import _coherence_spectrum
 from .states import check_density, dephase
 
 # Eigenvalues within ZERO_BAND of zero at the dual optimum form the
@@ -90,29 +91,29 @@ def _scalar_dual(a0, a1, c: float, kinks):
     Bisects over the kinks (A(t) singular) for one whose one-sided slopes
     Tr(P a1) - c, P onto the eigenvalues > tau or >= -tau, bracket zero,
     else runs safeguarded Newton in the smooth segment holding t*. psi' >= 0
-    at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)),
-    psi(t*), the path and the eigendecompositions used (the kinks' two too).
+    at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)), diag(v^dag a1 v),
+    psi(t*), the path and its own eigendecompositions, one eigh per evaluation.
     """
     calls = 0
     slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
 
     def at(t):
-        # (t, eigh(A(t)) as w, v, a1 in that basis, masks of the eigenvalues
-        # above and below the zero band, left slope, right slope)
+        # (t, eigh(A(t)) as w, v, a1 v, the diagonal of a1 in that basis, masks
+        # of the eigenvalues above and below the zero band, left slope, right slope)
         nonlocal calls
         calls += 1
         w, v = np.linalg.eigh(a0 + t * a1)
-        tau = ZERO_BAND * max(1.0, float(np.max(np.abs(w))))
-        g = v.conj().T @ a1 @ v
-        pos, neg = w > tau, w < -tau
-        s = sorted(float(np.sum(g.diagonal().real[k])) - c for k in (pos, ~neg))
-        return t, w, v, g, pos, neg, s[0], s[1]
+        tau = ZERO_BAND * max(1.0, float(-w[0]), float(w[-1]))  # w ascends
+        a1v, pos, neg = a1 @ v, w > tau, w < -tau
+        diag = np.einsum("ij,ij->j", v.conj(), a1v).real
+        s = sorted((float(diag[pos].sum()) - c, float(diag[~neg].sum()) - c))
+        return t, w, v, a1v, diag, pos, neg, s[0], s[1]
 
     def rate(ev):
-        # d/dt Tr(P_+ a1) right of t: 2 sum |g_ij|^2 / (w_i - w_j), i above 0,
-        # j below; near-zero eigenvalues go where a1 pushes them, uncoupled
-        _, w, _, g, pos, neg = ev[:6]
-        zero, push = ~pos & ~neg, g.diagonal().real
+        # d/dt Tr(P_+ a1) right of t: 2 sum |g_ij|^2 / (w_i - w_j), g = v^dag a1 v,
+        # i above 0, j below; near-zero eigenvalues go where a1 pushes them, uncoupled
+        _, w, v, a1v, push, pos, neg = ev[:7]
+        g, zero = v.conj().T @ a1v, ~pos & ~neg
         up, down = pos | (zero & (push > 0.0)), neg | (zero & (push < 0.0))
         pair = np.outer(up, down) & ~np.outer(zero, zero)
         return 2.0 * float(np.sum(np.abs(g[pair]) ** 2 / (w[:, None] - w[None, :])[pair]))
@@ -122,16 +123,16 @@ def _scalar_dual(a0, a1, c: float, kinks):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         ev = at(kinks[mid])
-        if ev[7] < -slope_tol:
+        if ev[-1] < -slope_tol:
             lo, left = mid, ev
-        elif mid > 0 and ev[6] > slope_tol:  # t = 0 has no left slope
+        elif mid > 0 and ev[-2] > slope_tol:  # t = 0 has no left slope
             hi = mid
         else:
             break
     else:
         # psi' is smooth and increasing on (a, b): Newton from a, bisecting
         # whenever Newton leaves the bracket or fails to halve |psi'|
-        path, a, b, ev, f, f_old = "smooth", kinks[lo], kinks[hi], left, left[7], math.inf
+        path, a, b, ev, f, f_old = "smooth", kinks[lo], kinks[hi], left, left[-1], math.inf
         while f != 0.0 and b - a > 1e-13 * max(1.0, b):
             r = rate(ev)
             t = ev[0] - f / r if r > 0.0 else math.nan
@@ -139,25 +140,24 @@ def _scalar_dual(a0, a1, c: float, kinks):
                 # geometric when a > 0: the last segment can span decades
                 t = math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
             f_old, ev = abs(f), at(t)
-            if ev[7] < -slope_tol:
-                a, f = t, ev[7]
-            elif ev[6] > slope_tol:
-                b, f = t, ev[6]
+            if ev[-1] < -slope_tol:
+                a, f = t, ev[-1]
+            elif ev[-2] > slope_tol:
+                b, f = t, ev[-2]
             else:
                 f = 0.0
-    t, w, v, _, pos = ev[:5]
-    return t, w, v, float(np.sum(w[pos])) - c * t, path, calls + 2
+    t, w, v, _, diag, pos = ev[:6]
+    return t, w, v, diag, float(w[pos].sum()) - c * t, path, calls
 
 
-def _recover_primal(w, v, weight_op, target: float):
-    """Optimal test from (w, v) = eigh(A(t*)): the positive eigenspace plus a
-    uniform fraction of the near-zero eigenspace tuned so that Tr(M weight_op)
-    = target, and how many times that band was widened (5: recovery gave up)."""
-    weights = np.einsum("ij,ij->j", v.conj(), weight_op @ v).real
+def _recover_primal(w, v, weights, target: float):
+    """Optimal test from (w, v) = eigh(A(t*)) and weights = diag(v^dag W v): the
+    positive eigenspace plus a uniform fraction of the near-zero eigenspace tuned so
+    that Tr(M W) = target, and how many band widenings that took (5: gave up)."""
     for widenings in range(5):
-        tau = ZERO_BAND * 10.0**widenings * max(1.0, float(np.max(np.abs(w))))
+        tau = ZERO_BAND * 10.0**widenings * max(1.0, float(-w[0]), float(w[-1]))
         pos, zero = w > tau, np.abs(w) <= tau
-        got, room = float(np.sum(weights[pos])), float(np.sum(weights[zero]))
+        got, room = float(weights[pos].sum()), float(weights[zero].sum())
         need = target - got
         alpha = min(max(need / room, 0.0), 1.0) if room > 1e-15 else 0.0
         if -1e-8 <= need <= room + 1e-8:
@@ -184,15 +184,15 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         # Tr(M rho) = 1 forces M to dominate the support projector of rho,
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
         m = support_projector(rho)
-        dual = float(np.trace(m @ sigma).real)
+        dual = float(np.vdot(m, sigma).real)
         t_star, path, calls, widenings = math.inf, "closed_form", 2, 0
     else:
         # Tr(t rho - sigma)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
         kinks = _pencil_kinks(sigma, rho, 1.0 / eps)
-        t_star, w, v, psi, path, calls = _scalar_dual(-sigma, rho, 1.0 - eps, kinks)
-        m, widenings = _recover_primal(w, v, rho, 1.0 - eps)
-        dual = -psi
-    optimal = float(np.trace(m @ sigma).real)
+        t_star, w, v, diag, psi, path, calls = _scalar_dual(-sigma, rho, 1.0 - eps, kinks)
+        m, widenings = _recover_primal(w, v, diag, 1.0 - eps)
+        dual, calls = -psi, calls + 2  # the kinks' eigh and eigvalsh
+    optimal = float(np.vdot(m, sigma).real)
     # Tr(M rho) >= 1 - eps scales the attainable Tr(M sigma) with 1 - eps
     bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
     return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings)
@@ -207,12 +207,12 @@ def distill_fidelity_program(rho, m: float) -> FidelityProgram:
     if m < 1.0:
         raise ValueError(f"m must be >= 1, got {m}")
     rho = check_density(rho)
-    delta = dephase(rho)
 
-    # h(t) >= t/m > 1 = h(0) past t = m; t* = 0 is a kink
-    kinks = _pencil_kinks(rho, delta, float(m))
-    t_star, w, v, dual, path, calls = _scalar_dual(rho, -delta, -1.0 / m, kinks)
-    x, widenings = _recover_primal(w, v, delta, 1.0 / m)
-    value = float(np.trace(x @ rho).real)
+    # t* = 0 is a kink, so is each coherence eigenvalue; h(t) >= t/m > 1 = h(0) past m
+    lam = _coherence_spectrum(rho)
+    kinks = np.concatenate(([0.0], lam[(lam > RANK_RTOL) & (lam < m)], [float(m)]))
+    t_star, w, v, diag, dual, path, calls = _scalar_dual(rho, -dephase(rho), -1.0 / m, kinks)
+    x, widenings = _recover_primal(w, v, -diag, 1.0 / m)
+    value = float(np.vdot(x, rho).real)
     return FidelityProgram(min(max(value, 0.0), 1.0), x, t_star, dual, dual - value,
-                           calls, path, widenings)
+                           calls + 1, path, widenings)  # + the spectrum's eigvalsh

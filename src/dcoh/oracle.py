@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, is_rho_dio, measure_prepare
+from .channels import QuantumChannel, apply, channel_from_kraus, is_rho_dio, measure_prepare
 from .monotones import _coherence_spectrum, _family
 from .states import dephase, density
 
@@ -62,6 +62,12 @@ def _monotone_certificate(state, target):
         if v_out > v_in + CERT_MARGIN:
             return name, v_in, v_out
     return None
+
+
+def _is_witness(channel, state, sigma) -> bool:
+    """Whether a channel is covariant on rho and takes it to sigma, within WITNESS_TOL."""
+    ok_rho_dio, _ = is_rho_dio(channel, state, atol=WITNESS_TOL)
+    return ok_rho_dio and float(np.linalg.norm(apply(channel, state.rho) - sigma)) <= WITNESS_TOL
 
 
 def _testing_curve(x, t) -> np.ndarray:
@@ -114,7 +120,8 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
 
     The monotone family is checked first (cheap and sound), then the
     testing curves: a separation rules out every witness, so no iteration
-    runs, and neither does a zero budget. Otherwise Douglas-Rachford
+    runs, and neither does a zero budget. rho -> rho takes the identity
+    channel, checked like any witness. Otherwise Douglas-Rachford
     iterations search for a witness Choi operator. The reported residual is
     the constraint violation of the PSD shadow iterate, so a small residual
     means an almost-exact witness; it is inf when no iteration ran.
@@ -130,6 +137,11 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     separation = _curve_separation(rho, sigma)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
+    if np.array_equal(rho, sigma):
+        # rho -> rho: the identity channel, with no iteration
+        identity = channel_from_kraus([np.eye(rho.shape[0])])
+        if _is_witness(identity, state, sigma):
+            return FeasibilityVerdict("feasible", identity, None, 0.0, 0, ())
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout
@@ -166,9 +178,7 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
 
     if residual <= RESIDUAL_TOL:
         witness = QuantumChannel(din, dout, psd)
-        ok_rho_dio, _ = is_rho_dio(witness, state, atol=WITNESS_TOL)
-        image_err = float(np.linalg.norm(apply(witness, rho) - sigma))
-        if ok_rho_dio and image_err <= WITNESS_TOL:
+        if _is_witness(witness, state, sigma):
             return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
 
     return FeasibilityVerdict("undetermined", None, None, residual, iters, checkpoints)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dcoh.hypotest import (
+    _pencil_kinks,
     check_test_operator,
     dh_epsilon,
     distill_fidelity_program,
 )
-from dcoh.monotones import renyi_relative
+from dcoh.linalg import RANK_RTOL
+from dcoh.monotones import _coherence_spectrum, renyi_relative
 from dcoh.states import dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
@@ -287,27 +289,66 @@ def test_solver_diagnostics():
     assert abs(res.optimal_value - diag_dh_oracle([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 0.05)) < 1e-12
 
 
+def test_fidelity_kinks_are_the_coherence_spectrum():
+    # rho - t dephase(rho) is singular where the pencil formula (an eigh of
+    # rho + dephase(rho), then an eigvalsh) puts its kinks, and those are the
+    # eigenvalues of the coherence matrix that the fidelity program reads
+    rng = np.random.default_rng(1818)
+    for d in range(2, 9):
+        for rank in range(1, d + 1):
+            for unused in (False, True):
+                rho = rand_rho(rng, d, rank)
+                if unused and d > 2:
+                    k = int(rng.integers(d))
+                    rho[k, :] = rho[:, k] = 0.0
+                    rho /= np.trace(rho).real
+                for m in (2.5, d + 1.0):
+                    lam = _coherence_spectrum(rho)
+                    lam = lam[(lam > RANK_RTOL) & (lam < m)]
+                    want = _pencil_kinks(rho, dephase(rho), m)[1:-1]
+                    assert lam.shape == want.shape, (d, rank, unused, lam, want)
+                    np.testing.assert_allclose(lam, want, rtol=1e-9, atol=0.0)
+
+
 def test_eigendecompositions_per_solve_at_d32(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        decompose = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a))
+            return decompose(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     rng = np.random.default_rng(808)
     paths = set()
     for rank in (32, 16):
         rho = rand_rho(rng, 32, rank)
-        solves = [lambda eps=eps: dh_epsilon(rho, dephase(rho), eps) for eps in (0.01, 0.05, 0.1)]
-        solves += [lambda m=m: distill_fidelity_program(rho, m) for m in (2, 4, 8, 16)]
-        for solve in solves:
+        p = rho.diagonal().real
+        for eps in (0.01, 0.05, 0.1):
             calls.clear()
-            res = solve()
-            assert len(calls) <= 12
-            # the kinks take one eigh and one eigvalsh, every other solver
-            # decomposition is an eigh
-            assert res.eig_calls == len(calls) + 1
+            res = dh_epsilon(rho, dephase(rho), eps)
+            names = [name for name, _ in calls]
+            # two validating eigvalsh; the pencil kinks take an eigh and an
+            # eigvalsh; each dual evaluation is one eigh
+            assert names.count("eigvalsh") == 3 and names.count("eigh") <= 12
+            assert res.eig_calls == len(calls) - 2
+            paths.add(res.path)
+        for m in (2, 4, 8, 16):
+            calls.clear()
+            res = distill_fidelity_program(rho, m)
+            names = [name for name, _ in calls]
+            # one validating eigvalsh and one for the kinks (the coherence
+            # spectrum); every eigh is one dual evaluation, of the pencil
+            # rho - t dephase(rho) at a t in [0, m]
+            assert names.count("eigvalsh") == 2 and names.count("eigh") <= 11
+            assert res.eig_calls == len(calls) - 1
+            for name, a in calls:
+                if name == "eigh":
+                    t = 1.0 - a.diagonal().real / p
+                    assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= m
             paths.add(res.path)
     assert paths == {"kink", "smooth"}

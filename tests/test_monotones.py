@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dcoh.channels import apply, construct_prop5, qubit_decide, twirl_channel
+from dcoh.hypotest import dh_epsilon, distill_fidelity_program
 from dcoh.linalg import fidelity, support_projector
 from dcoh.monotones import (
     DEFAULT_ALPHAS,
@@ -136,6 +137,11 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         (lambda r: dilute_one_shot_bounds(r, 0.1), 13),
         # validation, then dh_epsilon's check of dephase(rho) and its solve
         (lambda r: distill_one_shot(r, 0.1), 6),
+        # the solvers check their inputs by eigvalsh; dh_epsilon's pencil kinks
+        # take an eigh and an eigvalsh, the fidelity program's the coherence
+        # spectrum's eigvalsh; each dual evaluation is one eigh
+        (lambda r: dh_epsilon(r, dephase(r), 0.1), 6),
+        (lambda r: distill_fidelity_program(r, 2), 4),
         # rounding a unit count decomposes nothing
         (distill_zero_error, 1),
         (dilute_zero_error, 2),

@@ -146,6 +146,22 @@ def test_identity_transformation_is_feasible():
     rho = rand_rho(rng, 3)
     verdict = rho_dio_feasible(rho, rho)
     _verify_feasible(verdict, rho, rho)
+    assert verdict.iterations == 0
+
+
+def test_identity_transformation_of_rank_deficient_states_is_feasible():
+    # the Douglas-Rachford search leaves these undetermined (residual 8.3e-5
+    # and 1.1e-4 after 5000 iterations); the identity channel needs none
+    for seed, d in ((5, 3), (7, 4)):
+        rho = rand_rho(np.random.default_rng(seed), d, 2)
+        verdict = rho_dio_feasible(rho, rho)
+        _verify_feasible(verdict, rho, rho)
+        assert (verdict.iterations, verdict.residual, verdict.residual_checkpoints) == (0, 0.0, ())
+        # the witness is the identity channel: it fixes every input
+        other = rand_rho(np.random.default_rng(d), d)
+        np.testing.assert_allclose(apply(verdict.witness, other), other, atol=1e-15)
+        # a zero budget still runs no search
+        assert rho_dio_feasible(rho, rho, 0).status == "undetermined"
 
 
 def test_anything_to_incoherent_is_feasible():
