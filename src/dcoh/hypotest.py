@@ -185,7 +185,7 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
         m = support_projector(rho)
         dual = float(np.vdot(m, sigma).real)
-        t_star, path, calls, widenings = math.inf, "closed_form", 2, 0
+        t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # the projector's eigh
     else:
         # Tr(t rho - sigma)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
         kinks = _pencil_kinks(sigma, rho, 1.0 / eps)

@@ -118,30 +118,32 @@ def _affine_set(rho, sigma):
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
-    The monotone family is checked first (cheap and sound), then the
-    testing curves: a separation rules out every witness, so no iteration
-    runs, and neither does a zero budget. rho -> rho takes the identity
-    channel, checked like any witness. Otherwise Douglas-Rachford
-    iterations search for a witness Choi operator. The reported residual is
-    the constraint violation of the PSD shadow iterate, so a small residual
-    means an almost-exact witness; it is inf when no iteration ran.
+    rho -> rho takes the identity channel, checked like any witness, unless
+    the budget is zero. The monotone family is checked next (cheap and
+    sound), then the testing curves: a separation rules out every witness,
+    so no iteration runs, and neither does a zero budget. Otherwise
+    Douglas-Rachford iterations search for a witness Choi operator. The
+    reported residual is the constraint violation of the PSD shadow iterate,
+    so a small residual means an almost-exact witness; it is inf when no
+    iteration ran.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     state, target = density(rho), density(sigma)
     rho, sigma = state.rho, target.rho
 
+    if max_iters > 0 and np.array_equal(rho, sigma):
+        # rho -> rho: the identity channel, with no iteration; no monotone
+        # or testing curve can separate a pair that is one state
+        identity = channel_from_kraus([np.eye(rho.shape[0])])
+        if _is_witness(identity, state, sigma):
+            return FeasibilityVerdict("feasible", identity, None, 0.0, 0, ())
     cert = _monotone_certificate(state, target)
     if cert is not None:
         return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
     separation = _curve_separation(rho, sigma)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
-    if np.array_equal(rho, sigma):
-        # rho -> rho: the identity channel, with no iteration
-        identity = channel_from_kraus([np.eye(rho.shape[0])])
-        if _is_witness(identity, state, sigma):
-            return FeasibilityVerdict("feasible", identity, None, 0.0, 0, ())
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout

@@ -13,8 +13,8 @@ The smoothed one-shot dilution cost is reported as a certified bracket
 from two exact one-dimensional programs, with no hypothesis-testing
 solve: the lower side maximizes a test-operator bound over all tests by
 Dinkelbach's iteration, and the upper side brackets the cheapest
-fidelity-feasible witness on the segment from rho to dephase(rho) with
-safeguarded Newton and secant steps on the concave root fidelity.
+fidelity-feasible witness on the segment from rho to dephase(rho) by
+Illinois regula falsi on the concave root fidelity.
 """
 
 from __future__ import annotations
@@ -136,82 +136,66 @@ def _dilution_upper_unit(state, eps: float) -> float:
     g(t) = sqrt F(rho, w_t) is concave in t (sqrt(F) is jointly concave), so
     F(rho, w_t) >= 1-eps holds exactly on an interval [0, t*] (t = 0 is rho
     itself). t* is bracketed by [lo, hi], lo passing the fidelity check and
-    hi failing it, until hi - lo <= UPPER_TOL. The steps alternate between
-    two interpolants that concavity keeps on their own side: a Newton step
-    from a failing point stays failing (the tangent lies above g), and a
-    secant step from lo stays passing (the chord lies below g). The midpoint
-    is taken instead when an interpolant does not exist or the last two
-    points did not halve the bracket, and every point is kept UPPER_TOL/2
-    inside it. Each point is classified by the check itself, and the
-    returned cost is that of lo, so the bound comes with its witness.
+    hi failing it, until hi - lo <= UPPER_TOL, by the Illinois variant of
+    regula falsi on f = g - sqrt(1-eps-1e-12) (Dowell & Jarratt, BIT 11, 168
+    (1971)): each point is the root of the chord between the two ends, and
+    an end kept twice in a row has its f halved, so neither end stalls. Every
+    point is kept UPPER_TOL/2 inside the bracket. The midpoint is taken when
+    the chord does not exist, and for good once f rounds to 0 at an end and
+    at the point replacing it: near a flat root f is rounding noise on a span
+    far wider than UPPER_TOL, which chords from a zero end would only creep
+    across. Each point is classified by the check itself, and the returned
+    cost is that of lo, so the bound comes with its witness.
     The fidelity is taken on the support of rho, from the eigenpairs (w, v)
-    of its Density: with f = v sqrt(w),
-    inner(t) = f^dag w_t f = D + t S, D = diag(w^2) = f^dag rho f and
-    S = f^dag dephase(rho) f - D, and g(t) = Tr sqrt(inner(t)). S is made
+    of its Density: with b = v sqrt(w),
+    inner(t) = b^dag w_t b = D + t S, D = diag(w^2) = b^dag rho b and
+    S = b^dag dephase(rho) b - D, and g(t) = Tr sqrt(inner(t)). S is made
     exactly Hermitian once, so inner(t) is one scaled copy of S plus a
-    diagonal. A secant point costs one eigvalsh of it; a Newton point one
-    eigh, whose eigenpairs (x, u) also give g'(t) = 1/2 sum_k u_k^dag S u_k / sqrt(x_k).
+    diagonal, and each point costs one eigvalsh of it.
     """
     rho, w = state.rho, state.w
     lam0 = r_delta(state) + 1.0
-    f = state.v * np.sqrt(w)
+    b = state.v * np.sqrt(w)
     w2 = w**2
-    slope = f.conj().T.dot(rho.diagonal().real[:, None] * f)
+    slope = b.conj().T.dot(rho.diagonal().real[:, None] * b)
     slope.reshape(-1)[::len(w) + 1] -= w2
     slope = (slope + slope.conj().T) / 2
     target = 1.0 - eps - 1e-12
 
-    def inner(t: float) -> np.ndarray:
+    def check(t: float) -> tuple[float, float]:
+        """(F, sqrt F) at t from one eigvalsh of inner(t)."""
         a = t * slope
         a.reshape(-1)[::len(w) + 1] += w2
-        return a
-
-    def tangent(t: float) -> tuple[float, float, float]:
-        """(F, g, g') at t from one eigh."""
-        x, u = np.linalg.eigh(inner(t))
-        keep = x > 0.0
-        root = np.sqrt(x[keep])
-        g = float(root.sum())
-        dg = 0.5 * float(((u.conj() * slope.dot(u)).sum(axis=0).real[keep] / root).sum())
-        return min(g * g, 1.0), g, dg
-
-    def chord(t: float) -> tuple[float, float]:
-        """(F, sqrt F) at t from one eigvalsh."""
-        x = np.linalg.eigvalsh(inner(t))
+        x = np.linalg.eigvalsh(a)
         fid = min(float(np.sqrt(x[x > 0.0]).sum()) ** 2, 1.0)
         return fid, math.sqrt(fid)
 
-    fid, g_hi, dg = tangent(1.0)
+    fid, g_hi = check(1.0)
     if fid >= target:
         return 1.0
     root_target = math.sqrt(target)
-    lo, hi, g_lo = 0.0, 1.0, float(w.sum())
-    tan = (1.0, g_hi, dg)  # tangent at the last failing Newton point
-    widths = (math.inf, math.inf)  # bracket width before each of the last two points
-    newton = True
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = float(w.sum()) - root_target, g_hi - root_target
+    kept = None  # the end the last point did not replace
+    hidden = False  # f rounded to 0 at an end and at the point replacing it
     while hi - lo > UPPER_TOL:
-        if newton:
-            t_tan, g_tan, dg_tan = tan
-            t = t_tan + (root_target - g_tan) / dg_tan if dg_tan < 0.0 else math.nan
-        else:
-            t = lo + (g_lo - root_target) / (g_lo - g_hi) * (hi - lo) if g_lo > g_hi else math.nan
-        if math.isnan(t) or hi - lo > 0.5 * widths[0]:
-            t = 0.5 * (lo + hi)
-        # an interpolant at or past an end only means rounding hides the root
+        t = (lo + f_lo / (f_lo - f_hi) * (hi - lo) if f_lo > f_hi and not hidden
+             else 0.5 * (lo + hi))
+        # a chord root at or past an end only means rounding hides the root
         # there; a point half a tolerance inside can still close the bracket
         t = min(max(t, lo + 0.5 * UPPER_TOL), hi - 0.5 * UPPER_TOL)
-        widths = (widths[1], hi - lo)
-        if newton:
-            fid, g, dg = tangent(t)
-        else:
-            fid, g = chord(t)
+        fid, g = check(t)
+        f_t = g - root_target
         if fid >= target:
-            lo, g_lo = t, g
+            hidden |= f_t == f_lo == 0.0
+            lo, f_lo = t, f_t
+            f_hi *= 0.5 if kept == "hi" else 1.0
+            kept = "hi"
         else:
-            hi, g_hi = t, g
-            if newton:
-                tan = (t, g, dg)
-        newton = not newton
+            hidden |= f_t == f_hi == 0.0
+            hi, f_hi = t, f_t
+            f_lo *= 0.5 if kept == "lo" else 1.0
+            kept = "lo"
     return lo + (1.0 - lo) * lam0
 
 

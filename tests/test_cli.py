@@ -392,7 +392,7 @@ def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_pa
         rep2.pop("wall_time_s")
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     _, rep = run(capsys, ["distill", files["qutrit"], "--eps", "0.0"])
-    assert rep["diagnostics"] == {"eig_calls": 2, "path": "closed_form", "band_widenings": 0}
+    assert rep["diagnostics"] == {"eig_calls": 1, "path": "closed_form", "band_widenings": 0}
 
 
 def test_channel_kraus_contradicting_choi_exit_code(capsys, tmp_path):

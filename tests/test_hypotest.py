@@ -280,7 +280,7 @@ def test_singular_sigma():
 def test_solver_diagnostics():
     rho = pure_to_density(QUTRIT)
     res = dh_epsilon(rho, dephase(rho), 0.0)
-    assert (res.path, res.eig_calls, res.band_widenings) == ("closed_form", 2, 0)
+    assert (res.path, res.eig_calls, res.band_widenings) == ("closed_form", 1, 0)
     # commuting states: the optimum is a vertex of the LP, here the largest
     # kink t = 2.5 of the pencil
     res = dh_epsilon(np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5]), 0.05)
@@ -337,6 +337,12 @@ def test_eigendecompositions_per_solve_at_d32(monkeypatch):
             assert names.count("eigvalsh") == 3 and names.count("eigh") <= 12
             assert res.eig_calls == len(calls) - 2
             paths.add(res.path)
+        # at eps = 0 the closed form's only decomposition after the two
+        # validating eigvalsh is the support projector's eigh
+        calls.clear()
+        res = dh_epsilon(rho, dephase(rho), 0.0)
+        assert [name for name, _ in calls] == ["eigvalsh", "eigvalsh", "eigh"]
+        assert res.eig_calls == len(calls) - 2
         for m in (2, 4, 8, 16):
             calls.clear()
             res = distill_fidelity_program(rho, m)

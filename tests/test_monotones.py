@@ -128,13 +128,18 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # spectrum (the kinks) and one stacked eigvalsh for the curves
         (lambda r: rho_dio_feasible(r, mixed, 0), 8),
         (lambda r: rho_dio_feasible(mixed, r, 0), 4),
+        # rho -> rho is the identity witness, checked before any monotone; a
+        # zero budget skips it and runs the monotone walk and the curves
+        (lambda r: rho_dio_feasible(r, r), 2),
+        (lambda r: rho_dio_feasible(r, r, 0), 8),
         (lambda r: _curve_separation(r, mixed), 4),
         (lambda r: qubit_decide(*qubits), 4),
         (lambda r: asymptotic_rate(r, sigma), 2),
         (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
         # the eigh that validates rho is its only decomposition; the rest
-        # are the upper unit's R_Delta and steps and the Dinkelbach steps
-        (lambda r: dilute_one_shot_bounds(r, 0.1), 13),
+        # are the upper unit's R_Delta and eigvalsh points and the
+        # Dinkelbach steps
+        (lambda r: dilute_one_shot_bounds(r, 0.1), 12),
         # validation, then dh_epsilon's check of dephase(rho) and its solve
         (lambda r: distill_one_shot(r, 0.1), 6),
         # the solvers check their inputs by eigvalsh; dh_epsilon's pencil kinks
