@@ -12,7 +12,6 @@ from .channels import (
     twirl_channel,
 )
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .linalg import fidelity, support_projector
 from .majorization import (
     build_witness,
     dio_pure_decide,
@@ -37,7 +36,7 @@ from .rates import (
     distill_one_shot,
     distill_zero_error,
 )
-from .states import dephase, is_incoherent, l1_norm, max_coherent
+from .states import dephase, fidelity, is_incoherent, l1_norm, max_coherent
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from .hypotest import check_test_operator
 from .linalg import PSD_ATOL, check_hermitian
 from .majorization import PREFIX_SLACK
 from .monotones import r_delta
-from .states import dephase, density, is_incoherent, l1_norm, max_coherent, pure_to_density
+from .states import (dephase, density, is_incoherent, json_int, l1_norm, max_coherent,
+                     pure_to_density)
 
 TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
@@ -217,8 +218,7 @@ def channel_from_json(doc) -> QuantumChannel:
     try:
         if doc["kind"] != "channel":
             raise ValueError(f"expected a channel document, got kind {doc['kind']!r}")
-        din = int(doc["din"])
-        dout = int(doc["dout"])
+        din, dout = json_int(doc["din"], "din"), json_int(doc["dout"], "dout")
         choi = np.asarray(doc["choi_re"], dtype=float) + 1j * np.asarray(
             doc["choi_im"], dtype=float
         )

@@ -32,7 +32,7 @@ import numpy as np
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .states import Density, dephase, density, pure_to_density, state_from_json
+from .states import Density, dephase, density, json_number, pure_to_density, state_from_json
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -154,7 +154,7 @@ def cmd_decide(args):
         psi = _load_pure(inputs, args.states[0])
         doc = json.loads(_read(inputs, args.heralded))
         try:
-            items = [(float(item["prob"]), item["state"]) for item in doc["items"]]
+            items = [(json_number(item["prob"], "prob"), item["state"]) for item in doc["items"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ensemble document: {exc}") from exc
         ensemble = [

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL, check_hermitian, rank_tol, support_projector
+from .linalg import RANK_RTOL, check_hermitian, rank_tol
 from .monotones import _coherence_spectrum
-from .states import check_density, dephase
+from .states import check_density, dephase, density
 
 # Eigenvalues within ZERO_BAND of zero at the dual optimum form the
 # fractional eigenspace of the optimal test.
@@ -175,7 +175,9 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    rho = check_density(rho)
+    # at eps = 0 the eigh that validates rho also gives Pi_rho
+    state = density(rho) if eps == 0.0 else None
+    rho = check_density(rho if state is None else state)
     sigma = check_density(sigma)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
@@ -183,9 +185,9 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
     if eps == 0.0:
         # Tr(M rho) = 1 forces M to dominate the support projector of rho,
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
-        m = support_projector(rho)
+        m = state.v @ state.v.conj().T
         dual = float(np.vdot(m, sigma).real)
-        t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # the projector's eigh
+        t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # Pi_rho's eigh
     else:
         # Tr(t rho - sigma)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
         kinks = _pencil_kinks(sigma, rho, 1.0 / eps)

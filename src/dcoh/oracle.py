@@ -154,29 +154,24 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     # start from the constant channel Q -> Tr(Q) sigma
     z = left @ measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m] @ right + p
 
-    iters = 0
     checkpoints = []
-    # the loop runs in segments that end at the checkpoints, so recording
-    # them costs nothing in the iterations between
-    for stop in sorted({k for k in (*RESIDUAL_CHECKPOINTS, max_iters) if k <= max_iters}):
-        for iters in range(iters + 1, stop + 1):
-            # PSD projection: eigh reads the lower triangle of the Choi iterate,
-            # which is Hermitian up to rounding. `.dot` and `np.maximum` give the
-            # same numbers as `@` and `clip` with less call overhead, most of
-            # their cost at these sizes
-            w, v = np.linalg.eigh(z.ravel()[to_j])
-            psd = (v * np.maximum(w, 0.0)).dot(v.conj().T)
-            y = psd.ravel()[to_m]
-            r_image, r_trace = x.dot(y) - image, y.dot(e) - c
-            residual = math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
-            if residual <= RESIDUAL_TOL:
-                break
-            # reflect through the PSD point, project onto the affine set, step
-            z += left.dot(2.0 * y - z).dot(right) + p - y
-        checkpoints.append((iters, residual))
-        if residual <= RESIDUAL_TOL:
+    for iters in range(1, max_iters + 1):
+        # PSD projection: eigh reads the lower triangle of the Choi iterate,
+        # which is Hermitian up to rounding. `.dot` and `np.maximum` give the
+        # same numbers as `@` and `clip` with less call overhead, most of
+        # their cost at these sizes
+        w, v = np.linalg.eigh(z.ravel()[to_j])
+        psd = (v * np.maximum(w, 0.0)).dot(v.conj().T)
+        y = psd.ravel()[to_m]
+        r_image, r_trace = x.dot(y) - image, y.dot(e) - c
+        residual = math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
+        if residual <= RESIDUAL_TOL or iters == max_iters:
             break
-    checkpoints = tuple(checkpoints)
+        if iters in RESIDUAL_CHECKPOINTS:
+            checkpoints.append((iters, residual))
+        # reflect through the PSD point, project onto the affine set, step
+        z += left.dot(2.0 * y - z).dot(right) + p - y
+    checkpoints = (*checkpoints, (iters, residual))
 
     if residual <= RESIDUAL_TOL:
         witness = QuantumChannel(din, dout, psd)

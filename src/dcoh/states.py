@@ -1,8 +1,10 @@
 """States in a fixed incoherent basis: density matrices, pure amplitude
-vectors, dephasing, and the coherence-specific norms.
+vectors, dephasing, the Uhlmann fidelity and the coherence-specific norms.
 
-The incoherent basis is always the computational basis of the stored
-array; any basis change is the caller's responsibility.
+The one module that validates a state: `density`, or `check_density` for
+the two `hypotest` solvers, which read no eigenpairs. The incoherent basis
+is always the computational basis of the stored array; any basis change
+is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _support_eigh, check_hermitian, check_psd
+from .linalg import check_hermitian, check_psd_spectrum, rank_tol
 
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-9
@@ -39,7 +41,10 @@ def density(rho) -> Density:
     if isinstance(rho, Density):
         return rho
     rho = check_hermitian(rho)
-    w, v = _support_eigh(rho)
+    w, v = np.linalg.eigh(rho)
+    check_psd_spectrum(w)
+    keep = w > rank_tol(w)
+    w, v = w[keep], v[:, keep]
     _check_trace(rho)
     for a in (rho, w, v):
         a.setflags(write=False)
@@ -47,9 +52,13 @@ def density(rho) -> Density:
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD, unit trace) without
-    decomposing it; returns it symmetrized, or a Density's rho as it is."""
-    return rho.rho if isinstance(rho, Density) else _check_trace(check_psd(rho))
+    """Validate a density matrix (Hermitian, PSD, unit trace) by one eigvalsh,
+    without its eigenvectors; returns it symmetrized, or a Density's rho as it is."""
+    if isinstance(rho, Density):
+        return rho.rho
+    rho = check_hermitian(rho)
+    check_psd_spectrum(np.linalg.eigvalsh(rho))
+    return _check_trace(rho)
 
 
 def _check_trace(rho) -> np.ndarray:
@@ -57,6 +66,22 @@ def _check_trace(rho) -> np.ndarray:
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL:.1e}")
     return rho
+
+
+def fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 of two states.
+
+    Taken on the support of rho: with f = v sqrt(w) from its Density,
+    f^dag sigma f has the nonzero spectrum of sqrt(rho) sigma sqrt(rho), and
+    no kernel eigenvalue of rho reaches the square roots.
+    """
+    state, sigma = density(rho), density(sigma).rho
+    if state.rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {state.rho.shape} vs {sigma.shape}")
+    f = state.v * np.sqrt(state.w)
+    inner = f.conj().T @ sigma @ f
+    x = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    return min(float(np.sum(np.sqrt(np.clip(x, 0.0, None))) ** 2), 1.0)
 
 
 def check_pure(psi) -> np.ndarray:
@@ -135,6 +160,20 @@ def state_to_json(obj) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def json_int(value, name: str) -> int:
+    """A document's integer field; a float, a string or a bool is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, name: str) -> float:
+    """A document's number field as a float; a string or a bool is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def state_from_json(doc) -> tuple[str, Density | np.ndarray]:
     """Parse and validate a JSON state document; returns (kind, state), the
     state a Density for a density document and an amplitude vector for a
@@ -145,7 +184,7 @@ def state_from_json(doc) -> tuple[str, Density | np.ndarray]:
         kind = doc["kind"]
         if kind not in ("density", "pure"):
             raise ValueError(f"expected a density or pure state document, got kind {kind!r}")
-        dim = int(doc["dim"])
+        dim = json_int(doc["dim"], "dim")
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -11,7 +11,6 @@ import numpy as np
 
 from dcoh.channels import apply, construct_dilute, construct_distill, construct_prop5, is_dio, is_rho_dio, qubit_decide, validate_channel
 from dcoh.hypotest import dh_epsilon, distill_fidelity_program
-from dcoh.linalg import fidelity
 from dcoh.majorization import build_witness, dio_pure_decide, dio_to_maxcoherent_decide
 from dcoh.monotones import c_k_monotone, r_delta, renyi_relative
 from dcoh.oracle import rho_dio_feasible
@@ -23,7 +22,7 @@ from dcoh.rates import (
     distill_asymptotic,
     distill_zero_error,
 )
-from dcoh.states import dephase, max_coherent, pure_to_density
+from dcoh.states import dephase, fidelity, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho, rand_pure
 

@@ -23,10 +23,9 @@ from dcoh.channels import (
     validate_channel,
 )
 from dcoh.hypotest import distill_fidelity_program
-from dcoh.linalg import fidelity
 from dcoh.monotones import r_delta
 from dcoh.rates import dilute_one_shot_bounds, dilute_zero_error, distill_zero_error
-from dcoh.states import dephase, l1_norm, max_coherent, pure_to_density
+from dcoh.states import dephase, fidelity, l1_norm, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -300,6 +299,12 @@ def test_channel_json_round_trip():
     assert channel_to_json(channel_from_json(doc)) == channel_to_json(ch)
     with pytest.raises(ValueError, match="malformed"):
         channel_from_json('{"kind": "channel"}')
+    # dimensions are JSON integers: int() would read 2.9 and "2" as 2
+    for key, value in (("din", 2.9), ("dout", "2"), ("din", True)):
+        bad = json.loads(channel_to_json(dephasing_channel(2)))
+        bad[key] = value
+        with pytest.raises(ValueError, match=f"malformed channel document: {key} must be an"):
+            channel_from_json(bad)
 
 
 def test_dio_covariance_on_states_follows_choi_check():

@@ -347,7 +347,17 @@ def test_decide_rejects_qubit_with_heralded(capsys, files):
                                 "--heralded", missing], "not both")
 
 
-@pytest.mark.parametrize("doc", [{"items": 5}, {"items": [1]}], ids=["items-int", "item-int"])
+PURE_PLUS = json.loads(state_to_json(max_coherent(2)))
+MALFORMED_ENSEMBLES = {
+    "items-int": {"items": 5},
+    "item-int": {"items": [1]},
+    # a probability is a JSON number: float() would read "1.0" and true
+    "prob-str": {"items": [{"prob": "1.0", "state": PURE_PLUS}]},
+    "prob-bool": {"items": [{"prob": True, "state": PURE_PLUS}]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_ENSEMBLES.values(), ids=MALFORMED_ENSEMBLES)
 def test_malformed_ensemble_exit_code(capsys, files, tmp_path, doc):
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(doc))
@@ -365,12 +375,21 @@ def test_heralded_density_item_exit_code(capsys, files, tmp_path):
                        "expected a pure state, got 'density'")
 
 
-@pytest.mark.parametrize("kraus", [5, [1]], ids=["kraus-int", "kraus-item-int"])
-def test_malformed_channel_exit_code(capsys, tmp_path, kraus):
-    from dcoh.channels import channel_to_json, dephasing_channel
+MALFORMED_CHANNEL_FIELDS = {
+    "kraus-int": ("kraus", 5),
+    "kraus-item-int": ("kraus", [1]),
+    # dimensions are JSON integers: int() would read each of these as 2 or 1
+    "din-float": ("din", 2.9),
+    "dout-str": ("dout", "2"),
+    "din-bool": ("din", True),
+}
 
+
+@pytest.mark.parametrize("key, value", MALFORMED_CHANNEL_FIELDS.values(),
+                         ids=MALFORMED_CHANNEL_FIELDS)
+def test_malformed_channel_exit_code(capsys, tmp_path, key, value):
     doc = json.loads(channel_to_json(dephasing_channel(2)))
-    doc["kraus"] = kraus
+    doc[key] = value
     path = tmp_path / "channel.json"
     path.write_text(json.dumps(doc))
     assert_input_error(capsys, ["channel", "--verify", str(path)], "malformed channel document")
@@ -480,17 +499,21 @@ BAD_DOCS = {
         "non-finite": '{"kind": "density", "dim": 2, "re": [[NaN, 0], [0, NaN]], '
                       '"im": [[0, 0], [0, 0]]}',
         "wrong-kind": channel_to_json(dephasing_channel(2)),
+        "wrong-type": '{"kind": "density", "dim": 2.5, "re": [[1, 0], [0, 0]], '
+                      '"im": [[0, 0], [0, 0]]}',
     },
     "channel": {
         "malformed": '{"kind": "channel", "din": 2}',
         "non-finite": channel_to_json(dephasing_channel(2)).replace("1.0", "NaN", 1),
         "wrong-kind": state_to_json(max_coherent(2)),
+        "wrong-type": channel_to_json(dephasing_channel(2)).replace('"dout": 2', '"dout": "2"'),
     },
     "ensemble": {
         "malformed": '{"items": 5}',
         "non-finite": json.dumps({"items": [{"prob": math.nan,
                                              "state": json.loads(state_to_json(max_coherent(2)))}]}),
         "wrong-kind": state_to_json(max_coherent(2)),
+        "wrong-type": json.dumps({"items": [{"prob": "1.0", "state": PURE_PLUS}]}),
     },
 }
 # what the stderr line says about each wrong-kind document; an ensemble
@@ -520,7 +543,7 @@ BAD_SLOTS = [
 ]
 
 
-@pytest.mark.parametrize("problem", ["malformed", "non-finite", "wrong-kind"])
+@pytest.mark.parametrize("problem", ["malformed", "non-finite", "wrong-kind", "wrong-type"])
 @pytest.mark.parametrize("mode, slot, expects", BAD_SLOTS,
                          ids=[f"{m}-{slot}" for m, slot, _ in BAD_SLOTS])
 def test_bad_documents_exit_3_in_every_mode(capsys, files, mode, slot, expects, problem):

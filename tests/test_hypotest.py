@@ -337,12 +337,12 @@ def test_eigendecompositions_per_solve_at_d32(monkeypatch):
             assert names.count("eigvalsh") == 3 and names.count("eigh") <= 12
             assert res.eig_calls == len(calls) - 2
             paths.add(res.path)
-        # at eps = 0 the closed form's only decomposition after the two
-        # validating eigvalsh is the support projector's eigh
+        # at eps = 0 the eigh that validates rho is the closed form's one
+        # decomposition (Pi_rho is v v^dag), then sigma's validating eigvalsh
         calls.clear()
         res = dh_epsilon(rho, dephase(rho), 0.0)
-        assert [name for name, _ in calls] == ["eigvalsh", "eigvalsh", "eigh"]
-        assert res.eig_calls == len(calls) - 2
+        assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
+        assert res.eig_calls == 1
         for m in (2, 4, 8, 16):
             calls.clear()
             res = distill_fidelity_program(rho, m)

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from dcoh.linalg import (
-    check_hermitian,
-    check_psd,
-    fidelity,
-    support_projector,
-)
+from dcoh.linalg import check_hermitian
+from dcoh.states import fidelity
 
 from helpers import rand_rho
 
@@ -33,22 +29,6 @@ def test_check_hermitian_symmetrizes_dust():
     a = np.array([[1.0, 0.3 + 1e-12j], [0.3, 1.0]])
     out = check_hermitian(a)
     assert np.allclose(out, out.conj().T)
-
-
-def test_check_psd_rejects_negative():
-    with pytest.raises(ValueError, match="not PSD"):
-        check_psd(np.diag([1.0, -0.1]))
-
-
-def test_support_projector_idempotent_and_acts_as_identity():
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi /= np.linalg.norm(psi)
-    rho = np.outer(psi, psi.conj())
-    pi = support_projector(rho)
-    assert np.allclose(pi @ pi, pi, atol=1e-12)
-    assert abs(np.trace(pi).real - 1.0) < 1e-9
-    assert np.allclose(pi @ rho, rho, atol=1e-12)
 
 
 def test_fidelity_self_and_symmetry():
@@ -92,3 +72,8 @@ def test_fidelity_rejects_sigma_that_is_not_a_state():
         fidelity(np.eye(2) / 2, np.array([[1.0, 5.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not PSD"):
         fidelity(np.eye(2) / 2, np.diag([2.0, -1.0]))
+    # both arguments are states: a PSD matrix of trace 2 is refused either way
+    for pair in ((np.eye(2) / 2, np.eye(2)), (np.eye(2), np.eye(2) / 2)):
+        with pytest.raises(ValueError, match="trace is 2.0"):
+            fidelity(*pair)
+

@@ -6,7 +6,6 @@ import pytest
 
 from dcoh.channels import apply, construct_prop5, qubit_decide, twirl_channel
 from dcoh.hypotest import dh_epsilon, distill_fidelity_program
-from dcoh.linalg import fidelity, support_projector
 from dcoh.monotones import (
     DEFAULT_ALPHAS,
     c_k_monotone,
@@ -28,6 +27,7 @@ from dcoh.states import (
     check_density,
     density,
     dephase,
+    fidelity,
     max_coherent,
     pure_to_density,
     state_to_json,
@@ -109,6 +109,7 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
     # certifies mixed -> rho
     mixed = (rho + dephase(rho)) / 2
     qubits = [rand_rho(np.random.default_rng(s), 2) for s in (7, 8)]
+    validated = density(rho), density(sigma)
     paths = {}
     for name, state in (("rho", rho), ("mixed", mixed), ("q7", qubits[0]), ("q8", qubits[1])):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -122,7 +123,8 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         (lambda r: renyi_relative(r, 2.0), 1),
         (lambda r: renyi_relative(r, 1.0), 1),
         (lambda r: fidelity(r, sigma), 3),
-        (support_projector, 1),
+        # a Density is not decomposed again: only the inner matrix's eigvalsh
+        (lambda r: fidelity(*validated), 1),
         (monotone_report, 2),
         # per state, its validation and R_Delta; then per state its coherence
         # spectrum (the kinks) and one stacked eigvalsh for the curves
@@ -146,6 +148,8 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # take an eigh and an eigvalsh, the fidelity program's the coherence
         # spectrum's eigvalsh; each dual evaluation is one eigh
         (lambda r: dh_epsilon(r, dephase(r), 0.1), 6),
+        # at eps = 0, Pi_rho is v v^dag of the eigh that validates rho
+        (lambda r: dh_epsilon(r, dephase(r), 0.0), 2),
         (lambda r: distill_fidelity_program(r, 2), 4),
         # rounding a unit count decomposes nothing
         (distill_zero_error, 1),

@@ -265,9 +265,10 @@ def test_douglas_rachford_matches_a_dense_reference():
     rng = np.random.default_rng(0)
     max_iters = 300
     cases = [(rand_rho(rng, 3), rand_rho(rng, 3), max_iters) for _ in range(6)]
-    # qutrit -> Psi_2 is feasible but needs 126 iterations: a run that stops
-    # unconverged on its budget
-    cases.append((pure_to_density(QUTRIT), pure_to_density(max_coherent(2)), 60))
+    # qutrit -> Psi_2 is feasible but needs 126 iterations: runs that stop
+    # unconverged on their budget, one of them at a checkpoint, recorded once
+    for budget in (60, 10):
+        cases.append((pure_to_density(QUTRIT), pure_to_density(max_coherent(2)), budget))
     seen = set()
     for rho, sigma, budget in cases:
         verdict = rho_dio_feasible(rho, sigma, max_iters=budget)

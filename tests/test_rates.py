@@ -5,7 +5,6 @@ import pytest
 
 from dcoh.channels import construct_dilute, validate_channel
 from dcoh.hypotest import NPResult, dh_epsilon
-from dcoh.linalg import fidelity, fidelity_from_inner, support_eigh
 from dcoh.monotones import r_delta
 from dcoh.rates import (
     _dilution_lower_unit,
@@ -21,7 +20,7 @@ from dcoh.rates import (
     guarded_ceil,
     guarded_floor,
 )
-from dcoh.states import density, dephase, max_coherent, pure_to_density
+from dcoh.states import density, dephase, fidelity, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -199,18 +198,14 @@ def test_dinkelbach_skips_the_steps_that_only_round(monkeypatch):
     assert steps <= 0.95 * ref_steps, (steps, ref_steps)
 
 
-def _bisected_upper_unit(rho, eps):
+def _bisected_upper_unit(state, eps):
     """Reference upper bound: plain bisection on the fidelity check of the
     witness w_t = (1-t) rho + t dephase(rho), run to machine resolution."""
-    lam0 = r_delta(rho) + 1.0
-    w, v = support_eigh(rho)
-    f = v * np.sqrt(w)
-    inner_rho = np.diag(w**2)
-    inner_delta = f.conj().T @ (np.diag(rho).real[:, None] * f)
+    lam0 = r_delta(state) + 1.0
+    rho = state.rho
 
     def feasible(t):
-        inner = (1.0 - t) * inner_rho + t * inner_delta
-        return fidelity_from_inner(inner) >= 1.0 - eps - 1e-12
+        return fidelity(state, (1.0 - t) * rho + t * dephase(rho)) >= 1.0 - eps - 1e-12
 
     lo, hi = (1.0, 1.0) if feasible(1.0) else (0.0, 1.0)
     mid = 0.5 * (lo + hi)
@@ -252,7 +247,7 @@ def test_upper_unit_matches_bisection_reference(monkeypatch):
                         counts.append(len(calls))
                     # every point, t = 1 included, is one eigvalsh
                     assert "eigh" not in calls
-                    want = _bisected_upper_unit(rho, eps)
+                    want = _bisected_upper_unit(state, eps)
                     assert abs(unit - want) <= 1e-11 * want, (d, rank, eps, unit, want)
                     if lam0 - 1.0 > 1e-6:
                         # recover the witness from its cost and re-check it; recovering t

@@ -132,6 +132,11 @@ def test_json_validation_errors():
         state_from_json(json.dumps({"kind": "spam", "dim": 2, "re": [1, 0], "im": [0, 0]}))
     with pytest.raises(ValueError, match="shape"):
         state_from_json(json.dumps({"kind": "pure", "dim": 3, "re": [1, 0], "im": [0, 0]}))
+    # a dimension is a JSON integer: int() would read each of these as 2 or 1
+    for dim in (2.7, 2.0, True, "2"):
+        doc = {"kind": "pure", "dim": dim, "re": [1, 0], "im": [0, 0]}
+        with pytest.raises(ValueError, match="malformed state document: dim must be an integer"):
+            state_from_json(json.dumps(doc))
     # validation of the payload itself, not just the envelope
     bad = {"kind": "density", "dim": 2, "re": [[0.9, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}
     with pytest.raises(ValueError, match="trace"):
