@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import check_test_operator
-from .linalg import PSD_ATOL, check_hermitian
+from .linalg import check_hermitian, check_psd_spectrum
 from .majorization import PREFIX_SLACK
-from .monotones import r_delta
-from .states import (dephase, density, is_incoherent, json_int, l1_norm, max_coherent,
-                     pure_to_density)
+from .monotones import r_delta, renyi_relative
+from .states import (dephase, density, is_incoherent, json_int, json_numbers, l1_norm,
+                     max_coherent, pure_to_density)
 
 TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
@@ -66,9 +66,7 @@ def measure_prepare(pairs) -> QuantumChannel:
 def validate_channel(ch: QuantumChannel) -> None:
     """Check the CPTP invariants of the Choi operator."""
     j = check_hermitian(ch.choi, atol=1e-8)
-    w = np.linalg.eigvalsh(j)
-    if w[0] < -PSD_ATOL:
-        raise ValueError(f"Choi operator not PSD: min eigenvalue {w[0]:.3e}")
+    check_psd_spectrum(np.linalg.eigvalsh(j))
     j4 = j.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     tr_out = np.einsum("xaya->xy", j4)
     if np.max(np.abs(tr_out - np.eye(ch.input_dim))) > TP_ATOL:
@@ -167,7 +165,7 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     state, target = density(rho), density(omega)
     rho, omega = state.rho, target.rho
     pi = state.v @ state.v.conj().T
-    lam = 1.0 / float(np.trace(pi @ dephase(rho)).real)
+    lam = 2.0 ** renyi_relative(state, 0.0)  # the float distill_zero_error floors
     lam_omega = r_delta(target) + 1.0
     if lam_omega > lam + PREFIX_SLACK:
         raise ValueError(
@@ -219,13 +217,9 @@ def channel_from_json(doc) -> QuantumChannel:
         if doc["kind"] != "channel":
             raise ValueError(f"expected a channel document, got kind {doc['kind']!r}")
         din, dout = json_int(doc["din"], "din"), json_int(doc["dout"], "dout")
-        choi = np.asarray(doc["choi_re"], dtype=float) + 1j * np.asarray(
-            doc["choi_im"], dtype=float
-        )
-        kraus = [
-            np.asarray(k["re"], dtype=float) + 1j * np.asarray(k["im"], dtype=float)
-            for k in doc.get("kraus", ())
-        ]
+        choi = json_numbers(doc["choi_re"], "choi_re") + 1j * json_numbers(doc["choi_im"], "choi_im")
+        kraus = [json_numbers(k["re"], "re") + 1j * json_numbers(k["im"], "im")
+                 for k in doc.get("kraus", ())]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel document: {exc}") from exc
     ch = QuantumChannel(din, dout, choi)

@@ -4,10 +4,13 @@ Two structured semidefinite programs are solved without a general SDP
 dependency through their convex duals psi(t) = Tr(A(t))_+ - c t, which one
 kink-aware scalar routine minimizes (see ``_scalar_dual``):
 
-* hypothesis-testing relative entropy, A(t) = t rho - sigma
-    min Tr(M sigma)  s.t.  Tr(M rho) >= 1 - eps,  0 <= M <= 1
+* D_H^eps(rho || dephase(rho)), A(t) = t rho - dephase(rho)
+    min Tr(M dephase(rho))  s.t.  Tr(M rho) >= 1 - eps,  0 <= M <= 1
 * twirled distillation-fidelity program, A(t) = rho - t dephase(rho)
     max <X, rho>     s.t.  <X, dephase(rho)> = 1/m,  0 <= X <= 1
+
+Both are kinked where A(t) is singular, at the coherence spectrum lambda
+(`monotones._coherence_spectrum`): t = 1/lambda for D_H, t = lambda for X.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL, check_hermitian, rank_tol
+from .linalg import HERM_ATOL, RANK_RTOL, check_hermitian
 from .monotones import _coherence_spectrum
-from .states import check_density, dephase, density
+from .states import Density, check_density, dephase, density
 
 # Eigenvalues within ZERO_BAND of zero at the dual optimum form the
 # fractional eigenspace of the optimal test.
@@ -70,19 +73,6 @@ def check_test_operator(m) -> np.ndarray:
             f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]"
         )
     return m
-
-
-def _pencil_kinks(p, q, t_max: float) -> np.ndarray:
-    """0, the sorted t in (0, t_max) at which p - t q is singular, t_max. For
-    PSD p, q, on the support of b = p + q, p - t q is congruent to (1 + t) x - t
-    with x = b^{-1/2} p b^{-1/2}: singular at t = x / (1 - x)."""
-    wb, vb = np.linalg.eigh(p + q)
-    keep = wb > rank_tol(wb)
-    c = vb[:, keep] / np.sqrt(wb[keep])
-    x = np.linalg.eigvalsh(c.conj().T @ p @ c)
-    x = x[(x > RANK_RTOL) & (x < 1.0)]
-    t = x / (1.0 - x)
-    return np.concatenate(([0.0], t[t < t_max], [t_max]))
 
 
 def _scalar_dual(a0, a1, c: float, kinks):
@@ -168,34 +158,37 @@ def _recover_primal(w, v, weights, target: float):
 
 
 def dh_epsilon(rho, sigma, eps: float) -> NPResult:
-    """Hypothesis-testing relative entropy D_H^eps(rho || sigma) in bits.
+    """Hypothesis-testing relative entropy D_H^eps(rho || dephase(rho)) in bits.
 
-    The concave dual g(t) = t(1 - eps) - Tr(t rho - sigma)_+ is maximized
-    over t >= 0 by the kink-aware scalar dual.
+    sigma must be dephase(rho) within HERM_ATOL in every entry; it stays a parameter
+    for existing three-argument calls. The concave dual g(t) = t(1 - eps) -
+    Tr(t rho - sigma)_+ is maximized over t >= 0 by the kink-aware scalar dual.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     # at eps = 0 the eigh that validates rho also gives Pi_rho
     state = density(rho) if eps == 0.0 else None
     rho = check_density(rho if state is None else state)
-    sigma = check_density(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    delta = dephase(rho)
+    sigma = np.asarray(sigma.rho if isinstance(sigma, Density) else sigma, dtype=complex)
+    if sigma.shape != rho.shape or not np.abs(sigma - delta).max() <= HERM_ATOL:
+        raise ValueError(f"sigma is not dephase(rho) within {HERM_ATOL:.1e}")
 
     if eps == 0.0:
         # Tr(M rho) = 1 forces M to dominate the support projector of rho,
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
         m = state.v @ state.v.conj().T
-        dual = float(np.vdot(m, sigma).real)
+        dual = float(np.vdot(m, delta).real)
         t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # Pi_rho's eigh
     else:
-        # Tr(t rho - sigma)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
-        kinks = _pencil_kinks(sigma, rho, 1.0 / eps)
-        t_star, w, v, diag, psi, path, calls = _scalar_dual(-sigma, rho, 1.0 - eps, kinks)
+        # Tr(t rho - delta)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
+        lam = _coherence_spectrum(rho)[::-1]
+        kinks = np.concatenate(([0.0], 1.0 / lam[lam > max(RANK_RTOL, eps)], [1.0 / eps]))
+        t_star, w, v, diag, psi, path, calls = _scalar_dual(-delta, rho, 1.0 - eps, kinks)
         m, widenings = _recover_primal(w, v, diag, 1.0 - eps)
-        dual, calls = -psi, calls + 2  # the kinks' eigh and eigvalsh
-    optimal = float(np.vdot(m, sigma).real)
-    # Tr(M rho) >= 1 - eps scales the attainable Tr(M sigma) with 1 - eps
+        dual, calls = -psi, calls + 1  # the spectrum's eigvalsh
+    optimal = float(np.vdot(m, delta).real)
+    # Tr(M rho) >= 1 - eps scales the attainable Tr(M delta) with 1 - eps
     bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
     return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings)
 

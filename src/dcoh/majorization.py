@@ -24,14 +24,19 @@ def _pad_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def majorizes(q, p) -> bool:
-    """True iff p is majorized by q (every prefix sum of p^down <= q^down)."""
-    p = prob_vector(p)
-    q = prob_vector(q)
-    p, q = _pad_pair(p, q)
+def _failing_prefix(q, p) -> int | None:
+    """The first k (1-based) at which the prefix sum of p^down exceeds q^down's
+    by more than PREFIX_SLACK, or None when q majorizes p."""
+    p, q = _pad_pair(prob_vector(p), prob_vector(q))
     cp = np.cumsum(np.sort(p)[::-1])
     cq = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(cp <= cq + PREFIX_SLACK))
+    fails = ~(cp <= cq + PREFIX_SLACK)
+    return int(np.argmax(fails)) + 1 if fails.any() else None
+
+
+def majorizes(q, p) -> bool:
+    """True iff p is majorized by q (every prefix sum of p^down <= q^down)."""
+    return _failing_prefix(q, p) is None
 
 
 def dio_pure_decide(psi, phi) -> bool:
@@ -81,14 +86,9 @@ def build_witness(q, p) -> np.ndarray:
     exceeds the target with the next one where it falls short, fixing at
     least one coordinate, so at most d-1 factors are needed.
     """
-    p = prob_vector(p)
-    q = prob_vector(q)
-    p, q = _pad_pair(p, q)
-    if not majorizes(q, p):
-        cp = np.cumsum(np.sort(p)[::-1])
-        cq = np.cumsum(np.sort(q)[::-1])
-        bad = int(np.argmax(cp > cq + PREFIX_SLACK))
-        raise ValueError(f"q does not majorize p: prefix sum {bad + 1} fails")
+    p, q = _pad_pair(prob_vector(p), prob_vector(q))
+    if (k := _failing_prefix(q, p)) is not None:
+        raise ValueError(f"q does not majorize p: prefix sum {k} fails")
     d = len(p)
     perm_q = np.argsort(-q, kind="stable")
     perm_p = np.argsort(-p, kind="stable")

@@ -174,6 +174,17 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def json_numbers(value, name: str) -> np.ndarray:
+    """A document's vector or matrix field as a float array: a list of numbers
+    or of equal-length lists of numbers, each entry read by `json_number`."""
+    matrix = isinstance(value, list) and bool(value) and isinstance(value[0], list)
+    rows = value if matrix else [value]
+    if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
+        raise TypeError(f"{name} must be a list of numbers or of equal-length rows")
+    entries = np.array([[json_number(x, name) for x in row] for row in rows], dtype=float)
+    return entries if matrix else entries[0]
+
+
 def state_from_json(doc) -> tuple[str, Density | np.ndarray]:
     """Parse and validate a JSON state document; returns (kind, state), the
     state a Density for a density document and an amplitude vector for a
@@ -185,8 +196,7 @@ def state_from_json(doc) -> tuple[str, Density | np.ndarray]:
         if kind not in ("density", "pure"):
             raise ValueError(f"expected a density or pure state document, got kind {kind!r}")
         dim = json_int(doc["dim"], "dim")
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        re, im = json_numbers(doc["re"], "re"), json_numbers(doc["im"], "im")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     arr = re + 1j * im

@@ -375,6 +375,14 @@ def test_heralded_density_item_exit_code(capsys, files, tmp_path):
                        "expected a pure state, got 'density'")
 
 
+DEPH = json.loads(channel_to_json(dephasing_channel(2)))
+
+
+def _kraus(first):
+    """The dephasing channel's Kraus list with its first operator's re replaced."""
+    return [{"re": first, "im": [[0, 0], [0, 0]]}, {"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]
+
+
 MALFORMED_CHANNEL_FIELDS = {
     "kraus-int": ("kraus", 5),
     "kraus-item-int": ("kraus", [1]),
@@ -382,17 +390,47 @@ MALFORMED_CHANNEL_FIELDS = {
     "din-float": ("din", 2.9),
     "dout-str": ("dout", "2"),
     "din-bool": ("din", True),
+    # so are matrix entries, as in a state document
+    "choi-str": ("choi_re", [[str(x) for x in row] for row in DEPH["choi_re"]]),
+    "choi-bool": ("choi_im", [[False] * 4] * 4),
+    "choi-mixed": ("choi_re", [[True] + row[1:] for row in DEPH["choi_re"]]),
+    "choi-ragged": ("choi_re", DEPH["choi_re"][:3] + [DEPH["choi_re"][3][:3]]),
+    "kraus-str": ("kraus", _kraus([["1", 0], [0, 0]])),
+    "kraus-bool": ("kraus", _kraus([[True, False], [False, False]])),
+    "kraus-mixed": ("kraus", _kraus([[True, 0.0], [0.0, 0.0]])),
+    "kraus-ragged": ("kraus", _kraus([[1.0, 0.0], [0.0]])),
 }
 
 
 @pytest.mark.parametrize("key, value", MALFORMED_CHANNEL_FIELDS.values(),
                          ids=MALFORMED_CHANNEL_FIELDS)
 def test_malformed_channel_exit_code(capsys, tmp_path, key, value):
-    doc = json.loads(channel_to_json(dephasing_channel(2)))
-    doc[key] = value
     path = tmp_path / "channel.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(dict(DEPH, **{key: value})))
     assert_input_error(capsys, ["channel", "--verify", str(path)], "malformed channel document")
+
+
+PLUS_DM = json.loads(state_to_json(pure_to_density(max_coherent(2))))
+# matrix entries are JSON numbers: np.asarray read "0.5" as 0.5 and true as
+# 1.0, so a density document with false off-diagonals passed
+MALFORMED_STATE_ENTRIES = {
+    "density-str": (PLUS_DM, "re", [["0.5", "0.5"], ["0.5", "0.5"]]),
+    "density-bool": (PLUS_DM, "im", [[False, False], [False, False]]),
+    "density-mixed": (PLUS_DM, "re", [[0.5, True], [0.5, 0.5]]),
+    "density-ragged": (PLUS_DM, "re", [[0.5, 0.5], [0.5]]),
+    "pure-str": (PURE_PLUS, "re", ["0.7071067811865475", 0.7071067811865475]),
+    "pure-bool": (PURE_PLUS, "im", [False, False]),
+    "pure-mixed": (PURE_PLUS, "re", [True, 0.0]),
+    "pure-ragged": (PURE_PLUS, "re", [[0.7071067811865475], 0.7071067811865475]),
+}
+
+
+@pytest.mark.parametrize("doc, key, value", MALFORMED_STATE_ENTRIES.values(),
+                         ids=MALFORMED_STATE_ENTRIES)
+def test_malformed_state_entries_exit_code(capsys, tmp_path, doc, key, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(dict(doc, **{key: value})))
+    assert_input_error(capsys, ["monotones", str(path)], "malformed state document")
 
 
 def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_path):

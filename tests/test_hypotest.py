@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dcoh.hypotest import (
-    _pencil_kinks,
-    check_test_operator,
-    dh_epsilon,
-    distill_fidelity_program,
-)
-from dcoh.linalg import RANK_RTOL
+from dcoh.hypotest import check_test_operator, dh_epsilon, distill_fidelity_program
+from dcoh.linalg import RANK_RTOL, rank_tol
 from dcoh.monotones import _coherence_spectrum, renyi_relative
-from dcoh.states import dephase, max_coherent, pure_to_density
+from dcoh.states import dephase, density, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -45,21 +40,18 @@ def bisect_dual_reference(a0, a1, c):
     return psi(hi)
 
 
-def diag_dh_oracle(r, s, eps):
-    """Fractional-knapsack LP oracle for commuting (diagonal) instances:
-    min sum M_i s_i subject to sum M_i r_i >= 1 - eps, 0 <= M_i <= 1."""
-    order = sorted(
-        (i for i in range(len(r)) if r[i] > 1e-15), key=lambda i: s[i] / r[i]
-    )
-    need = 1.0 - eps
-    cost = 0.0
-    for i in order:
-        take = min(1.0, need / r[i])
-        cost += take * s[i]
-        need -= take * r[i]
-        if need <= 1e-15:
-            break
-    return cost
+def pencil_kinks(p, q, t_max: float) -> np.ndarray:
+    """Reference kinks: 0, the sorted t in (0, t_max) at which p - t q is
+    singular, t_max. For PSD p, q, on the support of b = p + q, p - t q is
+    congruent to (1 + t) x - t with x = b^{-1/2} p b^{-1/2}: singular at
+    t = x / (1 - x)."""
+    wb, vb = np.linalg.eigh(p + q)
+    keep = wb > rank_tol(wb)
+    c = vb[:, keep] / np.sqrt(wb[keep])
+    x = np.linalg.eigvalsh(c.conj().T @ p @ c)
+    x = x[(x > RANK_RTOL) & (x < 1.0)]
+    t = x / (1.0 - x)
+    return np.concatenate(([0.0], t[t < t_max], [t_max]))
 
 
 def test_check_test_operator():
@@ -68,27 +60,13 @@ def test_check_test_operator():
         check_test_operator(np.diag([1.2, 0.0]))
 
 
-def test_dh_diagonal_matches_lp_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(60):
-        d = int(rng.integers(2, 6))
-        r = rng.dirichlet(np.ones(d))
-        s = rng.dirichlet(np.ones(d))
-        eps = float(rng.choice([0.0, 0.05, 0.2, 0.5]))
-        got = dh_epsilon(np.diag(r), np.diag(s), eps)
-        want = diag_dh_oracle(r, s, eps)
-        assert abs(got.optimal_value - want) < 1e-7, (r, s, eps)
-        assert abs(got.gap) < 1e-6
-
-
 def test_dh_primal_is_feasible_and_dual_certified():
     rng = np.random.default_rng(101)
     for _ in range(40):
         d = int(rng.integers(2, 6))
         rho = rand_rho(rng, d)
-        sigma = rand_rho(rng, d)
         eps = float(rng.uniform(0.0, 0.8))
-        res = dh_epsilon(rho, sigma, eps)
+        res = dh_epsilon(rho, dephase(rho), eps)
         check_test_operator(res.primal)
         assert np.trace(res.primal @ rho).real >= 1.0 - eps - 1e-7
         assert abs(res.gap) < 1e-6
@@ -99,7 +77,7 @@ def test_dh_never_beats_random_feasible_tests():
     # any feasible test upper-bounds the minimum
     rng = np.random.default_rng(55)
     rho = rand_rho(rng, 4)
-    sigma = rand_rho(rng, 4)
+    sigma = dephase(rho)
     eps = 0.3
     opt = dh_epsilon(rho, sigma, eps).optimal_value
     tried = 0
@@ -149,29 +127,31 @@ def test_dh_maxcoherent_vs_maximally_mixed():
 def test_dh_monotone_in_eps():
     rng = np.random.default_rng(9)
     rho = rand_rho(rng, 3)
-    sigma = rand_rho(rng, 3)
-    values = [dh_epsilon(rho, sigma, e).optimal_value for e in (0.0, 0.1, 0.3, 0.6)]
+    values = [dh_epsilon(rho, dephase(rho), e).optimal_value for e in (0.0, 0.1, 0.3, 0.6)]
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def test_dh_identical_states_is_zero():
+    # an incoherent rho is its own dephasing
     rng = np.random.default_rng(12)
-    rho = rand_rho(rng, 3)
+    rho = np.diag(rng.dirichlet(np.ones(3)))
     res = dh_epsilon(rho, rho, 0.0)
     assert abs(res.dh_bits) < 1e-9
 
 
-def test_dh_orthogonal_supports_is_infinite():
-    # a rank-1 rho against a rank-2 sigma on its orthogonal complement, in a
-    # random basis of C^3
-    rng = np.random.default_rng(17)
-    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    rotated = (u @ np.diag([1.0, 0.0, 0.0]) @ u.conj().T,
-               u @ np.diag([0.0, 0.3, 0.7]) @ u.conj().T)
-    for rho, sigma in [(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), rotated]:
+def test_dh_rejects_sigma_that_is_not_the_dephased_state():
+    rng = np.random.default_rng(13)
+    rho = rand_rho(rng, 3)
+    delta = dephase(rho)
+    for sigma in (rand_rho(rng, 3), delta + 1e-9 * np.eye(3), delta[:2, :2],
+                  np.full((3, 3), np.nan), density(np.eye(3) / 3)):
         for eps in (0.0, 0.1):
-            res = dh_epsilon(rho, sigma, eps)
-            assert math.isinf(res.dh_bits)
+            with pytest.raises(ValueError, match="sigma is not dephase"):
+                dh_epsilon(rho, sigma, eps)
+    # a dephased state within HERM_ATOL, as an array or a Density, is accepted
+    want = dh_epsilon(rho, delta, 0.1).optimal_value
+    assert dh_epsilon(rho, delta + 1e-11 * np.eye(3), 0.1).optimal_value == want
+    assert dh_epsilon(density(rho), density(delta), 0.1).optimal_value == want
 
 
 def test_dh_rejects_bad_eps():
@@ -225,7 +205,8 @@ def test_distill_fidelity_rejects_small_m():
         distill_fidelity_program(np.eye(2) / 2, 0.5)
 
 
-def _check_dh(rho, sigma, eps):
+def _check_dh(rho, eps):
+    sigma = dephase(rho)
     res = dh_epsilon(rho, sigma, eps)
     check_test_operator(res.primal)
     assert np.trace(res.primal @ rho).real >= 1.0 - eps - 1e-8
@@ -255,8 +236,7 @@ def test_rank_deficient_states_match_bisection_reference():
         for rank in range(1, d):
             rho = rand_rho(rng, d, rank)
             eps = float(rng.choice([0.01, 0.05, 0.1, 0.3]))
-            paths.add(_check_dh(rho, dephase(rho), eps).path)
-            paths.add(_check_dh(rho, rand_rho(rng, d), eps).path)
+            paths.add(_check_dh(rho, eps).path)
             paths.add(_check_fidelity(rho, float(rng.choice([2, 3, d, 2.5]))).path)
     assert paths == {"kink", "smooth"}
 
@@ -266,33 +246,28 @@ def test_singular_sigma():
     psi = np.array([0.6, 0.0, 0.48 + 0.64j])
     rho = pure_to_density(psi)
     for eps in (0.01, 0.2):
-        _check_dh(rho, dephase(rho), eps)
+        _check_dh(rho, eps)
     for m in (2, 3):
         _check_fidelity(rho, m)
-    rng = np.random.default_rng(707)
-    for d in (3, 5):
-        for rank in range(1, d):
-            sigma = rand_rho(rng, d, rank)
-            _check_dh(rand_rho(rng, d), sigma, 0.1)
-            _check_dh(rand_rho(rng, d, rank), sigma, 0.05)
 
 
 def test_solver_diagnostics():
     rho = pure_to_density(QUTRIT)
     res = dh_epsilon(rho, dephase(rho), 0.0)
     assert (res.path, res.eig_calls, res.band_widenings) == ("closed_form", 1, 0)
-    # commuting states: the optimum is a vertex of the LP, here the largest
-    # kink t = 2.5 of the pencil
-    res = dh_epsilon(np.diag([0.5, 0.3, 0.2]), np.diag([0.2, 0.3, 0.5]), 0.05)
+    # an incoherent state: t rho - rho vanishes at the one kink t = 1, where
+    # the optimal test is the fraction 1 - eps of the identity
+    res = dh_epsilon(np.diag([0.5, 0.3, 0.2]), np.diag([0.5, 0.3, 0.2]), 0.05)
     assert res.path == "kink" and res.band_widenings == 0
-    assert abs(res.dual_t - 2.5) < 1e-12
-    assert abs(res.optimal_value - diag_dh_oracle([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 0.05)) < 1e-12
+    assert abs(res.dual_t - 1.0) < 1e-12
+    assert abs(res.optimal_value - 0.95) < 1e-12
 
 
 def test_fidelity_kinks_are_the_coherence_spectrum():
     # rho - t dephase(rho) is singular where the pencil formula (an eigh of
     # rho + dephase(rho), then an eigvalsh) puts its kinks, and those are the
-    # eigenvalues of the coherence matrix that the fidelity program reads
+    # eigenvalues lambda of the coherence matrix that the fidelity program
+    # reads; t rho - dephase(rho) is singular at t = 1/lambda, dh_epsilon's kinks
     rng = np.random.default_rng(1818)
     for d in range(2, 9):
         for rank in range(1, d + 1):
@@ -302,12 +277,18 @@ def test_fidelity_kinks_are_the_coherence_spectrum():
                     k = int(rng.integers(d))
                     rho[k, :] = rho[:, k] = 0.0
                     rho /= np.trace(rho).real
+                spectrum = _coherence_spectrum(rho)
                 for m in (2.5, d + 1.0):
-                    lam = _coherence_spectrum(rho)
-                    lam = lam[(lam > RANK_RTOL) & (lam < m)]
-                    want = _pencil_kinks(rho, dephase(rho), m)[1:-1]
+                    lam = spectrum[(spectrum > RANK_RTOL) & (spectrum < m)]
+                    want = pencil_kinks(rho, dephase(rho), m)[1:-1]
                     assert lam.shape == want.shape, (d, rank, unused, lam, want)
                     np.testing.assert_allclose(lam, want, rtol=1e-9, atol=0.0)
+                for eps in (1e-6, 0.05, 0.5):
+                    lam = spectrum[::-1]
+                    t = 1.0 / lam[lam > max(RANK_RTOL, eps)]
+                    want = pencil_kinks(dephase(rho), rho, 1.0 / eps)[1:-1]
+                    assert t.shape == want.shape, (d, rank, unused, eps, t, want)
+                    np.testing.assert_allclose(t, want, rtol=1e-9, atol=0.0)
 
 
 def test_eigendecompositions_per_solve_at_d32(monkeypatch):
@@ -332,16 +313,23 @@ def test_eigendecompositions_per_solve_at_d32(monkeypatch):
             calls.clear()
             res = dh_epsilon(rho, dephase(rho), eps)
             names = [name for name, _ in calls]
-            # two validating eigvalsh; the pencil kinks take an eigh and an
-            # eigvalsh; each dual evaluation is one eigh
-            assert names.count("eigvalsh") == 3 and names.count("eigh") <= 12
-            assert res.eig_calls == len(calls) - 2
+            # one validating eigvalsh and one for the kinks (the coherence
+            # spectrum); every eigh is one dual evaluation, of the pencil
+            # t rho - dephase(rho) at a t in [0, 1/eps]
+            assert names[:2] == ["eigvalsh", "eigvalsh"] and names.count("eigvalsh") == 2
+            assert names.count("eigh") <= 12
+            assert res.eig_calls == len(calls) - 1
+            for name, a in calls:
+                if name == "eigh":
+                    t = 1.0 + a.diagonal().real / p
+                    assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= 1.0 / eps
+                    assert np.allclose(a, t[0] * rho - dephase(rho), rtol=0.0, atol=1e-12)
             paths.add(res.path)
         # at eps = 0 the eigh that validates rho is the closed form's one
-        # decomposition (Pi_rho is v v^dag), then sigma's validating eigvalsh
+        # decomposition (Pi_rho is v v^dag), and sigma is not decomposed
         calls.clear()
         res = dh_epsilon(rho, dephase(rho), 0.0)
-        assert [name for name, _ in calls] == ["eigh", "eigvalsh"]
+        assert [name for name, _ in calls] == ["eigh"]
         assert res.eig_calls == 1
         for m in (2, 4, 8, 16):
             calls.clear()

@@ -125,8 +125,11 @@ def test_build_witness_mixture_pairs():
 
 
 def test_build_witness_rejects_non_majorized():
-    with pytest.raises(ValueError, match="does not majorize"):
-        build_witness([0.5, 0.5], [0.9, 0.1])
+    # the refusal names the first prefix sum that majorizes() finds failing
+    for q, p, k in [([0.5, 0.5], [0.9, 0.1], 1), ([0.5, 0.3, 0.2], [0.05, 0.45, 0.5], 2)]:
+        assert not majorizes(q, p)
+        with pytest.raises(ValueError, match=f"q does not majorize p: prefix sum {k} fails$"):
+            build_witness(q, p)
 
 
 def test_build_witness_identity_case():

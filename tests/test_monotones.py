@@ -142,14 +142,13 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # are the upper unit's R_Delta and eigvalsh points and the
         # Dinkelbach steps
         (lambda r: dilute_one_shot_bounds(r, 0.1), 12),
-        # validation, then dh_epsilon's check of dephase(rho) and its solve
-        (lambda r: distill_one_shot(r, 0.1), 6),
-        # the solvers check their inputs by eigvalsh; dh_epsilon's pencil kinks
-        # take an eigh and an eigvalsh, the fidelity program's the coherence
-        # spectrum's eigvalsh; each dual evaluation is one eigh
-        (lambda r: dh_epsilon(r, dephase(r), 0.1), 6),
+        # validation, then dh_epsilon's solve on the validated value
+        (lambda r: distill_one_shot(r, 0.1), 4),
+        # the solvers check rho by eigvalsh and take their kinks from the
+        # coherence spectrum's eigvalsh; each dual evaluation is one eigh
+        (lambda r: dh_epsilon(r, dephase(r), 0.1), 4),
         # at eps = 0, Pi_rho is v v^dag of the eigh that validates rho
-        (lambda r: dh_epsilon(r, dephase(r), 0.0), 2),
+        (lambda r: dh_epsilon(r, dephase(r), 0.0), 1),
         (lambda r: distill_fidelity_program(r, 2), 4),
         # rounding a unit count decomposes nothing
         (distill_zero_error, 1),

@@ -137,6 +137,23 @@ def test_json_validation_errors():
         doc = {"kind": "pure", "dim": dim, "re": [1, 0], "im": [0, 0]}
         with pytest.raises(ValueError, match="malformed state document: dim must be an integer"):
             state_from_json(json.dumps(doc))
+    # entries are JSON numbers: np.asarray would read "0.5" and false as numbers
+    plus = json.loads(state_to_json(pure_to_density(max_coherent(2))))
+    psi = json.loads(state_to_json(max_coherent(2)))
+    for doc, key, value in [
+        (plus, "re", [["0.5", "0.5"], ["0.5", "0.5"]]),
+        (plus, "im", [[False, False], [False, False]]),
+        (plus, "re", [[0.5, 0.5], [True, 0.5]]),
+        (plus, "re", [[0.5, 0.5], [0.5]]),
+        (plus, "re", [[0.5, 0.5], 0.5]),
+        (plus, "im", 0),
+        (psi, "re", ["0.7", 0.7]),
+        (psi, "im", [False, False]),
+        (psi, "re", [0.7, [0.7]]),
+    ]:
+        bad = dict(doc, **{key: value})
+        with pytest.raises(ValueError, match=f"malformed state document: {key} "):
+            state_from_json(json.dumps(bad))
     # validation of the payload itself, not just the envelope
     bad = {"kind": "density", "dim": 2, "re": [[0.9, 0.0], [0.0, 0.0]], "im": [[0, 0], [0, 0]]}
     with pytest.raises(ValueError, match="trace"):
