@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotest import check_test_operator
-from .linalg import check_hermitian, check_psd_spectrum
+from .linalg import PSD_ATOL, check_hermitian, check_psd_spectrum
 from .majorization import PREFIX_SLACK
 from .monotones import r_delta, renyi_relative
-from .states import (dephase, density, is_incoherent, json_int, json_numbers, l1_norm,
-                     max_coherent, pure_to_density)
+from .states import (TRACE_ATOL, dephase, density, is_incoherent, json_int, json_numbers,
+                     l1_norm, max_coherent, pure_to_density)
 
-TP_ATOL = 1e-9
 DIO_ATOL = 1e-8
 
 
@@ -69,8 +67,17 @@ def validate_channel(ch: QuantumChannel) -> None:
     check_psd_spectrum(np.linalg.eigvalsh(j))
     j4 = j.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     tr_out = np.einsum("xaya->xy", j4)
-    if np.max(np.abs(tr_out - np.eye(ch.input_dim))) > TP_ATOL:
+    if np.max(np.abs(tr_out - np.eye(ch.input_dim))) > TRACE_ATOL:
         raise ValueError("channel is not trace preserving")
+
+
+def check_test_operator(m) -> np.ndarray:
+    """Validate 0 <= M <= 1 within PSD_ATOL."""
+    m = check_hermitian(m)
+    w = np.linalg.eigvalsh(m)
+    if w[0] < -PSD_ATOL or w[-1] > 1.0 + PSD_ATOL:
+        raise ValueError(f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
+    return m
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:

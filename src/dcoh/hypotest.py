@@ -11,6 +11,8 @@ kink-aware scalar routine minimizes (see ``_scalar_dual``):
 
 Both are kinked where A(t) is singular, at the coherence spectrum lambda
 (`monotones._coherence_spectrum`): t = 1/lambda for D_H, t = lambda for X.
+Their zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
+D_H^eps tends to the eps = 0 closed form through one threshold.
 """
 
 from __future__ import annotations
@@ -20,13 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_ATOL, RANK_RTOL, check_hermitian
+from .linalg import HERM_ATOL, RANK_RTOL
 from .monotones import _coherence_spectrum
 from .states import Density, check_density, dephase, density
 
-# Eigenvalues within ZERO_BAND of zero at the dual optimum form the
-# fractional eigenspace of the optimal test.
-ZERO_BAND = 1e-9
 # A dual subgradient this close to zero counts as a sign change; _scalar_dual
 # caps it at half the constant slope |c|, so a small c is still resolved.
 SLOPE_TOL = 1e-12
@@ -64,25 +63,14 @@ class FidelityProgram:
     band_widenings: int
 
 
-def check_test_operator(m) -> np.ndarray:
-    """Validate 0 <= M <= 1 within 1e-9."""
-    m = check_hermitian(m)
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -1e-9 or w[-1] > 1.0 + 1e-9:
-        raise ValueError(
-            f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]"
-        )
-    return m
-
-
 def _scalar_dual(a0, a1, c: float, kinks):
     """Minimize the convex psi(t) = Tr(a0 + t a1)_+ - c t over [0, kinks[-1]].
 
     Bisects over the kinks (A(t) singular) for one whose one-sided slopes
-    Tr(P a1) - c, P onto the eigenvalues > tau or >= -tau, bracket zero,
-    else runs safeguarded Newton in the smooth segment holding t*. psi' >= 0
-    at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)), diag(v^dag a1 v),
-    psi(t*), the path and its own eigendecompositions, one eigh per evaluation.
+    Tr(P a1) - c, P onto the eigenvalues > tau or >= -tau with tau the rank cut,
+    bracket zero, else runs safeguarded Newton in the smooth segment holding t*.
+    psi' >= 0 at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)),
+    diag(v^dag a1 v), psi(t*), the path and its eigh count, one per evaluation.
     """
     calls = 0
     slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
@@ -93,7 +81,7 @@ def _scalar_dual(a0, a1, c: float, kinks):
         nonlocal calls
         calls += 1
         w, v = np.linalg.eigh(a0 + t * a1)
-        tau = ZERO_BAND * max(1.0, float(-w[0]), float(w[-1]))  # w ascends
+        tau = RANK_RTOL * max(1.0, float(-w[0]), float(w[-1]))  # rank_tol(w), as w ascends
         a1v, pos, neg = a1 @ v, w > tau, w < -tau
         diag = np.einsum("ij,ij->j", v.conj(), a1v).real
         s = sorted((float(diag[pos].sum()) - c, float(diag[~neg].sum()) - c))
@@ -145,7 +133,7 @@ def _recover_primal(w, v, weights, target: float):
     positive eigenspace plus a uniform fraction of the near-zero eigenspace tuned so
     that Tr(M W) = target, and how many band widenings that took (5: gave up)."""
     for widenings in range(5):
-        tau = ZERO_BAND * 10.0**widenings * max(1.0, float(-w[0]), float(w[-1]))
+        tau = RANK_RTOL * 10.0**widenings * max(1.0, float(-w[0]), float(w[-1]))
         pos, zero = w > tau, np.abs(w) <= tau
         got, room = float(weights[pos].sum()), float(weights[zero].sum())
         need = target - got
@@ -166,15 +154,15 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    # at eps = 0 the eigh that validates rho also gives Pi_rho
-    state = density(rho) if eps == 0.0 else None
+    # 1 - eps == 1 reads Tr(M rho) >= 1: the eigh that validates rho gives Pi_rho
+    state = density(rho) if 1.0 - eps == 1.0 else None
     rho = check_density(rho if state is None else state)
     delta = dephase(rho)
     sigma = np.asarray(sigma.rho if isinstance(sigma, Density) else sigma, dtype=complex)
     if sigma.shape != rho.shape or not np.abs(sigma - delta).max() <= HERM_ATOL:
         raise ValueError(f"sigma is not dephase(rho) within {HERM_ATOL:.1e}")
 
-    if eps == 0.0:
+    if state is not None:
         # Tr(M rho) = 1 forces M to dominate the support projector of rho,
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
         m = state.v @ state.v.conj().T
@@ -199,7 +187,7 @@ def distill_fidelity_program(rho, m: float) -> FidelityProgram:
     The convex dual h(t) = Tr(rho - t dephase(rho))_+ + t/m is minimized
     over t >= 0 (the t < 0 branch is never strictly better for m >= 1).
     """
-    if m < 1.0:
+    if not m >= 1.0:  # refuses NaN too
         raise ValueError(f"m must be >= 1, got {m}")
     rho = check_density(rho)
 

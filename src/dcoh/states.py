@@ -2,9 +2,9 @@
 vectors, dephasing, the Uhlmann fidelity and the coherence-specific norms.
 
 The one module that validates a state: `density`, or `check_density` for
-the two `hypotest` solvers, which read no eigenpairs. The incoherent basis
-is always the computational basis of the stored array; any basis change
-is the caller's responsibility.
+the two `hypotest` solvers, which read no eigenpairs; every normalization
+is 1 within TRACE_ATOL. The incoherent basis is always the computational
+basis of the stored array; any basis change is the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .linalg import check_hermitian, check_psd_spectrum, rank_tol
 
+# The one normalization slack: traces, squared norms, probability sums, partial traces.
 TRACE_ATOL = 1e-9
-NORM_ATOL = 1e-9
 # Floating-point dust below this magnitude is clamped to zero in
 # probability vectors.
 PROB_CLAMP = 1e-12
@@ -85,13 +85,13 @@ def fidelity(rho, sigma) -> float:
 
 
 def check_pure(psi) -> np.ndarray:
-    """Validate a pure-state amplitude vector (1-D, unit l2 norm)."""
+    """Validate a pure-state amplitude vector: 1-D, Tr |psi><psi| = 1 within TRACE_ATOL."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"expected a 1-D amplitude vector, got shape {psi.shape}")
-    nrm = float(np.linalg.norm(psi))
-    if not abs(nrm - 1.0) <= NORM_ATOL:
-        raise ValueError(f"norm is {nrm!r}, expected 1 within {NORM_ATOL:.1e}")
+    nrm2 = float(np.vdot(psi, psi).real)
+    if not abs(nrm2 - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"squared norm is {nrm2!r}, expected 1 within {TRACE_ATOL:.1e}")
     return psi
 
 
@@ -102,8 +102,8 @@ def prob_vector(p) -> np.ndarray:
         raise ValueError(f"negative probability {p.min()!r}")
     p = np.where(p < 0.0, 0.0, p)
     s = float(p.sum())
-    if not abs(s - 1.0) <= NORM_ATOL:
-        raise ValueError(f"probabilities sum to {s!r}, expected 1 within {NORM_ATOL:.1e}")
+    if not abs(s - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"probabilities sum to {s!r}, expected 1 within {TRACE_ATOL:.1e}")
     return p / s
 
 
@@ -176,12 +176,15 @@ def json_number(value, name: str) -> float:
 
 def json_numbers(value, name: str) -> np.ndarray:
     """A document's vector or matrix field as a float array: a list of numbers
-    or of equal-length lists of numbers, each entry read by `json_number`."""
+    or of equal-length lists of numbers, typed in one pass; `json_number` reads
+    each entry, naming the first bad one, only when a type is not int or float."""
     matrix = isinstance(value, list) and bool(value) and isinstance(value[0], list)
     rows = value if matrix else [value]
     if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise TypeError(f"{name} must be a list of numbers or of equal-length rows")
-    entries = np.array([[json_number(x, name) for x in row] for row in rows], dtype=float)
+    if not {type(x) for row in rows for x in row} <= {int, float}:
+        rows = [[json_number(x, name) for x in row] for row in rows]
+    entries = np.array(rows, dtype=float)
     return entries if matrix else entries[0]
 
 

@@ -70,3 +70,23 @@ def test_library_api_names_exist():
     assert listed
     missing = [name for name in listed if not any(hasattr(m, name) for m in modules)]
     assert not missing, f"README Library API names no dcoh function: {missing}"
+
+
+def test_checking_modules_import_no_solver():
+    # a verifier re-checks certificates with the state, channel and monotone
+    # modules, so none of them may reach a solver, the oracle or the CLI
+    imports = {}
+    for path in SRC.glob("*.py"):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from .states import ...` and `from . import channels`
+                imports[path.stem].update([node.module] if node.module
+                                          else [a.name for a in node.names])
+    for name in ("linalg", "states", "monotones", "majorization", "channels"):
+        reached, todo = set(), [name]
+        while todo:
+            for module in imports[todo.pop()] - reached:
+                reached.add(module)
+                todo.append(module)
+        assert not reached & {"hypotest", "rates", "oracle", "cli"}, (name, sorted(reached))

@@ -375,6 +375,32 @@ def test_heralded_density_item_exit_code(capsys, files, tmp_path):
                        "expected a pure state, got 'density'")
 
 
+OFF_NORM_ARGV = {
+    "monotones": ["monotones", "@off"],
+    "decide-pure": ["decide", "@off", "@psi2"],
+    "decide-qubit": ["decide", "--qubit", "@off", "@flat"],
+    "decide-heralded-item": ["decide", "@psi2", "--heralded", "@off_ens"],
+    "distill": ["distill", "@off"],
+}
+
+
+@pytest.mark.parametrize("argv", OFF_NORM_ARGV.values(), ids=OFF_NORM_ARGV)
+def test_pure_documents_are_refused_by_their_squared_norm(capsys, files, tmp_path, argv):
+    # every later check bounds |psi|^2 (a trace, a probability sum), so the
+    # parse bounds it too: |psi| = 1 + 0.9e-9 fails there, 1 + 0.4e-9 passes
+    for scale, refused in ((1.0 + 0.9e-9, True), (1.0 - 0.9e-9, True), (1.0 + 0.4e-9, False)):
+        off = json.loads(state_to_json(max_coherent(2) * scale))
+        (tmp_path / "off.json").write_text(json.dumps(off))
+        (tmp_path / "off_ens.json").write_text(
+            json.dumps({"items": [{"prob": 1.0, "state": off}]}))
+        paths = {**files, "off": str(tmp_path / "off.json"),
+                 "off_ens": str(tmp_path / "off_ens.json")}
+        if refused:
+            assert_input_error(capsys, fill(argv, paths), "error: squared norm is")
+        else:
+            assert run(capsys, fill(argv, paths))[0] in (0, 1)
+
+
 DEPH = json.loads(channel_to_json(dephasing_channel(2)))
 
 

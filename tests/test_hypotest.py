@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dcoh.hypotest import check_test_operator, dh_epsilon, distill_fidelity_program
+from dcoh.channels import check_test_operator
+from dcoh.hypotest import dh_epsilon, distill_fidelity_program
 from dcoh.linalg import RANK_RTOL, rank_tol
 from dcoh.monotones import _coherence_spectrum, renyi_relative
 from dcoh.states import dephase, density, max_coherent, pure_to_density
@@ -201,8 +202,39 @@ def test_distill_fidelity_decreasing_in_m():
 
 
 def test_distill_fidelity_rejects_small_m():
-    with pytest.raises(ValueError):
-        distill_fidelity_program(np.eye(2) / 2, 0.5)
+    for m in (0.5, math.nan):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            distill_fidelity_program(np.eye(2) / 2, m)
+
+
+def test_dh_at_eps_below_rounding_is_the_closed_form():
+    # 1 - eps == 1 in floating point makes Tr(M rho) >= 1 - eps read
+    # Tr(M rho) >= 1, so Pi_rho is optimal: the eps = 0 value, one eigh
+    rng = np.random.default_rng(9)
+    for i in range(400):
+        d = 2 + i % 7
+        if i % 7 == 0:
+            rho = pure_to_density(max_coherent(d))
+        else:
+            rho = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+        want = dh_epsilon(rho, dephase(rho), 0.0)
+        for eps in (1e-300, 1e-20, 5e-17):
+            res = dh_epsilon(rho, dephase(rho), eps)
+            assert (res.path, res.eig_calls, res.band_widenings) == ("closed_form", 1, 0)
+            assert res.optimal_value == want.optimal_value and res.gap == want.gap
+
+
+def test_dh_and_fidelity_program_read_one_neyman_pearson_curve():
+    # beta = min Tr(M dephase(rho)) at Tr(M rho) >= 1 - eps, and max Tr(X rho)
+    # at Tr(X dephase(rho)) = beta is back at 1 - eps
+    rng = np.random.default_rng(2222)
+    for i in range(600):
+        d = 2 + i % 7
+        rho = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+        eps = float(10.0 ** rng.uniform(-6.0, math.log10(0.7)))
+        beta = dh_epsilon(rho, dephase(rho), eps).optimal_value
+        value = distill_fidelity_program(rho, 1.0 / beta).value
+        assert abs(value - (1.0 - eps)) <= 1e-9, (d, eps, value)
 
 
 def _check_dh(rho, eps):

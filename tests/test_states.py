@@ -6,9 +6,11 @@ import pytest
 from dcoh.states import (
     check_density,
     check_pure,
+    TRACE_ATOL,
     coherence_distribution,
     dephase,
     is_incoherent,
+    json_numbers,
     l1_norm,
     max_coherent,
     prob_vector,
@@ -43,6 +45,22 @@ def test_check_pure_norm():
     assert psi.dtype == complex
     with pytest.raises(ValueError, match="1-D"):
         check_pure(np.diag([1.0, 0.0]))  # unit Frobenius norm, but a matrix
+    # |psi|^2 is the trace of |psi><psi|: the one slack bounds both
+    for scale in (1.0 + 0.9e-9, 1.0 - 0.9e-9):
+        with pytest.raises(ValueError, match="squared norm is"):
+            check_pure(max_coherent(3) * scale)
+    psi = check_pure(max_coherent(3) * (1.0 + 0.4e-9))
+    assert abs(np.trace(pure_to_density(psi)).real - 1.0) <= TRACE_ATOL
+
+
+def test_json_numbers_names_the_first_bad_entry():
+    np.testing.assert_array_equal(json_numbers([[1, 2.5], [0, -1]], "re"), [[1, 2.5], [0, -1]])
+    # a float subclass is a number too, read by the entry-wise walk
+    assert json_numbers([np.float64(0.5), 1], "im").tolist() == [0.5, 1.0]
+    with pytest.raises(TypeError, match="re must be a number, got 'x'"):
+        json_numbers([[1, "x"], [True, 0]], "re")
+    with pytest.raises(TypeError, match="re must be a number, got True"):
+        json_numbers([[1, 0], [True, "x"]], "re")
 
 
 def test_check_pure_rejects_non_finite():
