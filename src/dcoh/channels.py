@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_ATOL, check_hermitian, check_psd_spectrum
+from .linalg import HERM_ATOL, PSD_ATOL, check_hermitian, check_psd_spectrum
 from .majorization import PREFIX_SLACK
 from .monotones import r_delta, renyi_relative
-from .states import (TRACE_ATOL, dephase, density, is_incoherent, json_int, json_numbers,
-                     l1_norm, max_coherent, pure_to_density)
+from .states import (TRACE_ATOL, dephase, density, json_int, json_numbers, l1_norm,
+                     max_coherent, pure_to_density)
 
 DIO_ATOL = 1e-8
 
@@ -63,7 +63,7 @@ def measure_prepare(pairs) -> QuantumChannel:
 
 def validate_channel(ch: QuantumChannel) -> None:
     """Check the CPTP invariants of the Choi operator."""
-    j = check_hermitian(ch.choi, atol=1e-8)
+    j = check_hermitian(ch.choi)
     check_psd_spectrum(np.linalg.eigvalsh(j))
     j4 = j.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
     tr_out = np.einsum("xaya->xy", j4)
@@ -144,7 +144,7 @@ def construct_distill(rho, m: int, x) -> QuantumChannel:
         raise ValueError(f"m must be >= 2, got {m}")
     x = check_test_operator(x)
     weight = float(np.trace(x @ dephase(rho)).real)
-    if abs(weight - 1.0 / m) > 1e-8:
+    if not abs(weight - 1.0 / m) <= TRACE_ATOL:
         raise ValueError(f"<X, dephase(rho)> = {weight!r}, expected 1/{m}")
     psi_m = np.outer(max_coherent(m), max_coherent(m).conj())
     rest = (np.eye(m) - psi_m) / (m - 1)
@@ -167,7 +167,8 @@ def construct_prop5(rho, omega) -> QuantumChannel:
     Q -> <Pi_rho,Q> omega + <1-Pi_rho,Q> sigma with
     sigma = (lam dephase(omega) - omega)/(lam - 1), lam = 1/Tr(Pi_rho dephase(rho)).
     Exists whenever R_Delta(omega) + 1 <= lam; built when that holds within
-    PREFIX_SLACK, the comparison the rates round every unit count with.
+    PREFIX_SLACK, the comparison the rates round every unit count with. At lam
+    within PREFIX_SLACK of 1 it is the constant channel Q -> Tr(Q) omega.
     """
     state, target = density(rho), density(omega)
     rho, omega = state.rho, target.rho
@@ -179,9 +180,7 @@ def construct_prop5(rho, omega) -> QuantumChannel:
             f"R_Delta(omega) + 1 = {lam_omega!r} exceeds "
             f"1/Tr(Pi_rho dephase(rho)) = {lam!r}"
         )
-    if abs(lam - 1.0) <= 1e-12:
-        if not is_incoherent(target):
-            raise ValueError("full-support input admits only incoherent targets")
+    if lam - 1.0 <= PREFIX_SLACK:
         return measure_prepare([(np.eye(rho.shape[0]), omega)])
     sigma = (lam * dephase(omega) - omega) / (lam - 1.0)
     return measure_prepare([(pi, omega), (np.eye(rho.shape[0]) - pi, sigma)])
@@ -231,6 +230,6 @@ def channel_from_json(doc) -> QuantumChannel:
         raise ValueError(f"malformed channel document: {exc}") from exc
     ch = QuantumChannel(din, dout, choi)
     validate_channel(ch)
-    if "kraus" in doc and np.max(np.abs(choi_from_kraus(kraus, din, dout) - choi)) > 1e-8:
+    if "kraus" in doc and not np.abs(choi_from_kraus(kraus, din, dout) - choi).max() <= HERM_ATOL:
         raise ValueError("stored Kraus operators do not match the Choi operator")
     return ch

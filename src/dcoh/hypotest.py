@@ -24,11 +24,14 @@ import numpy as np
 
 from .linalg import HERM_ATOL, RANK_RTOL
 from .monotones import _coherence_spectrum
-from .states import Density, check_density, dephase, density
+from .states import PROB_CLAMP, TRACE_ATOL, Density, check_density, dephase, density
 
 # A dual subgradient this close to zero counts as a sign change; _scalar_dual
 # caps it at half the constant slope |c|, so a small c is still resolved.
 SLOPE_TOL = 1e-12
+# Width on t, relative to max(1, t), at which a one-dimensional bracket stops:
+# _scalar_dual's smooth segment and the dilution witness bracket in `rates`.
+BRACKET_TOL = 1e-12
 
 
 @dataclass
@@ -111,7 +114,7 @@ def _scalar_dual(a0, a1, c: float, kinks):
         # psi' is smooth and increasing on (a, b): Newton from a, bisecting
         # whenever Newton leaves the bracket or fails to halve |psi'|
         path, a, b, ev, f, f_old = "smooth", kinks[lo], kinks[hi], left, left[-1], math.inf
-        while f != 0.0 and b - a > 1e-13 * max(1.0, b):
+        while f != 0.0 and b - a > BRACKET_TOL * max(1.0, b):
             r = rate(ev)
             t = ev[0] - f / r if r > 0.0 else math.nan
             if not (a < t < b and abs(f) <= 0.5 * f_old):
@@ -131,14 +134,15 @@ def _scalar_dual(a0, a1, c: float, kinks):
 def _recover_primal(w, v, weights, target: float):
     """Optimal test from (w, v) = eigh(A(t*)) and weights = diag(v^dag W v): the
     positive eigenspace plus a uniform fraction of the near-zero eigenspace tuned so
-    that Tr(M W) = target, and how many band widenings that took (5: gave up)."""
+    that Tr(M W) = target (none when that eigenspace weighs less than PROB_CLAMP),
+    and how many band widenings that took (5: gave up)."""
     for widenings in range(5):
         tau = RANK_RTOL * 10.0**widenings * max(1.0, float(-w[0]), float(w[-1]))
         pos, zero = w > tau, np.abs(w) <= tau
         got, room = float(weights[pos].sum()), float(weights[zero].sum())
         need = target - got
-        alpha = min(max(need / room, 0.0), 1.0) if room > 1e-15 else 0.0
-        if -1e-8 <= need <= room + 1e-8:
+        alpha = min(max(need / room, 0.0), 1.0) if room > PROB_CLAMP else 0.0
+        if -TRACE_ATOL <= need <= room + TRACE_ATOL:
             break
     else:
         widenings = 5
@@ -176,7 +180,7 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         m, widenings = _recover_primal(w, v, diag, 1.0 - eps)
         dual, calls = -psi, calls + 1  # the spectrum's eigvalsh
     optimal = float(np.vdot(m, delta).real)
-    # Tr(M rho) >= 1 - eps scales the attainable Tr(M delta) with 1 - eps
+    # a rounding margin, scaled with 1 - eps as Tr(M rho) >= 1 - eps scales Tr(M delta)
     bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
     return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings)
 

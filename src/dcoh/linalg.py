@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Absolute max-entry tolerance for the Hermiticity check.
+# Absolute max-entry tolerance between two matrices that must be equal: A and
+# A^dag, sigma and dephase(rho), rho and dephase(rho), stored Kraus and Choi.
 HERM_ATOL = 1e-10
 # Relative eigen-truncation tolerance: tau = RANK_RTOL * max(1, lambda_max).
 RANK_RTOL = 1e-9
@@ -18,15 +19,15 @@ RANK_RTOL = 1e-9
 PSD_ATOL = 1e-9
 
 
-def check_hermitian(a, atol: float = HERM_ATOL) -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized matrix (A + A^dag)/2."""
+def check_hermitian(a) -> np.ndarray:
+    """Validate Hermiticity within HERM_ATOL and return the symmetrized matrix (A + A^dag)/2."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     asym = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if not asym <= atol:
+    if not asym <= HERM_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERM_ATOL:.1e}"
         )
     return (a + a.conj().T) / 2
 

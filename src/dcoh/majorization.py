@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import coherence_distribution, prob_vector
+from .states import PROB_CLAMP, coherence_distribution, prob_vector
 
 # Absolute slack on prefix-sum comparisons so exact boundary equalities
 # pass in floating point.
@@ -99,8 +99,8 @@ def build_witness(q, p) -> np.ndarray:
     cur = qs.copy()
     for _ in range(d):
         diff = cur - ps
-        pos = np.where(diff > 1e-12)[0]
-        neg = np.where(diff < -1e-12)[0]
+        pos = np.where(diff > PROB_CLAMP)[0]
+        neg = np.where(diff < -PROB_CLAMP)[0]
         if pos.size == 0 or neg.size == 0:
             break
         # First positive mismatch precedes the first negative one whenever

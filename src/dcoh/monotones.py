@@ -35,7 +35,6 @@ def _diag_power(rho, s: float) -> np.ndarray:
 
 
 def _entropy_bits(w) -> float:
-    w = w[w > 1e-15]
     return float(-np.sum(w * np.log2(w)))
 
 
@@ -70,7 +69,9 @@ def _renyi_family(state, alphas):
     weights = np.abs(state.v) ** 2
     for alpha in alphas:
         if alpha == 1.0:
-            yield f"renyi_{alpha}", max(_entropy_bits(np.diag(rho).real) - _entropy_bits(w), 0.0)
+            # both spectra above the rank cut: w is, and p is cut as _diag_power cuts it
+            p = rho.diagonal().real
+            yield f"renyi_{alpha}", max(_entropy_bits(p[p > rank_tol(p)]) - _entropy_bits(w), 0.0)
         else:
             trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ weights))
             yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0)

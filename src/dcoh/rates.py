@@ -24,13 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotest import NPResult, dh_epsilon
+from .hypotest import BRACKET_TOL, NPResult, dh_epsilon
 from .majorization import PREFIX_SLACK
 from .monotones import r_delta, rel_entropy_coherence, renyi_relative
-from .states import dephase, density, is_incoherent
-
-# Width at which the upper unit's bracket on t stops.
-UPPER_TOL = 1e-12
+from .states import dephase, density
 
 
 @dataclass
@@ -136,14 +133,14 @@ def _dilution_upper_unit(state, eps: float) -> float:
     g(t) = sqrt F(rho, w_t) is concave in t (sqrt(F) is jointly concave), so
     F(rho, w_t) >= 1-eps holds exactly on an interval [0, t*] (t = 0 is rho
     itself). t* is bracketed by [lo, hi], lo passing the fidelity check and
-    hi failing it, until hi - lo <= UPPER_TOL, by the Illinois variant of
+    hi failing it, until hi - lo <= BRACKET_TOL, by the Illinois variant of
     regula falsi on f = g - sqrt(1-eps-1e-12) (Dowell & Jarratt, BIT 11, 168
     (1971)): each point is the root of the chord between the two ends, and
     an end kept twice in a row has its f halved, so neither end stalls. Every
-    point is kept UPPER_TOL/2 inside the bracket. The midpoint is taken when
+    point is kept BRACKET_TOL/2 inside the bracket. The midpoint is taken when
     the chord does not exist, and for good once f rounds to 0 at an end and
     at the point replacing it: near a flat root f is rounding noise on a span
-    far wider than UPPER_TOL, which chords from a zero end would only creep
+    far wider than BRACKET_TOL, which chords from a zero end would only creep
     across. Each point is classified by the check itself, and the returned
     cost is that of lo, so the bound comes with its witness.
     The fidelity is taken on the support of rho, from the eigenpairs (w, v)
@@ -160,7 +157,7 @@ def _dilution_upper_unit(state, eps: float) -> float:
     slope = b.conj().T.dot(rho.diagonal().real[:, None] * b)
     slope.reshape(-1)[::len(w) + 1] -= w2
     slope = (slope + slope.conj().T) / 2
-    target = 1.0 - eps - 1e-12
+    target = 1.0 - eps - 1e-12  # a rounding margin of the fidelity, not a bound on eps
 
     def check(t: float) -> tuple[float, float]:
         """(F, sqrt F) at t from one eigvalsh of inner(t)."""
@@ -178,12 +175,12 @@ def _dilution_upper_unit(state, eps: float) -> float:
     f_lo, f_hi = float(w.sum()) - root_target, g_hi - root_target
     kept = None  # the end the last point did not replace
     hidden = False  # f rounded to 0 at an end and at the point replacing it
-    while hi - lo > UPPER_TOL:
+    while hi - lo > BRACKET_TOL:
         t = (lo + f_lo / (f_lo - f_hi) * (hi - lo) if f_lo > f_hi and not hidden
              else 0.5 * (lo + hi))
         # a chord root at or past an end only means rounding hides the root
         # there; a point half a tolerance inside can still close the bracket
-        t = min(max(t, lo + 0.5 * UPPER_TOL), hi - 0.5 * UPPER_TOL)
+        t = min(max(t, lo + 0.5 * BRACKET_TOL), hi - 0.5 * BRACKET_TOL)
         fid, g = check(t)
         f_t = g - root_target
         if fid >= target:
@@ -224,13 +221,10 @@ def dilute_one_shot_bounds(rho, eps: float) -> tuple[RateReport, RateReport]:
 def asymptotic_rate(rho, sigma) -> float:
     """Asymptotic conversion rate D(rho||dephase(rho)) / D(sigma||dephase(sigma)).
 
-    Returns math.inf when the target is incoherent (unbounded rate) and 0
-    when only the source is incoherent.
+    Returns math.inf when the divisor D(sigma||dephase(sigma)) is 0: a target
+    with no coherence to dilute is reached at an unbounded rate.
     """
     # each state's validating eigh also serves its relative entropy
     rho, sigma = density(rho), density(sigma)
-    if is_incoherent(sigma):
-        return math.inf
-    if is_incoherent(rho):
-        return 0.0
-    return rel_entropy_coherence(rho) / rel_entropy_coherence(sigma)
+    den = rel_entropy_coherence(sigma)
+    return rel_entropy_coherence(rho) / den if den > 0.0 else math.inf

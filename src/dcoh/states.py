@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_hermitian, check_psd_spectrum, rank_tol
+from .linalg import HERM_ATOL, check_hermitian, check_psd_spectrum, rank_tol
 
 # The one normalization slack: traces, squared norms, probability sums, partial traces.
 TRACE_ATOL = 1e-9
@@ -141,8 +141,9 @@ def l1_norm(rho) -> float:
 
 
 def is_incoherent(rho) -> bool:
+    """Whether rho equals dephase(rho) within HERM_ATOL in every entry."""
     rho = density(rho).rho
-    return float(np.linalg.norm(rho - dephase(rho))) <= 1e-9
+    return bool(np.abs(rho - dephase(rho)).max() <= HERM_ATOL)
 
 
 # ---------------------------------------------------------------------------

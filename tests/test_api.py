@@ -90,3 +90,28 @@ def test_checking_modules_import_no_solver():
                 reached.add(module)
                 todo.append(module)
         assert not reached & {"hypotest", "rates", "oracle", "cli"}, (name, sorted(reached))
+
+
+# Rounding margins of one formula, not bounds an input is judged against:
+# (module, top-level function, value).
+KEPT_MARGINS = {
+    ("hypotest", "dh_epsilon", 1e-12),  # the infinity cut 1e-12 (1 - eps)
+    ("rates", "_dilution_lower_unit", 1e-14),  # the Dinkelbach rise
+    ("rates", "_dilution_upper_unit", 1e-12),  # the witness target 1 - eps - 1e-12
+}
+
+
+def test_small_float_literals_are_named_constants():
+    # a threshold below 1e-6 is a module-level UPPER_CASE constant, so a report
+    # can name it; only the kept rounding margins are written as literals
+    literals = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets)}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                        and 0.0 < node.value < 1e-6 and id(node) not in named):
+                    literals.add((path.stem, getattr(top, "name", None), node.value))
+    assert literals == KEPT_MARGINS, sorted(literals ^ KEPT_MARGINS)

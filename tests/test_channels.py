@@ -159,6 +159,10 @@ def test_construct_distill_validates_inputs():
         construct_distill(rho, 1, np.eye(3))
     with pytest.raises(ValueError, match="expected 1/2"):
         construct_distill(rho, 2, np.eye(3))
+    # <cX, dephase(rho)> = c for X = 1: 5e-9 off 1/2 is past TRACE_ATOL, as for a trace
+    validate_channel(construct_distill(rho, 2, 0.5 * np.eye(3)))
+    with pytest.raises(ValueError, match="expected 1/2"):
+        construct_distill(rho, 2, (0.5 + 5e-9) * np.eye(3))
 
 
 def test_construct_dilute_exact_on_unit():
@@ -270,6 +274,31 @@ def test_construct_prop5_rejects_oversized_target():
         construct_prop5(rho, pure_to_density(max_coherent(3)))
 
 
+def test_construct_prop5_near_full_support_is_the_constant_channel():
+    # trace 1 - 9e-10 (within TRACE_ATOL) puts 1/Tr(Pi_rho dephase(rho)) 9e-10 above 1:
+    # a target with R_Delta = 1.8e-9 <= lam - 1 + PREFIX_SLACK gets Q -> Tr(Q) omega,
+    # not the support-projector formula, whose sigma divides by lam - 1
+    rho = (1.0 - 9e-10) * rand_rho(np.random.default_rng(23), 2)
+    omega = np.array([[0.5, 9e-10], [9e-10, 0.5]])
+    ch = construct_prop5(rho, omega)
+    assert np.array_equal(ch.choi, np.kron(np.eye(2), omega))
+    validate_channel(ch)
+    ok, viol = is_rho_dio(ch, rho)
+    assert ok, viol
+    # a pure input 2e-10 from |0>: lam - 1 = 4e-10, and sigma would have had
+    # off-diagonal -omega_01 / (lam - 1) = -1.5 on the kernel of rho (not CP)
+    psi = np.array([np.sqrt(1.0 - 2e-10), np.sqrt(2e-10)])
+    pure = np.outer(psi, psi)
+    target = np.array([[0.5, 6e-10], [6e-10, 0.5]])
+    ch = construct_prop5(pure, target)
+    assert np.array_equal(ch.choi, np.kron(np.eye(2), target))
+    validate_channel(ch)
+    assert is_rho_dio(ch, pure)[0]
+    # a coherent target is refused by the R_Delta comparison, with its message
+    with pytest.raises(ValueError, match=r"^R_Delta\(omega\) \+ 1 = .* exceeds"):
+        construct_prop5(rho, np.array([[0.5, 1e-6], [1e-6, 0.5]]))
+
+
 def test_qubit_decide_monotone_pair():
     rng = np.random.default_rng(20)
     rho = pure_to_density(max_coherent(2))
@@ -309,6 +338,17 @@ def test_channel_json_round_trip():
         bad[key] = value
         with pytest.raises(ValueError, match=f"malformed channel document: {key} must be an"):
             channel_from_json(bad)
+
+
+def test_stored_kraus_must_match_the_choi_operator_within_herm_atol():
+    # |0><0| scaled by sqrt(1 + 5e-9) rebuilds a Choi entry 5e-9 off the stored one
+    doc = json.loads(channel_to_json(dephasing_channel(2)))
+    kraus = [np.diag([np.sqrt(1.0 + 5e-9), 0.0]), np.diag([0.0, 1.0])]
+    doc["kraus"] = [{"re": k.tolist(), "im": np.zeros((2, 2)).tolist()} for k in kraus]
+    with pytest.raises(ValueError, match="stored Kraus operators do not match the Choi operator"):
+        channel_from_json(doc)
+    doc["kraus"][0]["re"][0][0] = 1.0
+    assert np.array_equal(channel_from_json(doc).choi, dephasing_channel(2).choi)
 
 
 def test_dio_covariance_on_states_follows_choi_check():

@@ -487,6 +487,15 @@ def test_channel_kraus_contradicting_choi_exit_code(capsys, tmp_path):
                        "stored Kraus operators do not match the Choi operator")
 
 
+def test_channel_verify_refuses_choi_asymmetry_past_herm_atol(capsys, tmp_path):
+    # 5e-9 between J and J^dag: the Choi operator is checked at HERM_ATOL, like a state
+    doc = json.loads(channel_to_json(dephasing_channel(2)))
+    doc["choi_re"][0][1] = 5e-9
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(capsys, ["channel", "--verify", str(path)], "error: matrix is not Hermitian")
+
+
 # one argv per subcommand and mode, with the flags that mode reads
 MODES = {
     "monotones": ["monotones", "@qutrit"],

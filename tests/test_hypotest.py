@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcoh.channels import check_test_operator
-from dcoh.hypotest import dh_epsilon, distill_fidelity_program
+from dcoh.hypotest import _recover_primal, dh_epsilon, distill_fidelity_program
 from dcoh.linalg import RANK_RTOL, rank_tol
 from dcoh.monotones import _coherence_spectrum, renyi_relative
 from dcoh.states import dephase, density, max_coherent, pure_to_density
@@ -205,6 +205,14 @@ def test_distill_fidelity_rejects_small_m():
     for m in (0.5, math.nan):
         with pytest.raises(ValueError, match="m must be >= 1"):
             distill_fidelity_program(np.eye(2) / 2, m)
+
+
+def test_primal_takes_no_fraction_of_a_dust_weight_zero_band():
+    # need / room is a ratio of two rounding residues when the zero band weighs 1e-20
+    # (an unused level, say): a fraction of it would put that level in the test at random
+    m, widenings = _recover_primal(np.array([-0.5, 0.0, 0.5]), np.eye(3),
+                                   np.array([0.5, 1e-20, 0.5]), 0.5 + 2.0**-53)
+    assert np.array_equal(m, np.diag([0.0, 0.0, 1.0])) and widenings == 0
 
 
 def test_dh_at_eps_below_rounding_is_the_closed_form():

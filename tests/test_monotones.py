@@ -301,6 +301,10 @@ def test_renyi_relative_vanishes_on_incoherent():
     rho = np.diag([0.5, 0.3, 0.2])
     for a in (0.0, 0.5, 1.0, 1.5, 2.0):
         assert abs(renyi_relative(rho, a)) < 1e-9
+    # a diagonal entry below the rank cut is off the support for every member,
+    # alpha = 1 included: the entropy of diag(rho) does not count it either
+    for rho in (np.diag([1e-10, 1.0 - 1e-10]), np.diag([5e-10, 0.5, 0.5 - 5e-10])):
+        assert renyi_relative(rho, 1.0) == 0.0
 
 
 def test_c2_separation_point():

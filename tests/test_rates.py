@@ -5,7 +5,7 @@ import pytest
 
 from dcoh.channels import construct_dilute, validate_channel
 from dcoh.hypotest import NPResult, dh_epsilon
-from dcoh.monotones import r_delta
+from dcoh.monotones import r_delta, rel_entropy_coherence
 from dcoh.rates import (
     _dilution_lower_unit,
     _dilution_upper_unit,
@@ -384,3 +384,18 @@ def test_asymptotic_rate_incoherent_edges():
     flat = np.diag([0.5, 0.5])
     assert asymptotic_rate(rho, flat) == math.inf
     assert asymptotic_rate(flat, rho) == 0.0
+    # sigma is not diagonal, but D(sigma || dephase(sigma)) rounds to 0
+    for p in (0.5, 0.3):
+        assert asymptotic_rate(rho, np.array([[p, 1e-9], [1e-9, 1.0 - p]])) == math.inf
+    # seeded pairs, most of them eta from 1e-13 to 1e-6 away from incoherent:
+    # the ratio of the two relative entropies, or inf at a zero divisor
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        d = int(rng.integers(2, 5))
+        pair = []
+        for _ in range(2):
+            w = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+            eta = 10.0 ** rng.uniform(-13, -6) if rng.uniform() < 0.7 else 1.0
+            pair.append((1.0 - eta) * dephase(w) + eta * w)
+        num, den = (rel_entropy_coherence(s) for s in pair)
+        assert asymptotic_rate(*pair) == (num / den if den > 0.0 else math.inf)

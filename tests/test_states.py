@@ -122,6 +122,10 @@ def test_l1_norm_values():
 def test_is_incoherent():
     assert is_incoherent(np.diag([0.25, 0.75]))
     assert not is_incoherent(pure_to_density(max_coherent(2)))
+    # entries are compared at HERM_ATOL = 1e-10: 3e-10 off the diagonal is coherent,
+    # though the Frobenius norm of rho - dephase(rho) is only 4.2e-10
+    assert not is_incoherent(np.array([[0.5, 3e-10], [3e-10, 0.5]]))
+    assert is_incoherent(np.array([[0.5, 1e-10], [1e-10, 0.5]]))
 
 
 def test_json_round_trip_density(tmp_path):
