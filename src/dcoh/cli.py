@@ -133,7 +133,13 @@ def cmd_distill(args):
     if args.mode == "one-shot":
         np_result = dh_epsilon(rho, dephase(rho.rho), args.eps)
         report = rates.distill_one_shot_from(np_result, args.eps)
-        fields["certificates"] = {"dual_value": np_result.dual_value, "duality_gap": np_result.gap}
+        # the dual point t* (null for the eps = 0 closed form, whose sup is at
+        # t -> inf) and Tr(M rho) of the test: one eigvalsh re-checks the dual value
+        # t*(1 - eps) - Tr(t* rho - dephase(rho))_+
+        t_star = np_result.dual_t if math.isfinite(np_result.dual_t) else None
+        fields["certificates"] = {"dual_value": np_result.dual_value, "duality_gap": np_result.gap,
+                                  "dual_t": t_star,
+                                  "test_trace": float(np.vdot(np_result.primal, rho.rho).real)}
         fields["diagnostics"] = _diagnostics(np_result)
     elif args.mode == "zero":
         report = rates.distill_zero_error(rho)

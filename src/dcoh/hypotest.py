@@ -9,9 +9,19 @@ kink-aware scalar routine minimizes (see ``_scalar_dual``):
 * twirled distillation-fidelity program, A(t) = rho - t dephase(rho)
     max <X, rho>     s.t.  <X, dephase(rho)> = 1/m,  0 <= X <= 1
 
-Both are kinked where A(t) is singular, at the coherence spectrum lambda
-(`monotones._coherence_spectrum`): t = 1/lambda for D_H, t = lambda for X.
-Their zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
+Both are kinked where A(t) is singular, at the coherence spectrum lambda:
+t = 1/lambda for D_H, t = lambda for X. Each solve reads it from one eigh of
+the coherence matrix C = D^{-1/2} rho D^{-1/2}, D = dephase(rho)
+(`monotones._coherence_eigh`), whose eigenvectors W also predict the optimal
+kink. On the support of D, A(t) = D^{1/2} (t C - 1) D^{1/2} for D_H and
+D^{1/2} (C - t) D^{1/2} for X. When rho commutes with D, so do C and A(t),
+all with the eigenvectors W: with q_i = sum_x p_x |W_xi|^2 = <W_i|D|W_i> and
+<W_i|rho|W_i> = lambda_i q_i, the slope between kinks is
+psi'(t) = sum_{lambda_i > 1/t} lambda_i q_i - (1 - eps) for D_H and
+psi'(t) = 1/m - sum_{lambda_i > t} q_i for X. The predicted kink is the first
+whose right slope so computed is non-negative: exact for commuting rho and D,
+and in general only the first kink `_scalar_dual` probes.
+The zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
 D_H^eps tends to the eps = 0 closed form through one threshold.
 """
 
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HERM_ATOL, RANK_RTOL
-from .monotones import _coherence_spectrum
+from .monotones import _coherence_eigh
 from .states import PROB_CLAMP, TRACE_ATOL, Density, check_density, dephase, density
 
 # A dual subgradient this close to zero counts as a sign change; _scalar_dual
@@ -66,12 +76,16 @@ class FidelityProgram:
     band_widenings: int
 
 
-def _scalar_dual(a0, a1, c: float, kinks):
+def _scalar_dual(a0, a1, c: float, kinks, first: int):
     """Minimize the convex psi(t) = Tr(a0 + t a1)_+ - c t over [0, kinks[-1]].
 
-    Bisects over the kinks (A(t) singular) for one whose one-sided slopes
+    Searches the kinks (A(t) singular) for one whose one-sided slopes
     Tr(P a1) - c, P onto the eigenvalues > tau or >= -tau with tau the rank cut,
     bracket zero, else runs safeguarded Newton in the smooth segment holding t*.
+    The search probes kinks[first], the kink the coherence eigenbasis predicts
+    (see the module docstring; exact when rho commutes with dephase(rho)), then
+    its neighbour on the side psi' points to, then bisects what is left. Only
+    the slopes decide, so a wrong prediction costs probes, never the answer.
     psi' >= 0 at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)),
     diag(v^dag a1 v), psi(t*), the path and its eigh count, one per evaluation.
     """
@@ -99,10 +113,11 @@ def _scalar_dual(a0, a1, c: float, kinks):
         pair = np.outer(up, down) & ~np.outer(zero, zero)
         return 2.0 * float(np.sum(np.abs(g[pair]) ** 2 / (w[:, None] - w[None, :])[pair]))
 
-    # bisect over the kinks: psi' < 0 right of kinks[lo], > 0 left of kinks[hi]
+    # psi' < 0 right of kinks[lo], > 0 left of kinks[hi]: the predicted kink,
+    # its neighbour on the side psi' points to, then bisection
     lo, hi, path = -1, len(kinks) - 1, "kink"
+    mid = min(first, hi - 1)
     while hi - lo > 1:
-        mid = (lo + hi) // 2
         ev = at(kinks[mid])
         if ev[-1] < -slope_tol:
             lo, left = mid, ev
@@ -110,6 +125,7 @@ def _scalar_dual(a0, a1, c: float, kinks):
             hi = mid
         else:
             break
+        mid = (lo + hi) // 2 if calls > 1 else (lo + 1 if lo == mid else hi - 1)
     else:
         # psi' is smooth and increasing on (a, b): Newton from a, bisecting
         # whenever Newton leaves the bracket or fails to halve |psi'|
@@ -174,11 +190,14 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # Pi_rho's eigh
     else:
         # Tr(t rho - delta)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
-        lam = _coherence_spectrum(rho)[::-1]
-        kinks = np.concatenate(([0.0], 1.0 / lam[lam > max(RANK_RTOL, eps)], [1.0 / eps]))
-        t_star, w, v, diag, psi, path, calls = _scalar_dual(-delta, rho, 1.0 - eps, kinks)
+        lam, q = (x[::-1] for x in _coherence_eigh(rho))
+        keep = lam > max(RANK_RTOL, eps)  # a prefix: lam descends
+        kinks = np.concatenate(([0.0], 1.0 / lam[keep], [1.0 / eps]))
+        # the first kink 1/lam_j with sum_{lam_i >= lam_j} lam_i q_i >= 1 - eps
+        first = 1 + int(np.searchsorted(np.cumsum(lam * q)[keep], 1.0 - eps))
+        t_star, w, v, diag, psi, path, calls = _scalar_dual(-delta, rho, 1.0 - eps, kinks, first)
         m, widenings = _recover_primal(w, v, diag, 1.0 - eps)
-        dual, calls = -psi, calls + 1  # the spectrum's eigvalsh
+        dual, calls = -psi, calls + 1  # the spectrum's eigh
     optimal = float(np.vdot(m, delta).real)
     # a rounding margin, scaled with 1 - eps as Tr(M rho) >= 1 - eps scales Tr(M delta)
     bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
@@ -196,10 +215,12 @@ def distill_fidelity_program(rho, m: float) -> FidelityProgram:
     rho = check_density(rho)
 
     # t* = 0 is a kink, so is each coherence eigenvalue; h(t) >= t/m > 1 = h(0) past m
-    lam = _coherence_spectrum(rho)
+    lam, q = _coherence_eigh(rho)
     kinks = np.concatenate(([0.0], lam[(lam > RANK_RTOL) & (lam < m)], [float(m)]))
-    t_star, w, v, diag, dual, path, calls = _scalar_dual(rho, -dephase(rho), -1.0 / m, kinks)
+    # the first kink t with sum_{lam_i > t} q_i <= 1/m; the tail sums fall along kinks
+    first = int(np.searchsorted(-(q @ (lam[:, None] > kinks[:-1])), -1.0 / m))
+    t_star, w, v, diag, dual, path, calls = _scalar_dual(rho, -dephase(rho), -1.0 / m, kinks, first)
     x, widenings = _recover_primal(w, v, -diag, 1.0 / m)
     value = float(np.vdot(x, rho).real)
     return FidelityProgram(min(max(value, 0.0), 1.0), x, t_star, dual, dual - value,
-                           calls + 1, path, widenings)  # + the spectrum's eigvalsh
+                           calls + 1, path, widenings)  # + the spectrum's eigh

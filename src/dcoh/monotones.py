@@ -48,12 +48,26 @@ def _family(state):
     yield "l1", l1_norm(state)
 
 
-def _coherence_spectrum(rho) -> np.ndarray:
-    """Eigenvalues of the coherence matrix D^{-1/2} rho D^{-1/2} of a validated
-    rho, D = dephase(rho) pseudo-inverted on its support; the largest is
-    r_delta + 1. D is diagonal, so this only rescales the entries of rho."""
+def _coherence_matrix(rho) -> np.ndarray:
+    """The coherence matrix D^{-1/2} rho D^{-1/2} of a validated rho, D =
+    dephase(rho) pseudo-inverted on its support. D is diagonal, so this only
+    rescales the entries of rho."""
     q = _diag_power(rho, -0.5)
-    return np.linalg.eigvalsh(q[:, None] * rho * q[None, :])
+    return q[:, None] * rho * q[None, :]
+
+
+def _coherence_spectrum(rho) -> np.ndarray:
+    """Eigenvalues of the coherence matrix (`_coherence_matrix`), ascending;
+    the largest is r_delta + 1."""
+    return np.linalg.eigvalsh(_coherence_matrix(rho))
+
+
+def _coherence_eigh(rho):
+    """The coherence spectrum lam, ascending, from one eigh of the coherence
+    matrix, and each eigenvector's weight on dephase(rho),
+    q_i = sum_x p_x |W_xi|^2 with p = diag(rho); the q_i sum to one."""
+    lam, vecs = np.linalg.eigh(_coherence_matrix(rho))
+    return lam, rho.diagonal().real @ np.abs(vecs) ** 2
 
 
 def _renyi_family(state, alphas):

@@ -15,9 +15,9 @@ import pytest
 from dcoh import channels, cli, rates
 from dcoh.channels import channel_to_json, dephasing_channel
 from dcoh.majorization import PREFIX_SLACK
-from dcoh.states import max_coherent, pure_to_density, state_to_json
+from dcoh.states import TRACE_ATOL, max_coherent, pure_to_density, state_from_json, state_to_json
 
-from helpers import QUTRIT
+from helpers import QUTRIT, rand_rho
 
 
 @pytest.fixture
@@ -113,6 +113,32 @@ def test_distill_one_shot_reports_certificates(capsys, files):
     assert code == 0
     assert abs(rep["certificates"]["duality_gap"]) < 1e-6
     assert rep["results"]["eps"] == 0.0
+
+
+def test_distill_one_shot_certificates_recheck_from_the_report(capsys, tmp_path):
+    # the printed t* gives the dual value t*(1 - eps) - Tr(t* rho - dephase(rho))_+
+    # with one eigvalsh, and the test accepts rho with weight >= 1 - eps; at eps = 0
+    # the closed form's sup is at t -> inf, printed as null
+    rng = np.random.default_rng(2424)
+    states = [pure_to_density(QUTRIT)] + [rand_rho(rng, d, rank) for d, rank in
+                                          ((2, 2), (3, 1), (4, 4), (5, 3), (8, 8), (8, 2))]
+    for i, state in enumerate(states):
+        path = tmp_path / f"rho{i}.json"
+        path.write_text(state_to_json(state))
+        rho = state_from_json(path.read_text())[1].rho
+        for eps in (0.0, 1e-6, 0.05, 0.3, 0.7):
+            code, rep = run(capsys, ["distill", str(path), "--eps", repr(eps)])
+            cert = rep["certificates"]
+            assert code == 0
+            if eps == 0.0:
+                assert cert["dual_t"] is None
+            else:
+                t = cert["dual_t"]
+                w = np.linalg.eigvalsh(t * rho - np.diag(rho.diagonal()))
+                want = t * (1.0 - eps) - float(w[w > 0.0].sum())
+                assert abs(cert["dual_value"] - want) <= 1e-12, (i, eps, cert, want)
+            if rep["diagnostics"]["band_widenings"] < 5:
+                assert cert["test_trace"] >= 1.0 - eps - TRACE_ATOL, (i, eps, cert)
 
 
 def test_distill_count_just_below_an_integer_matches_prop5(capsys, files, tmp_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dcoh import hypotest
 from dcoh.channels import check_test_operator
-from dcoh.hypotest import _recover_primal, dh_epsilon, distill_fidelity_program
+from dcoh.hypotest import BRACKET_TOL, SLOPE_TOL, _recover_primal, dh_epsilon, distill_fidelity_program
 from dcoh.linalg import RANK_RTOL, rank_tol
-from dcoh.monotones import _coherence_spectrum, renyi_relative
+from dcoh.monotones import _coherence_eigh, _coherence_spectrum, renyi_relative
 from dcoh.states import dephase, density, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
@@ -53,6 +54,58 @@ def pencil_kinks(p, q, t_max: float) -> np.ndarray:
     x = x[(x > RANK_RTOL) & (x < 1.0)]
     t = x / (1.0 - x)
     return np.concatenate(([0.0], t[t < t_max], [t_max]))
+
+
+def bisect_kinks_reference(a0, a1, c, kinks, first=None):
+    """Reference kink search: _scalar_dual before the predicted first probe,
+    plain bisection over the same kinks (`first` is ignored), then the same
+    safeguarded Newton in a smooth segment. Returns what _scalar_dual does."""
+    calls = 0
+    slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
+
+    def at(t):
+        nonlocal calls
+        calls += 1
+        w, v = np.linalg.eigh(a0 + t * a1)
+        tau = RANK_RTOL * max(1.0, float(-w[0]), float(w[-1]))
+        a1v, pos, neg = a1 @ v, w > tau, w < -tau
+        diag = np.einsum("ij,ij->j", v.conj(), a1v).real
+        s = sorted((float(diag[pos].sum()) - c, float(diag[~neg].sum()) - c))
+        return t, w, v, a1v, diag, pos, neg, s[0], s[1]
+
+    def rate(ev):
+        _, w, v, a1v, push, pos, neg = ev[:7]
+        g, zero = v.conj().T @ a1v, ~pos & ~neg
+        up, down = pos | (zero & (push > 0.0)), neg | (zero & (push < 0.0))
+        pair = np.outer(up, down) & ~np.outer(zero, zero)
+        return 2.0 * float(np.sum(np.abs(g[pair]) ** 2 / (w[:, None] - w[None, :])[pair]))
+
+    lo, hi, path = -1, len(kinks) - 1, "kink"
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ev = at(kinks[mid])
+        if ev[-1] < -slope_tol:
+            lo, left = mid, ev
+        elif mid > 0 and ev[-2] > slope_tol:
+            hi = mid
+        else:
+            break
+    else:
+        path, a, b, ev, f, f_old = "smooth", kinks[lo], kinks[hi], left, left[-1], math.inf
+        while f != 0.0 and b - a > BRACKET_TOL * max(1.0, b):
+            r = rate(ev)
+            t = ev[0] - f / r if r > 0.0 else math.nan
+            if not (a < t < b and abs(f) <= 0.5 * f_old):
+                t = math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
+            f_old, ev = abs(f), at(t)
+            if ev[-1] < -slope_tol:
+                a, f = t, ev[-1]
+            elif ev[-2] > slope_tol:
+                b, f = t, ev[-2]
+            else:
+                f = 0.0
+    t, w, v, _, diag, pos = ev[:6]
+    return t, w, v, diag, float(w[pos].sum()) - c * t, path, calls
 
 
 def test_check_test_operator():
@@ -306,8 +359,9 @@ def test_solver_diagnostics():
 def test_fidelity_kinks_are_the_coherence_spectrum():
     # rho - t dephase(rho) is singular where the pencil formula (an eigh of
     # rho + dephase(rho), then an eigvalsh) puts its kinks, and those are the
-    # eigenvalues lambda of the coherence matrix that the fidelity program
-    # reads; t rho - dephase(rho) is singular at t = 1/lambda, dh_epsilon's kinks
+    # eigenvalues lambda of the coherence matrix from the eigh both solvers
+    # read (the monotones' eigvalsh of it within rounding); t rho - dephase(rho)
+    # is singular at t = 1/lambda, dh_epsilon's kinks
     rng = np.random.default_rng(1818)
     for d in range(2, 9):
         for rank in range(1, d + 1):
@@ -317,7 +371,8 @@ def test_fidelity_kinks_are_the_coherence_spectrum():
                     k = int(rng.integers(d))
                     rho[k, :] = rho[:, k] = 0.0
                     rho /= np.trace(rho).real
-                spectrum = _coherence_spectrum(rho)
+                spectrum = _coherence_eigh(rho)[0]
+                np.testing.assert_allclose(spectrum, _coherence_spectrum(rho), rtol=0.0, atol=1e-12)
                 for m in (2.5, d + 1.0):
                     lam = spectrum[(spectrum > RANK_RTOL) & (spectrum < m)]
                     want = pencil_kinks(rho, dephase(rho), m)[1:-1]
@@ -349,21 +404,22 @@ def test_eigendecompositions_per_solve_at_d32(monkeypatch):
     for rank in (32, 16):
         rho = rand_rho(rng, 32, rank)
         p = rho.diagonal().real
+        coherence = rho / np.sqrt(np.outer(p, p))
         for eps in (0.01, 0.05, 0.1):
             calls.clear()
             res = dh_epsilon(rho, dephase(rho), eps)
             names = [name for name, _ in calls]
-            # one validating eigvalsh and one for the kinks (the coherence
-            # spectrum); every eigh is one dual evaluation, of the pencil
-            # t rho - dephase(rho) at a t in [0, 1/eps]
-            assert names[:2] == ["eigvalsh", "eigvalsh"] and names.count("eigvalsh") == 2
-            assert names.count("eigh") <= 12
+            # one validating eigvalsh, then one eigh of the coherence matrix for
+            # the kinks and the predicted first probe; every later eigh is one
+            # dual evaluation, of the pencil t rho - dephase(rho) at a t in [0, 1/eps]
+            assert names[:2] == ["eigvalsh", "eigh"] and names.count("eigvalsh") == 1
+            assert np.allclose(calls[1][1], coherence, rtol=0.0, atol=1e-12)
+            assert names.count("eigh") <= 3
             assert res.eig_calls == len(calls) - 1
-            for name, a in calls:
-                if name == "eigh":
-                    t = 1.0 + a.diagonal().real / p
-                    assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= 1.0 / eps
-                    assert np.allclose(a, t[0] * rho - dephase(rho), rtol=0.0, atol=1e-12)
+            for name, a in calls[2:]:
+                t = 1.0 + a.diagonal().real / p
+                assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= 1.0 / eps
+                assert np.allclose(a, t[0] * rho - dephase(rho), rtol=0.0, atol=1e-12)
             paths.add(res.path)
         # at eps = 0 the eigh that validates rho is the closed form's one
         # decomposition (Pi_rho is v v^dag), and sigma is not decomposed
@@ -375,14 +431,50 @@ def test_eigendecompositions_per_solve_at_d32(monkeypatch):
             calls.clear()
             res = distill_fidelity_program(rho, m)
             names = [name for name, _ in calls]
-            # one validating eigvalsh and one for the kinks (the coherence
-            # spectrum); every eigh is one dual evaluation, of the pencil
-            # rho - t dephase(rho) at a t in [0, m]
-            assert names.count("eigvalsh") == 2 and names.count("eigh") <= 11
+            # one validating eigvalsh and one eigh of the coherence matrix; every
+            # later eigh is one dual evaluation, of the pencil rho - t dephase(rho)
+            # at a t in [0, m]
+            assert names[:2] == ["eigvalsh", "eigh"] and names.count("eigvalsh") == 1
+            assert np.allclose(calls[1][1], coherence, rtol=0.0, atol=1e-12)
+            assert names.count("eigh") <= 6
             assert res.eig_calls == len(calls) - 1
-            for name, a in calls:
-                if name == "eigh":
-                    t = 1.0 - a.diagonal().real / p
-                    assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= m
+            for name, a in calls[2:]:
+                t = 1.0 - a.diagonal().real / p
+                assert np.ptp(t) < 1e-9 and 0.0 <= t[0] <= m
             paths.add(res.path)
     assert paths == {"kink", "smooth"}
+
+
+def test_predicted_first_probe_matches_plain_bisection(monkeypatch):
+    # probing the predicted kink first only reorders the slope tests: every
+    # solve takes the path, t*, values and primal of plain bisection over the
+    # same kinks, at most one decomposition more, and a kink found on the kink
+    # path costs the spectrum's eigh and at most two dual evaluations
+    rng = np.random.default_rng(2424)
+    solves, flat = [], 0
+    for d in (2, 3, 4, 5, 6, 7, 8, 12, 16, 32):
+        for rank in range(1, d + 1):
+            rho = rand_rho(rng, d, rank)
+            eps = float(10.0 ** rng.uniform(-6.0, math.log10(0.7)))
+            m = float(rng.uniform(1.0, d))
+            solves.append((lambda r=rho, e=eps: dh_epsilon(r, dephase(r), e), "optimal_value"))
+            solves.append((lambda r=rho, m=m: distill_fidelity_program(r, m), "value"))
+    results = [solve() for solve, _ in solves]
+    monkeypatch.setattr(hypotest, "_scalar_dual", bisect_kinks_reference)
+    for (solve, value), res in zip(solves, results):
+        ref = solve()
+        assert res.path == ref.path and res.band_widenings == ref.band_widenings
+        assert res.eig_calls <= ref.eig_calls + 1
+        if res.path == "kink":
+            assert res.eig_calls <= 3, (res.eig_calls, ref.eig_calls)
+        if res.dual_t != ref.dual_t:
+            # psi' vanishes across the segment between two optimal kinks
+            flat += 1
+            assert res.path == "kink"
+            assert abs(getattr(res, value) - getattr(ref, value)) <= 1e-12
+            assert abs(res.dual_value - ref.dual_value) <= 1e-12
+            continue
+        assert getattr(res, value) == getattr(ref, value)
+        assert res.dual_value == ref.dual_value and res.gap == ref.gap
+        assert np.array_equal(res.primal, ref.primal)
+    assert flat <= 2

@@ -143,13 +143,14 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # Dinkelbach steps
         (lambda r: dilute_one_shot_bounds(r, 0.1), 12),
         # validation, then dh_epsilon's solve on the validated value
-        (lambda r: distill_one_shot(r, 0.1), 4),
-        # the solvers check rho by eigvalsh and take their kinks from the
-        # coherence spectrum's eigvalsh; each dual evaluation is one eigh
-        (lambda r: dh_epsilon(r, dephase(r), 0.1), 4),
+        (lambda r: distill_one_shot(r, 0.1), 3),
+        # the solvers check rho by eigvalsh and take their kinks and the
+        # predicted first probe from one eigh of the coherence matrix; each
+        # dual evaluation is one eigh, and here the prediction is the optimum
+        (lambda r: dh_epsilon(r, dephase(r), 0.1), 3),
         # at eps = 0, Pi_rho is v v^dag of the eigh that validates rho
         (lambda r: dh_epsilon(r, dephase(r), 0.0), 1),
-        (lambda r: distill_fidelity_program(r, 2), 4),
+        (lambda r: distill_fidelity_program(r, 2), 3),
         # rounding a unit count decomposes nothing
         (distill_zero_error, 1),
         (dilute_zero_error, 2),
