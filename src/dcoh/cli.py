@@ -89,7 +89,7 @@ def _load_pure(inputs: list, path: str) -> np.ndarray:
 
 def _diagnostics(result) -> dict:
     """Solver path and work counters of an NPResult or FidelityProgram."""
-    return {key: getattr(result, key) for key in ("eig_calls", "path", "band_widenings")}
+    return {key: getattr(result, key) for key in ("eig_calls", "path")}
 
 
 def _mode(args) -> str | None:

@@ -22,7 +22,10 @@ psi'(t) = 1/m - sum_{lambda_i > t} q_i for X. The predicted kink is the first
 whose right slope so computed is non-negative: exact for commuting rho and D,
 and in general only the first kink `_scalar_dual` probes.
 The zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
-D_H^eps tends to the eps = 0 closed form through one threshold.
+D_H^eps tends to the eps = 0 closed form through one threshold. The optimal
+test mixes the two projectors whose slopes bracket psi' = 0 to meet the
+constraint exactly: P_+ and P_+ + P_0 of A(t*) where psi' rounds to 0, else
+the positive parts of A at the ends of the closed smooth bracket.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .linalg import HERM_ATOL, RANK_RTOL
 from .monotones import _coherence_eigh
-from .states import PROB_CLAMP, TRACE_ATOL, Density, check_density, dephase, density
+from .states import PROB_CLAMP, Density, check_density, dephase, density
 
 # A dual subgradient this close to zero counts as a sign change; _scalar_dual
 # caps it at half the constant slope |c|, so a small c is still resolved.
@@ -54,11 +57,10 @@ class NPResult:
     dual_t: float
     dual_value: float
     gap: float
-    # diagnostics: eigendecompositions after input validation, the solver
-    # path ("closed_form", "kink" or "smooth") and primal-band widenings
+    # diagnostics: eigendecompositions after input validation and the solver
+    # path ("closed_form", "kink" or "smooth")
     eig_calls: int
     path: str
-    band_widenings: int
 
 
 @dataclass
@@ -73,7 +75,6 @@ class FidelityProgram:
     # diagnostics, as in NPResult
     eig_calls: int
     path: str
-    band_widenings: int
 
 
 def _scalar_dual(a0, a1, c: float, kinks, first: int):
@@ -86,8 +87,10 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
     (see the module docstring; exact when rho commutes with dephase(rho)), then
     its neighbour on the side psi' points to, then bisects what is left. Only
     the slopes decide, so a wrong prediction costs probes, never the answer.
-    psi' >= 0 at kinks[-1], never evaluated. Returns t*, (w, v) = eigh(A(t*)),
-    diag(v^dag a1 v), psi(t*), the path and its eigh count, one per evaluation.
+    psi' >= 0 at kinks[-1], evaluated only if the smooth bracket closes on it.
+    Returns t*, the last point the search evaluated; the optimal test M, mixing
+    the two projectors whose slopes bracket psi' = 0 so that Tr(M a1) = c;
+    psi(t*); the path; and its eigh count, one per evaluation.
     """
     calls = 0
     slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
@@ -113,16 +116,16 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
         pair = np.outer(up, down) & ~np.outer(zero, zero)
         return 2.0 * float(np.sum(np.abs(g[pair]) ** 2 / (w[:, None] - w[None, :])[pair]))
 
-    # psi' < 0 right of kinks[lo], > 0 left of kinks[hi]: the predicted kink,
-    # its neighbour on the side psi' points to, then bisection
-    lo, hi, path = -1, len(kinks) - 1, "kink"
+    # psi' < 0 right of kinks[lo] (its evaluation left), > 0 left of kinks[hi] (right,
+    # None if never probed): the predicted kink, its neighbour psi' points to, bisection
+    lo, hi, path, right, f = -1, len(kinks) - 1, "kink", None, 0.0
     mid = min(first, hi - 1)
     while hi - lo > 1:
         ev = at(kinks[mid])
         if ev[-1] < -slope_tol:
             lo, left = mid, ev
         elif mid > 0 and ev[-2] > slope_tol:  # t = 0 has no left slope
-            hi = mid
+            hi, right = mid, ev
         else:
             break
         mid = (lo + hi) // 2 if calls > 1 else (lo + 1 if lo == mid else hi - 1)
@@ -138,31 +141,27 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
                 t = math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
             f_old, ev = abs(f), at(t)
             if ev[-1] < -slope_tol:
-                a, f = t, ev[-1]
+                a, f, left = t, ev[-1], ev
             elif ev[-2] > slope_tol:
-                b, f = t, ev[-2]
+                b, f, right = t, ev[-2], ev
             else:
                 f = 0.0
-    t, w, v, _, diag, pos = ev[:6]
-    return t, w, v, diag, float(w[pos].sum()) - c * t, path, calls
-
-
-def _recover_primal(w, v, weights, target: float):
-    """Optimal test from (w, v) = eigh(A(t*)) and weights = diag(v^dag W v): the
-    positive eigenspace plus a uniform fraction of the near-zero eigenspace tuned so
-    that Tr(M W) = target (none when that eigenspace weighs less than PROB_CLAMP),
-    and how many band widenings that took (5: gave up)."""
-    for widenings in range(5):
-        tau = RANK_RTOL * 10.0**widenings * max(1.0, float(-w[0]), float(w[-1]))
-        pos, zero = w > tau, np.abs(w) <= tau
-        got, room = float(weights[pos].sum()), float(weights[zero].sum())
-        need = target - got
-        alpha = min(max(need / room, 0.0), 1.0) if room > PROB_CLAMP else 0.0
-        if -TRACE_ATOL <= need <= room + TRACE_ATOL:
-            break
-    else:
-        widenings = 5
-    return (v * (pos + alpha * zero)) @ v.conj().T, widenings
+    t, w, v, _, diag, pos, neg = ev[:7]
+    psi = float(w[pos].sum()) - c * t
+    if f == 0.0:
+        # the slopes of P_+ and P_+ + P_0 bracket 0 at t*: P_+ plus the fraction
+        # of the zero band P_0 that makes Tr(M a1) = c, none when P_0 weighs
+        # less than PROB_CLAMP (an unused level: the fraction would be noise)
+        zero = ~pos & ~neg
+        room, need = float(diag[zero].sum()), c - float(diag[pos].sum())
+        alpha = min(max(need / room, 0.0), 1.0) if abs(room) > PROB_CLAMP else 0.0
+        return t, (v * (pos + alpha * zero)) @ v.conj().T, psi, path, calls
+    # the bracket closed with psi' != 0: mix A's positive parts at a (slope < 0) and b (> 0)
+    ends = [(e[2], e[5], float(e[4][e[5]].sum()) - c) for e in (left, right or at(b))]
+    (va, pa, sa), (vb, pb, sb) = ends
+    beta = sa / (sa - sb)
+    m = (va * ((1.0 - beta) * pa)) @ va.conj().T + (vb * (beta * pb)) @ vb.conj().T
+    return t, m, psi, path, calls
 
 
 def dh_epsilon(rho, sigma, eps: float) -> NPResult:
@@ -187,7 +186,7 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         # so M = Pi_rho is exactly optimal; the dual sup is its asymptote.
         m = state.v @ state.v.conj().T
         dual = float(np.vdot(m, delta).real)
-        t_star, path, calls, widenings = math.inf, "closed_form", 1, 0  # Pi_rho's eigh
+        t_star, path, calls = math.inf, "closed_form", 1  # Pi_rho's eigh
     else:
         # Tr(t rho - delta)_+ >= t - 1 gives g(t) <= 1 - eps t < 0 = g(0) past 1/eps
         lam, q = (x[::-1] for x in _coherence_eigh(rho))
@@ -195,13 +194,12 @@ def dh_epsilon(rho, sigma, eps: float) -> NPResult:
         kinks = np.concatenate(([0.0], 1.0 / lam[keep], [1.0 / eps]))
         # the first kink 1/lam_j with sum_{lam_i >= lam_j} lam_i q_i >= 1 - eps
         first = 1 + int(np.searchsorted(np.cumsum(lam * q)[keep], 1.0 - eps))
-        t_star, w, v, diag, psi, path, calls = _scalar_dual(-delta, rho, 1.0 - eps, kinks, first)
-        m, widenings = _recover_primal(w, v, diag, 1.0 - eps)
+        t_star, m, psi, path, calls = _scalar_dual(-delta, rho, 1.0 - eps, kinks, first)
         dual, calls = -psi, calls + 1  # the spectrum's eigh
     optimal = float(np.vdot(m, delta).real)
     # a rounding margin, scaled with 1 - eps as Tr(M rho) >= 1 - eps scales Tr(M delta)
     bits = math.inf if optimal <= 1e-12 * (1.0 - eps) else -math.log2(optimal)
-    return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path, widenings)
+    return NPResult(optimal, bits, m, t_star, dual, optimal - dual, calls, path)
 
 
 def distill_fidelity_program(rho, m: float) -> FidelityProgram:
@@ -219,8 +217,7 @@ def distill_fidelity_program(rho, m: float) -> FidelityProgram:
     kinks = np.concatenate(([0.0], lam[(lam > RANK_RTOL) & (lam < m)], [float(m)]))
     # the first kink t with sum_{lam_i > t} q_i <= 1/m; the tail sums fall along kinks
     first = int(np.searchsorted(-(q @ (lam[:, None] > kinks[:-1])), -1.0 / m))
-    t_star, w, v, diag, dual, path, calls = _scalar_dual(rho, -dephase(rho), -1.0 / m, kinks, first)
-    x, widenings = _recover_primal(w, v, -diag, 1.0 / m)
+    t_star, x, dual, path, calls = _scalar_dual(rho, -dephase(rho), -1.0 / m, kinks, first)
     value = float(np.vdot(x, rho).real)
     return FidelityProgram(min(max(value, 0.0), 1.0), x, t_star, dual, dual - value,
-                           calls + 1, path, widenings)  # + the spectrum's eigh
+                           calls + 1, path)  # + the spectrum's eigh

@@ -38,12 +38,11 @@ def _entropy_bits(w) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def _family(state):
-    """(name, value) pairs of a Density in certificate order: r_delta,
-    renyi_alpha for alpha in DEFAULT_ALPHAS, l1. Each is computed when asked
-    for, so a caller that stops at r_delta decomposes nothing more."""
-    lam = float(_coherence_spectrum(state.rho)[-1])  # eigvalsh sorts ascending
-    yield "r_delta", max(lam - 1.0, 0.0)
+def _family(state, spectrum):
+    """(name, value) pairs of a Density in certificate order: r_delta from its
+    ascending coherence spectrum, renyi_alpha for alpha in DEFAULT_ALPHAS, l1.
+    Each is computed when asked for; none decomposes a matrix."""
+    yield "r_delta", max(float(spectrum[-1]) - 1.0, 0.0)
     yield from _renyi_family(state, DEFAULT_ALPHAS)
     yield "l1", l1_norm(state)
 
@@ -94,7 +93,8 @@ def _renyi_family(state, alphas):
 def r_delta(rho) -> float:
     """Max-relative-entropy monotone min{lambda : rho <= (1+lambda) dephase(rho)}:
     the largest eigenvalue of the coherence matrix (`_coherence_spectrum`) minus one."""
-    return next(_family(density(rho)))[1]
+    state = density(rho)
+    return next(_family(state, _coherence_spectrum(state.rho)))[1]
 
 
 def rel_entropy_coherence(rho) -> float:
@@ -127,7 +127,8 @@ def monotone_report(rho, psi=None) -> MonotoneReport:
     pure amplitude vector is available the pure-state tail sum c_2 is
     included as well.
     """
-    values = dict(_family(density(rho)))
+    state = density(rho)
+    values = dict(_family(state, _coherence_spectrum(state.rho)))
     report = MonotoneReport(
         r_delta=values["r_delta"],
         rel_entropy_bits=values["renyi_1.0"],

@@ -52,11 +52,12 @@ class FeasibilityVerdict:
     separation: tuple[float, float, float] | None = None
 
 
-def _monotone_certificate(state, target):
+def _monotone_certificate(state, target, spectra):
     """(name, v_in, v_out) of the first family member that rises by more than
-    CERT_MARGIN from state to target (two Density values); l1 counts for qubits only."""
+    CERT_MARGIN from state to target (Densities with their coherence spectra);
+    l1 counts for qubits only."""
     qubits = state.rho.shape == target.rho.shape == (2, 2)
-    for (name, v_in), (_, v_out) in zip(_family(state), _family(target)):
+    for (name, v_in), (_, v_out) in zip(_family(state, spectra[0]), _family(target, spectra[1])):
         if name == "l1" and not qubits:
             break
         if v_out > v_in + CERT_MARGIN:
@@ -77,13 +78,13 @@ def _testing_curve(x, t) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(pencil), 0.0).sum(axis=1)
 
 
-def _curve_separation(rho, sigma):
+def _curve_separation(rho, sigma, spectra):
     """(t, h_rho(t), h_sigma(t)) at the t where h_sigma rises most above h_rho,
     when by more than CERT_MARGIN, else None (both validated). The t are the
     kinks of both curves, where x - t dephase(x) is singular (the coherence
-    spectra), and the midpoints between consecutive kinks; below the first
-    kink both curves are 1 - t, past the last both are 0."""
-    kinks = np.unique(np.concatenate([_coherence_spectrum(rho), _coherence_spectrum(sigma)]))
+    spectra of rho and sigma, as given), and the midpoints between consecutive
+    kinks; below the first kink both curves are 1 - t, past the last both are 0."""
+    kinks = np.unique(np.concatenate(spectra))
     t = np.concatenate([kinks, (kinks[1:] + kinks[:-1]) / 2])
     h_rho, h_sigma = _testing_curve(rho, t), _testing_curve(sigma, t)
     k = int(np.argmax(h_sigma - h_rho))
@@ -138,10 +139,11 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
         identity = channel_from_kraus([np.eye(rho.shape[0])])
         if _is_witness(identity, state, sigma):
             return FeasibilityVerdict("feasible", identity, None, 0.0, 0, ())
-    cert = _monotone_certificate(state, target)
+    spectra = _coherence_spectrum(rho), _coherence_spectrum(sigma)
+    cert = _monotone_certificate(state, target, spectra)
     if cert is not None:
         return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
-    separation = _curve_separation(rho, sigma)
+    separation = _curve_separation(rho, sigma, spectra)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
 

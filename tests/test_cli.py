@@ -137,8 +137,7 @@ def test_distill_one_shot_certificates_recheck_from_the_report(capsys, tmp_path)
                 w = np.linalg.eigvalsh(t * rho - np.diag(rho.diagonal()))
                 want = t * (1.0 - eps) - float(w[w > 0.0].sum())
                 assert abs(cert["dual_value"] - want) <= 1e-12, (i, eps, cert, want)
-            if rep["diagnostics"]["band_widenings"] < 5:
-                assert cert["test_trace"] >= 1.0 - eps - TRACE_ATOL, (i, eps, cert)
+            assert cert["test_trace"] >= 1.0 - eps - TRACE_ATOL, (i, eps, cert)
 
 
 def test_distill_count_just_below_an_integer_matches_prop5(capsys, files, tmp_path):
@@ -496,12 +495,12 @@ def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_pa
         _, rep2 = run(capsys, argv)
         diag = rep1["diagnostics"]
         assert diag["path"] in ("kink", "smooth")
-        assert diag["eig_calls"] >= 3 and diag["band_widenings"] == 0
+        assert diag["eig_calls"] >= 3
         rep1.pop("wall_time_s")
         rep2.pop("wall_time_s")
         assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     _, rep = run(capsys, ["distill", files["qutrit"], "--eps", "0.0"])
-    assert rep["diagnostics"] == {"eig_calls": 1, "path": "closed_form", "band_widenings": 0}
+    assert rep["diagnostics"] == {"eig_calls": 1, "path": "closed_form"}
 
 
 def test_channel_kraus_contradicting_choi_exit_code(capsys, tmp_path):

@@ -8,6 +8,7 @@ from dcoh.channels import apply, construct_prop5, qubit_decide, twirl_channel
 from dcoh.hypotest import dh_epsilon, distill_fidelity_program
 from dcoh.monotones import (
     DEFAULT_ALPHAS,
+    _coherence_spectrum,
     c_k_monotone,
     monotone_report,
     r_delta,
@@ -126,15 +127,15 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # a Density is not decomposed again: only the inner matrix's eigvalsh
         (lambda r: fidelity(*validated), 1),
         (monotone_report, 2),
-        # per state, its validation and R_Delta; then per state its coherence
-        # spectrum (the kinks) and one stacked eigvalsh for the curves
-        (lambda r: rho_dio_feasible(r, mixed, 0), 8),
+        # per state, its validation and its coherence spectrum, which gives both
+        # R_Delta and the curves' kinks; then one stacked eigvalsh per curve
+        (lambda r: rho_dio_feasible(r, mixed, 0), 6),
         (lambda r: rho_dio_feasible(mixed, r, 0), 4),
         # rho -> rho is the identity witness, checked before any monotone; a
         # zero budget skips it and runs the monotone walk and the curves
         (lambda r: rho_dio_feasible(r, r), 2),
-        (lambda r: rho_dio_feasible(r, r, 0), 8),
-        (lambda r: _curve_separation(r, mixed), 4),
+        (lambda r: rho_dio_feasible(r, r, 0), 6),
+        (lambda r: _curve_separation(r, mixed, (_coherence_spectrum(r), _coherence_spectrum(mixed))), 4),
         (lambda r: qubit_decide(*qubits), 4),
         (lambda r: asymptotic_rate(r, sigma), 2),
         (lambda r: dilute_one_shot_bounds(r, 0.0), 2),
@@ -160,7 +161,7 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         (lambda r: cli.main(["monotones", paths["rho"]]), 2),
         (lambda r: cli.main(["decide", "--qubit", paths["q7"], paths["q8"]]), 4),
         (lambda r: cli.main(["distill", paths["rho"], "--regime", "zero"]), 1),
-        (lambda r: cli.main(["oracle", paths["rho"], paths["mixed"], "--max-iters", "0"]), 8),
+        (lambda r: cli.main(["oracle", paths["rho"], paths["mixed"], "--max-iters", "0"]), 6),
     ]:
         calls.clear()
         fn(rho)

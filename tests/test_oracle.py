@@ -2,6 +2,7 @@ import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
 from dcoh import oracle
+from dcoh.monotones import _coherence_spectrum
 from dcoh.oracle import CERT_MARGIN, RESIDUAL_TOL, _affine_set, _curve_separation, rho_dio_feasible
 from dcoh.states import check_density, dephase, max_coherent, pure_to_density
 
@@ -316,7 +317,7 @@ def test_testing_curve_decides_qubits():
     separated = 0
     for rho, sigma in pairs:
         rho, sigma = check_density(rho), check_density(sigma)
-        sep = _curve_separation(rho, sigma)
+        sep = _curve_separation(rho, sigma, (_coherence_spectrum(rho), _coherence_spectrum(sigma)))
         assert (sep is not None) == (not qubit_decide(rho, sigma)), (rho, sigma)
         separated += sep is not None
     assert 300 < separated < 900

@@ -346,8 +346,7 @@ def test_distill_one_shot_rejects_eps_beyond_solver_resolution():
     rep = distill_one_shot_from(res, eps)
     assert rep.one_shot_bits == math.log2(math.floor(2.0 ** res.dh_bits))
     # an infinite solve can only mean an eps the solver cannot resolve
-    unresolved = NPResult(0.0, math.inf, np.zeros((2, 2)), math.inf, 0.0, 0.0, 2,
-                          "closed_form", 0)
+    unresolved = NPResult(0.0, math.inf, np.zeros((2, 2)), math.inf, 0.0, 0.0, 2, "closed_form")
     with pytest.raises(ValueError, match="too close to 1"):
         distill_one_shot_from(unresolved, eps)
 
