@@ -25,7 +25,9 @@ The zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
 D_H^eps tends to the eps = 0 closed form through one threshold. The optimal
 test mixes the two projectors whose slopes bracket psi' = 0 to meet the
 constraint exactly: P_+ and P_+ + P_0 of A(t*) where psi' rounds to 0, else
-the positive parts of A at the ends of the closed smooth bracket.
+the positive parts of A at the ends of the closed smooth bracket. The band
+decides slopes and projectors only: the reported dual value psi(t*) sums every
+positive eigenvalue of A(t*), so it is the dual at t* to rounding.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
     psi' >= 0 at kinks[-1], evaluated only if the smooth bracket closes on it.
     Returns t*, the last point the search evaluated; the optimal test M, mixing
     the two projectors whose slopes bracket psi' = 0 so that Tr(M a1) = c;
-    psi(t*); the path; and its eigh count, one per evaluation.
+    psi(t*), summing every eigenvalue above 0 (the zero band's too) so that the
+    dual is certified; the path; and its eigh count, one per evaluation.
     """
     calls = 0
     slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
@@ -147,7 +150,7 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
             else:
                 f = 0.0
     t, w, v, _, diag, pos, neg = ev[:7]
-    psi = float(w[pos].sum()) - c * t
+    psi = float(w[w > 0.0].sum()) - c * t
     if f == 0.0:
         # the slopes of P_+ and P_+ + P_0 bracket 0 at t*: P_+ plus the fraction
         # of the zero band P_0 that makes Tr(M a1) = c, none when P_0 weighs

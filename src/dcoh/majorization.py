@@ -9,34 +9,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import PROB_CLAMP, coherence_distribution, prob_vector
+from .states import PROB_CLAMP, coherence_distribution, max_coherent, prob_vector
 
 # Absolute slack on prefix-sum comparisons so exact boundary equalities
 # pass in floating point.
 PREFIX_SLACK = 1e-9
 
 
-def _pad_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+def _pad_pair(q, p) -> tuple[np.ndarray, np.ndarray]:
+    """q and p validated as probability vectors and zero-padded to one length."""
+    p, q = prob_vector(p), prob_vector(q)
     d = max(len(p), len(q))
-    return (
-        np.pad(np.asarray(p, dtype=float), (0, d - len(p))),
-        np.pad(np.asarray(q, dtype=float), (0, d - len(q))),
-    )
+    return np.pad(q, (0, d - len(q))), np.pad(p, (0, d - len(p)))
 
 
 def _failing_prefix(q, p) -> int | None:
     """The first k (1-based) at which the prefix sum of p^down exceeds q^down's
-    by more than PREFIX_SLACK, or None when q majorizes p."""
-    p, q = _pad_pair(prob_vector(p), prob_vector(q))
-    cp = np.cumsum(np.sort(p)[::-1])
-    cq = np.cumsum(np.sort(q)[::-1])
+    by more than PREFIX_SLACK, or None when q majorizes p; both come from `_pad_pair`."""
+    cp, cq = (np.cumsum(np.sort(x)[::-1]) for x in (p, q))
     fails = ~(cp <= cq + PREFIX_SLACK)
     return int(np.argmax(fails)) + 1 if fails.any() else None
 
 
 def majorizes(q, p) -> bool:
     """True iff p is majorized by q (every prefix sum of p^down <= q^down)."""
-    return _failing_prefix(q, p) is None
+    return _failing_prefix(*_pad_pair(q, p)) is None
 
 
 def dio_pure_decide(psi, phi) -> bool:
@@ -46,10 +43,7 @@ def dio_pure_decide(psi, phi) -> bool:
 
 def dio_to_maxcoherent_decide(psi, m: int) -> bool:
     """Decide psi -> Psi_m: possible iff max_x |psi_x|^2 <= 1/m."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    p = coherence_distribution(psi)
-    return bool(np.max(p) <= 1.0 / m + PREFIX_SLACK)
+    return dio_pure_decide(psi, max_coherent(m))
 
 
 def heralded_decide(psi, ensemble) -> bool:
@@ -61,20 +55,10 @@ def heralded_decide(psi, ensemble) -> bool:
     etas = np.asarray([eta for eta, _ in ensemble], dtype=float)
     prob_vector(etas)  # validates eta_j >= 0, sum 1
     p = coherence_distribution(psi)
-    dists = [coherence_distribution(phi) for _, phi in ensemble]
-    d = max([len(p)] + [len(qj) for qj in dists])
-    mix = np.zeros(d)
-    for eta, qj in zip(etas, dists):
-        qj = np.pad(qj, (0, d - len(qj)))
-        mix += eta * np.sort(qj)[::-1]
-    return majorizes(mix, np.pad(p, (0, d - len(p))))
-
-
-def _t_transform(d: int, j: int, k: int, lam: float) -> np.ndarray:
-    t = np.eye(d)
-    t[j, j] = t[k, k] = lam
-    t[j, k] = t[k, j] = 1.0 - lam
-    return t
+    dists = [np.sort(coherence_distribution(phi))[::-1] for _, phi in ensemble]
+    d = max(len(qj) for qj in dists)
+    mix = sum(eta * np.pad(qj, (0, d - len(qj))) for eta, qj in zip(etas, dists))
+    return majorizes(mix, p)
 
 
 def build_witness(q, p) -> np.ndarray:
@@ -86,21 +70,17 @@ def build_witness(q, p) -> np.ndarray:
     exceeds the target with the next one where it falls short, fixing at
     least one coordinate, so at most d-1 factors are needed.
     """
-    p, q = _pad_pair(prob_vector(p), prob_vector(q))
+    q, p = _pad_pair(q, p)
     if (k := _failing_prefix(q, p)) is not None:
         raise ValueError(f"q does not majorize p: prefix sum {k} fails")
-    d = len(p)
-    perm_q = np.argsort(-q, kind="stable")
-    perm_p = np.argsort(-p, kind="stable")
-    qs = q[perm_q]
-    ps = p[perm_p]
+    perm_q, perm_p = (np.argsort(-x, kind="stable") for x in (q, p))
+    cur, ps = q[perm_q], p[perm_p]
 
-    total = np.eye(d)
-    cur = qs.copy()
-    for _ in range(d):
+    total = np.eye(len(p))
+    for _ in range(len(p)):
         diff = cur - ps
-        pos = np.where(diff > PROB_CLAMP)[0]
-        neg = np.where(diff < -PROB_CLAMP)[0]
+        pos = np.flatnonzero(diff > PROB_CLAMP)
+        neg = np.flatnonzero(diff < -PROB_CLAMP)
         if pos.size == 0 or neg.size == 0:
             break
         # First positive mismatch precedes the first negative one whenever
@@ -109,11 +89,12 @@ def build_witness(q, p) -> np.ndarray:
         k = int(neg[neg > j][0])
         delta = min(cur[j] - ps[j], ps[k] - cur[k])
         lam = 1.0 - delta / (cur[j] - cur[k])
-        t = _t_transform(d, j, k, lam)
-        cur = t @ cur
-        total = t @ total
+        # the T-transform lam 1 + (1 - lam) swap(j, k) moves delta from cur[j] to cur[k]
+        cur[[j, k]] += (-delta, delta)
+        rows = total[[j, k]]
+        total[[j, k]] = lam * rows + (1.0 - lam) * rows[::-1]
 
-    # Undo the sorting permutations: p = P_p^T total P_q q.
-    pq = np.eye(d)[perm_q]          # pq @ q = qs
-    pp = np.eye(d)[perm_p]          # pp @ p = ps
-    return pp.T @ total @ pq
+    # Undo the sorting permutations: T[perm_p[i], perm_q[l]] = total[i, l].
+    t = np.empty_like(total)
+    t[np.ix_(perm_p, perm_q)] = total
+    return t

@@ -122,11 +122,16 @@ def test_distill_one_shot_certificates_recheck_from_the_report(capsys, tmp_path)
     rng = np.random.default_rng(2424)
     states = [pure_to_density(QUTRIT)] + [rand_rho(rng, d, rank) for d, rank in
                                           ((2, 2), (3, 1), (4, 4), (5, 3), (8, 8), (8, 2))]
+    # a near-commuting d = 32 state whose dual at eps = 0.01 stops at a kink with
+    # positive eigenvalues inside the zero band: the dual value counts them too
+    rng = np.random.default_rng(0)
+    tau = rand_rho(rng, 32)
+    states.append((1.0 - 1e-9) * np.diag(rng.dirichlet(np.ones(32))) + 1e-9 * tau)
     for i, state in enumerate(states):
         path = tmp_path / f"rho{i}.json"
         path.write_text(state_to_json(state))
         rho = state_from_json(path.read_text())[1].rho
-        for eps in (0.0, 1e-6, 0.05, 0.3, 0.7):
+        for eps in (0.0, 1e-6, 0.01, 0.05, 0.3, 0.7):
             code, rep = run(capsys, ["distill", str(path), "--eps", repr(eps)])
             cert = rep["certificates"]
             assert code == 0

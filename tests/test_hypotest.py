@@ -110,7 +110,7 @@ def bisect_kinks_reference(a0, a1, c, kinks, first=None):
             else:
                 f = 0.0
     t, w, v, _, diag, pos, neg = ev[:7]
-    psi = float(w[pos].sum()) - c * t
+    psi = float(w[w > 0.0].sum()) - c * t
     if f == 0.0:
         zero = ~pos & ~neg
         room, need = float(diag[zero].sum()), c - float(diag[pos].sum())
@@ -291,11 +291,13 @@ def test_near_commuting_certificates_are_exact():
     # rho = (1 - delta) diag(p) + delta tau puts kinks within about delta of each
     # other, where a smooth bracket can close with psi' != 0; the test mixing the
     # positive parts at its ends still meets the constraint and closes the gap.
-    # The first state took the smooth path to a gap of 1.7e-6 with a widened band
+    # The first state took the smooth path to a gap of 1.7e-6 with a widened band.
+    # At d = 16 and 32 a kink's zero band can hold positive eigenvalues: the dual
+    # value sums them too, so it stays a bound, gap >= 0 to rounding
     cases = [(NEAR_INCOHERENT, 0.5310196211071253, 2.0)]
     rng = np.random.default_rng(25)
-    for i in range(400):
-        d = 2 + i % 7
+    for i in range(500):
+        d = 2 + i % 7 if i < 400 else 16 * (1 + i % 2)
         delta = 10.0 ** rng.uniform(-12.0, -2.0)
         tau = rand_rho(rng, d, int(rng.integers(1, d + 1)))
         rho = (1.0 - delta) * np.diag(rng.dirichlet(np.ones(d))) + delta * tau
@@ -305,9 +307,10 @@ def test_near_commuting_certificates_are_exact():
         for test in (res.primal, prog.primal):
             w = np.linalg.eigvalsh(test)
             assert -1e-12 <= w[0] and w[-1] <= 1.0 + 1e-12, (i, w)
-        assert abs(res.gap) <= 1e-8, (i, res.path, res.gap)
+        for r in (res, prog):
+            assert abs(r.gap) <= 1e-8, (i, r.path, r.gap)
+            assert r.gap >= -1e-11 * max(1.0, r.dual_t), (i, r.path, r.gap, r.dual_t)
         assert np.vdot(res.primal, rho).real >= 1.0 - eps - 1e-12, (i, res.path)
-        assert abs(prog.gap) <= 1e-8, (i, prog.path, prog.gap)
         assert abs(np.vdot(prog.primal, dephase(rho)).real - 1.0 / m) <= 1e-12, (i, prog.path)
 
 

@@ -59,7 +59,15 @@ def test_dio_to_maxcoherent_threshold():
     psi = np.array([np.sqrt(0.5), np.sqrt(0.25), np.sqrt(0.25)])
     assert dio_to_maxcoherent_decide(psi, 2)
     assert not dio_to_maxcoherent_decide(psi, 3)
-    with pytest.raises(ValueError):
+    # 1/m within PREFIX_SLACK (1e-9) passes, past it fails
+    for shift, possible in ((1e-10, True), (-1e-10, True), (1e-8, False)):
+        p = np.array([0.5 + shift, 0.25 - shift / 2, 0.25 - shift / 2])
+        assert dio_to_maxcoherent_decide(np.sqrt(p), 2) is possible, shift
+    # m = d: only Psi_d itself; m > d: never, not even from Psi_d
+    assert dio_to_maxcoherent_decide(max_coherent(4), 4)
+    assert not dio_to_maxcoherent_decide(rand_pure(np.random.default_rng(3), 4), 4)
+    assert not dio_to_maxcoherent_decide(max_coherent(3), 4)
+    with pytest.raises(ValueError, match="need 1 <= m <= dim"):
         dio_to_maxcoherent_decide(psi, 0)
 
 
@@ -91,24 +99,36 @@ def test_heralded_single_branch_reduces_to_deterministic():
 
 def _check_bistochastic(t, atol=1e-9):
     assert np.all(t >= -atol)
-    assert np.allclose(t.sum(axis=0), 1.0, atol=atol)
-    assert np.allclose(t.sum(axis=1), 1.0, atol=atol)
+    assert np.abs(t.sum(axis=0) - 1.0).max() <= atol
+    assert np.abs(t.sum(axis=1) - 1.0).max() <= atol
 
 
 def test_build_witness_maps_q_to_p():
     rng = np.random.default_rng(77)
-    built = 0
+    pairs = []
     for _ in range(200):
         d = int(rng.integers(2, 7))
         q = rng.dirichlet(np.ones(d))
         p = rng.dirichlet(np.ones(d))
-        if not majorizes(q, p):
-            continue
+        if majorizes(q, p):
+            pairs.append((q, p))
+    assert len(pairs) > 10  # the sampler does hit majorized pairs
+    # ties, zero entries and unsorted p, d up to 8: p = B q for B a mix of 1-3
+    # permutations is majorized by q, and a single permutation keeps every tie
+    pairs += [([1.0], [1.0]), ([0.5, 0.5, 0.0, 0.0], [0.25] * 4),
+              ([1.0, 0.0, 0.0], [0.0, 0.6, 0.4]), ([0.4, 0.4, 0.2, 0.0], [0.2, 0.4, 0.0, 0.4])]
+    for d in range(1, 9):
+        for _ in range(20):
+            q = rng.integers(0, 4, size=d).astype(float)
+            q[0] += q.sum() == 0.0
+            q /= q.sum()
+            k = int(rng.integers(1, 4))
+            mix = sum(np.eye(d)[:, rng.permutation(d)] for _ in range(k)) / k
+            pairs.append((q, mix @ q))
+    for q, p in pairs:
         w = build_witness(q, p)
-        _check_bistochastic(w)
-        assert np.allclose(w @ q, p, atol=1e-9)
-        built += 1
-    assert built > 10  # the sampler does hit majorized pairs
+        _check_bistochastic(w, atol=1e-12)
+        assert np.abs(w @ np.asarray(q) - p).max() <= 1e-12, (q, p)
 
 
 def test_build_witness_mixture_pairs():
