@@ -65,12 +65,6 @@ def _read(inputs: list, path: str) -> str:
     return data.decode("utf-8")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _load_density(inputs: list, path: str) -> Density:
     """The state in a file as a Density, validated once for every call it reaches."""
     kind, state = state_from_json(_read(inputs, path))
@@ -309,7 +303,7 @@ def main(argv=None) -> int:
             "wall_time_s": round(time.perf_counter() - started, 6),
         }
         # serialize first: a NaN or infinity raises before stdout sees anything
-        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -125,8 +125,8 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     so no iteration runs, and neither does a zero budget. Otherwise
     Douglas-Rachford iterations search for a witness Choi operator. The
     reported residual is the constraint violation of the PSD shadow iterate,
-    so a small residual means an almost-exact witness; it is inf when no
-    iteration ran.
+    so a small residual means an almost-exact witness; it is 0.0 for the
+    identity witness and inf for every other verdict that ran no iteration.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -142,7 +142,7 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     spectra = _coherence_spectrum(rho), _coherence_spectrum(sigma)
     cert = _monotone_certificate(state, target, spectra)
     if cert is not None:
-        return FeasibilityVerdict("infeasible-certified", None, cert, float("nan"), 0, ())
+        return FeasibilityVerdict("infeasible-certified", None, cert, float("inf"), 0, ())
     separation = _curve_separation(rho, sigma, spectra)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)

@@ -66,6 +66,8 @@ def test_validate_channel_catches_violations():
 def test_twirl_matches_permutation_average():
     # brute-force oracle: explicit average over all d! basis permutations
     rng = np.random.default_rng(16)
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        twirl_channel(0)
     for d in (2, 3, 4):
         tw = twirl_channel(d)
         validate_channel(tw)
@@ -109,6 +111,9 @@ def test_measure_prepare_rectangular():
             q = rand_hermitian(rng, 3)
             want = sum(np.trace(a @ q) * w for a, w in pairs)
             assert np.allclose(apply(ch, q), want, atol=1e-12)
+    # a state of the output dimension is not an input
+    with pytest.raises(ValueError, match=r"state dim \(2, 2\) != channel input dim 3"):
+        apply(ch, np.eye(2) / 2)
 
 
 def test_unitary_coherence_generator_is_not_dio():
@@ -349,6 +354,10 @@ def test_stored_kraus_must_match_the_choi_operator_within_herm_atol():
         channel_from_json(doc)
     doc["kraus"][0]["re"][0][0] = 1.0
     assert np.array_equal(channel_from_json(doc).choi, dephasing_channel(2).choi)
+    # a stored operator of the wrong shape is refused before any comparison
+    doc["kraus"][1] = {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+    with pytest.raises(ValueError, match=r"Kraus shape \(3, 3\) != \(2, 2\)"):
+        channel_from_json(doc)
 
 
 def test_dio_covariance_on_states_follows_choi_check():

@@ -66,6 +66,13 @@ def run(capsys, argv):
     return code, strict_loads(out) if out else None
 
 
+def python(*args):
+    """Run a Python process that imports dcoh from where this suite imports it."""
+    path = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def assert_input_error(capsys, argv, match):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -236,6 +243,24 @@ def test_oracle_exit_codes(capsys, files):
     code, rep = run(capsys, ["oracle", files["flat"], files["psi2_dm"]])
     assert code == 1
     assert rep["results"]["certificate"]["monotone"]
+    # each exit code from a real `python -m dcoh.cli` process: a report, the
+    # certificate that R_Delta rises from 0 to 1, an undetermined verdict after
+    # one of the 126 iterations qutrit -> |+> takes, and an input error
+    plus, mixed = files["psi2_dm"], files["flat"]
+    for argv, want in ((["monotones", plus], 0), (["oracle", mixed, plus], 1),
+                       (["oracle", files["qutrit"], plus, "--max-iters", "1"], 2),
+                       (["distill", plus, "--eps", "1"], 3)):
+        proc = python("-m", "dcoh.cli", *argv)
+        assert proc.returncode == want, (argv, proc.stderr)
+        if want == 3:
+            assert proc.stdout == "" and proc.stderr == "error: eps must be in [0, 1), got 1.0\n"
+            continue
+        assert proc.stderr == ""
+        results = strict_loads(proc.stdout)["results"]
+        if want == 1:
+            assert results["certificate"]["monotone"] == "r_delta"
+        elif want == 2:
+            assert results["status"] == "undetermined" and math.isfinite(results["residual"])
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -247,6 +272,9 @@ def test_input_error_exit_code(capsys, tmp_path):
     code = cli.main(["monotones", str(tmp_path / "missing.json")])
     capsys.readouterr()
     assert code == 3
+    bad.write_text('{"kind": "density", "dim": 2, "re": [[1.2, 0], [0, -0.2]], '
+                   '"im": [[0, 0], [0, 0]]}')
+    assert_input_error(capsys, ["monotones", str(bad)], "error: matrix is not PSD")
 
 
 def test_non_finite_document_exit_code(capsys, tmp_path):
@@ -499,6 +527,7 @@ def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_pa
         _, rep1 = run(capsys, argv)
         _, rep2 = run(capsys, argv)
         diag = rep1["diagnostics"]
+        assert sorted(diag) == ["eig_calls", "path"]
         assert diag["path"] in ("kink", "smooth")
         assert diag["eig_calls"] >= 3
         rep1.pop("wall_time_s")
@@ -725,10 +754,9 @@ def test_help_exits_0(capsys):
 
 def test_parser_is_built_once_per_process(capsys, files, monkeypatch):
     # importing the module builds nothing: the parser is made on the first call
-    src = str(Path(cli.__file__).resolve().parents[1])
     probe = "import dcoh.cli; assert dcoh.cli._parser.cache_info().currsize == 0"
-    subprocess.run([sys.executable, "-c", probe], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    proc = python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
     run(capsys, fill(MODES["monotones"], files))  # warm-up
     built = []
     init = argparse.ArgumentParser.__init__

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
@@ -140,6 +142,8 @@ def test_monotone_increase_is_certified_infeasible():
     name, v_in, v_out = verdict.certificate
     assert v_out > v_in + 1e-7
     assert name == "r_delta"
+    # no iteration ran: the residual is inf, as for an undetermined zero budget
+    assert (verdict.iterations, verdict.residual) == (0, math.inf)
 
 
 def test_identity_transformation_is_feasible():

@@ -152,8 +152,13 @@ def test_json_validation_errors():
         state_from_json(json.dumps({"kind": "density"}))
     with pytest.raises(ValueError, match="kind"):
         state_from_json(json.dumps({"kind": "spam", "dim": 2, "re": [1, 0], "im": [0, 0]}))
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="pure shape"):
         state_from_json(json.dumps({"kind": "pure", "dim": 3, "re": [1, 0], "im": [0, 0]}))
+    square = {"kind": "density", "dim": 3, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+    with pytest.raises(ValueError, match=r"density shape \(2, 2\) does not match dim 3"):
+        state_from_json(json.dumps(square))
+    with pytest.raises(ValueError, match="cannot serialize array of ndim 3"):
+        state_to_json(np.zeros((2, 2, 2)))
     # a dimension is a JSON integer: int() would read each of these as 2 or 1
     for dim in (2.7, 2.0, True, "2"):
         doc = {"kind": "pure", "dim": dim, "re": [1, 0], "im": [0, 0]}
