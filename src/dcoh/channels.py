@@ -107,13 +107,13 @@ def is_dio(ch: QuantumChannel) -> tuple[bool, float]:
     return violation <= DIO_ATOL, violation
 
 
-def is_rho_dio(ch: QuantumChannel, rho, atol: float = DIO_ATOL) -> tuple[bool, float]:
+def is_rho_dio(ch: QuantumChannel, rho) -> tuple[bool, float]:
     """Check dephasing covariance for the specific input state rho."""
     rho = density(rho).rho
     left = dephase(apply(ch, rho))
     right = apply(ch, dephase(rho))
     violation = float(np.linalg.norm(left - right))
-    return violation <= atol, violation
+    return violation <= DIO_ATOL, violation
 
 
 def twirl_channel(dim: int) -> QuantumChannel:

@@ -4,11 +4,13 @@ transformations.
 Decides existence of a CPTP map with Lambda(rho) = sigma and
 Lambda(dephase(rho)) = dephase(sigma) (the second constraint is the
 covariance condition, forced into this affine form by the first) by
-Douglas-Rachford splitting on the Choi operator between the PSD cone and
-the affine constraint set, whose projection is a closed-form two-sided
-product once the Choi operator is realigned. Projection splitting cannot
-certify infeasibility: a "no" is the first member of `monotones._family`
-that rises from rho to sigma, and non-convergence is an honest "undetermined".
+Douglas-Rachford splitting on the Choi operator between the PSD cone and the
+affine constraint set, whose projection is a closed-form two-sided product
+once the Choi operator is realigned. It stops when the PSD iterate meets
+every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
+maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
+infeasibility: a "no" is the first member of `monotones._family` that rises
+from rho to sigma, and non-convergence is an honest "undetermined".
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -26,14 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, channel_from_kraus, is_rho_dio, measure_prepare
+from .channels import (DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio,
+                       measure_prepare)
 from .monotones import _coherence_spectrum, _family
-from .states import dephase, density
+from .states import TRACE_ATOL, dephase, density
 
 DEFAULT_MAX_ITERS = 5000
-RESIDUAL_TOL = 1e-7
-# A converged witness must be covariant on rho and reach sigma within this.
-WITNESS_TOL = 1e-6
 CERT_MARGIN = 1e-7
 RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)
 
@@ -66,9 +66,9 @@ def _monotone_certificate(state, target, spectra):
 
 
 def _is_witness(channel, state, sigma) -> bool:
-    """Whether a channel is covariant on rho and takes it to sigma, within WITNESS_TOL."""
-    ok_rho_dio, _ = is_rho_dio(channel, state, atol=WITNESS_TOL)
-    return ok_rho_dio and float(np.linalg.norm(apply(channel, state.rho) - sigma)) <= WITNESS_TOL
+    """Whether a channel is covariant on rho and takes it to sigma within DIO_ATOL."""
+    image_error = float(np.linalg.norm(apply(channel, state.rho) - sigma))
+    return is_rho_dio(channel, state)[0] and image_error <= DIO_ATOL
 
 
 def _testing_curve(x, t) -> np.ndarray:
@@ -124,9 +124,10 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     sound), then the testing curves: a separation rules out every witness,
     so no iteration runs, and neither does a zero budget. Otherwise
     Douglas-Rachford iterations search for a witness Choi operator. The
-    reported residual is the constraint violation of the PSD shadow iterate,
-    so a small residual means an almost-exact witness; it is 0.0 for the
-    identity witness and inf for every other verdict that ran no iteration.
+    reported residual is the PSD shadow iterate's constraint violation: a
+    witness has at most TRACE_ATOL, which bounds its trace defect and image
+    error (twice it, the covariance violation). It is 0.0 for the identity
+    witness and inf for every other verdict that ran no iteration.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -167,7 +168,7 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
         y = psd.ravel()[to_m]
         r_image, r_trace = x.dot(y) - image, y.dot(e) - c
         residual = math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
-        if residual <= RESIDUAL_TOL or iters == max_iters:
+        if residual <= TRACE_ATOL or iters == max_iters:
             break
         if iters in RESIDUAL_CHECKPOINTS:
             checkpoints.append((iters, residual))
@@ -175,9 +176,8 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
         z += left.dot(2.0 * y - z).dot(right) + p - y
     checkpoints = (*checkpoints, (iters, residual))
 
-    if residual <= RESIDUAL_TOL:
-        witness = QuantumChannel(din, dout, psd)
-        if _is_witness(witness, state, sigma):
-            return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
+    witness = QuantumChannel(din, dout, psd)
+    if residual <= TRACE_ATOL and _is_witness(witness, state, sigma):
+        return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
 
     return FeasibilityVerdict("undetermined", None, None, residual, iters, checkpoints)

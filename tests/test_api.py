@@ -115,3 +115,18 @@ def test_small_float_literals_are_named_constants():
                         and 0.0 < node.value < 1e-6 and id(node) not in named):
                     literals.add((path.stem, getattr(top, "name", None), node.value))
     assert literals == KEPT_MARGINS, sorted(literals ^ KEPT_MARGINS)
+
+
+def test_numerical_conventions_name_every_tolerance():
+    # each module-level threshold below 1e-6 is described in the README's
+    # "Numerical conventions" section, with the comparison it decides
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Numerical conventions\n", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float) and 0.0 < node.value.value < 1e-6):
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+    missing = sorted(name for name in names if f"`{name}" not in section)
+    assert len(names) == 10 and not missing, (sorted(names), missing)

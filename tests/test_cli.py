@@ -240,12 +240,17 @@ def test_channel_construct_distill(capsys, files, tmp_path):
 def test_oracle_exit_codes(capsys, files):
     code, rep = run(capsys, ["oracle", files["qutrit"], files["psi2_dm"]])
     assert code == 0 and rep["results"]["status"] == "feasible"
+    # the witness, written out, passes the verifier's own channel checks
+    witness = Path(files["tmp"]) / "witness.json"
+    witness.write_text(json.dumps(rep["results"]["witness"]))
+    code, rep = run(capsys, ["channel", "--verify", str(witness), "--rho", files["qutrit"]])
+    assert code == 0 and rep["results"]["rho_dio"] is True
     code, rep = run(capsys, ["oracle", files["flat"], files["psi2_dm"]])
     assert code == 1
     assert rep["results"]["certificate"]["monotone"]
     # each exit code from a real `python -m dcoh.cli` process: a report, the
     # certificate that R_Delta rises from 0 to 1, an undetermined verdict after
-    # one of the 126 iterations qutrit -> |+> takes, and an input error
+    # one of the 171 iterations qutrit -> |+> takes, and an input error
     plus, mixed = files["psi2_dm"], files["flat"]
     for argv, want in ((["monotones", plus], 0), (["oracle", mixed, plus], 1),
                        (["oracle", files["qutrit"], plus, "--max-iters", "1"], 2),
@@ -331,7 +336,7 @@ def test_oracle_negative_iterations_exit_code(capsys, files):
 
 
 def test_oracle_reports_its_residual_checkpoints(capsys, files):
-    # qutrit -> Psi_2 converges after 126 iterations; the trajectory is read at
+    # qutrit -> Psi_2 converges after 171 iterations; the trajectory is read at
     # 1, 10, 100 and 1000 and at the last iteration, and stays strict JSON
     q, psi2 = files["qutrit"], files["psi2_dm"]
     code, rep = run(capsys, ["oracle", q, psi2])
@@ -339,7 +344,7 @@ def test_oracle_reports_its_residual_checkpoints(capsys, files):
     checkpoints = rep["diagnostics"]["residual_checkpoints"]
     iterations = rep["results"]["iterations"]
     assert [k for k, _ in checkpoints] == [1, 10, 100, iterations]
-    assert checkpoints[-1][1] == rep["results"]["residual"] <= 1e-7 < checkpoints[0][1]
+    assert checkpoints[-1][1] == rep["results"]["residual"] <= TRACE_ATOL < checkpoints[0][1]
     code, rep = run(capsys, ["oracle", q, psi2, "--max-iters", "12"])
     assert code == 2
     assert [k for k, _ in rep["diagnostics"]["residual_checkpoints"]] == [1, 10, 12]

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 
-from dcoh.channels import apply, channel_from_kraus, choi_from_kraus, is_rho_dio, qubit_decide
+from dcoh.channels import (DIO_ATOL, apply, channel_from_json, channel_from_kraus, channel_to_json,
+                           choi_from_kraus, is_rho_dio, qubit_decide)
 from dcoh import oracle
 from dcoh.monotones import _coherence_spectrum
-from dcoh.oracle import CERT_MARGIN, RESIDUAL_TOL, _affine_set, _curve_separation, rho_dio_feasible
-from dcoh.states import check_density, dephase, max_coherent, pure_to_density
+from dcoh.oracle import CERT_MARGIN, _affine_set, _curve_separation, rho_dio_feasible
+from dcoh.states import TRACE_ATOL, check_density, dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho, rand_pure
 
@@ -54,11 +55,15 @@ def residual(aff, m):
 
 
 def _verify_feasible(verdict, rho, sigma):
+    """A feasible verdict's witness passes the package's own channel checks:
+    the JSON reader's CPTP validation and `is_rho_dio`, both at their
+    defaults, and takes rho to sigma within DIO_ATOL."""
     assert verdict.status == "feasible"
     assert verdict.witness is not None
-    ok, viol = is_rho_dio(verdict.witness, rho, atol=1e-6)
+    channel_from_json(channel_to_json(verdict.witness))
+    ok, viol = is_rho_dio(verdict.witness, rho)
     assert ok, viol
-    assert np.linalg.norm(apply(verdict.witness, rho) - sigma) <= 1e-6
+    assert np.linalg.norm(apply(verdict.witness, rho) - sigma) <= DIO_ATOL
 
 
 def test_constraint_rows_match_the_three_constraints():
@@ -242,7 +247,7 @@ def test_undetermined_is_reported_honestly():
 def _reference_dr(rho, sigma, max_iters):
     """Douglas-Rachford in the plain Choi layout: a pinv projection onto
     L vec(J) = b, eigh of the symmetrised iterate for the PSD cone. Returns
-    the residual after each iteration, stopping at the oracle's tolerance."""
+    the residual after each iteration, stopping at TRACE_ATOL as the oracle does."""
     din, dout = rho.shape[0], sigma.shape[0]
     lmat, b = dense_constraint_system(rho, sigma)
     lpinv = np.linalg.pinv(lmat)
@@ -260,7 +265,7 @@ def _reference_dr(rho, sigma, max_iters):
     for _ in range(max_iters):
         y = psd(z)
         residuals.append(np.linalg.norm(lmat @ y - b))
-        if residuals[-1] <= RESIDUAL_TOL:
+        if residuals[-1] <= TRACE_ATOL:
             break
         z = z + affine(2 * y - z) - y
     return residuals
@@ -270,7 +275,7 @@ def test_douglas_rachford_matches_a_dense_reference():
     rng = np.random.default_rng(0)
     max_iters = 300
     cases = [(rand_rho(rng, 3), rand_rho(rng, 3), max_iters) for _ in range(6)]
-    # qutrit -> Psi_2 is feasible but needs 126 iterations: runs that stop
+    # qutrit -> Psi_2 is feasible but needs 171 iterations: runs that stop
     # unconverged on their budget, one of them at a checkpoint, recorded once
     for budget in (60, 10):
         cases.append((pure_to_density(QUTRIT), pure_to_density(max_coherent(2)), budget))
@@ -282,9 +287,9 @@ def test_douglas_rachford_matches_a_dense_reference():
         if verdict.status == "infeasible-certified" or verdict.separation is not None:
             # no witness exists, so the reference cannot converge either
             assert verdict.iterations == 0 and verdict.residual_checkpoints == ()
-            assert len(residuals) == budget and residuals[-1] > RESIDUAL_TOL
+            assert len(residuals) == budget and residuals[-1] > TRACE_ATOL
             continue
-        converged = residuals[-1] <= RESIDUAL_TOL
+        converged = residuals[-1] <= TRACE_ATOL
         assert verdict.status == ("feasible" if converged else "undetermined")
         assert verdict.iterations == len(residuals)
         if converged:
@@ -295,11 +300,41 @@ def test_douglas_rachford_matches_a_dense_reference():
         stops = [k for k in (1, 10, 100) if k < len(residuals)] + [len(residuals)]
         assert [k for k, _ in verdict.residual_checkpoints] == stops
         for k, r in verdict.residual_checkpoints:
-            if residuals[k - 1] > RESIDUAL_TOL:
+            if residuals[k - 1] > TRACE_ATOL:
                 assert abs(r - residuals[k - 1]) <= 1e-9 * residuals[k - 1]
             else:
-                assert r <= RESIDUAL_TOL
+                assert r <= TRACE_ATOL
     assert seen == {"feasible", "infeasible-certified", "separated", "undetermined"}
+
+
+def test_every_feasible_witness_passes_the_channel_checks():
+    # permuted, then mixed with the dephased input: feasible by construction.
+    # Each witness must pass the checks `dcoh channel --verify` runs. The d = 5
+    # pairs of seed 5 (rank 2) and seed 8 (full rank) reach a residual below
+    # 1e-7 while their iterate is not yet trace preserving within TRACE_ATOL
+    for seed in (5, 8):
+        rng = np.random.default_rng(seed)
+        for d in (2, 3, 4, 5):
+            for k in range(3):
+                rho = rand_rho(rng, d, d if k % 2 == 0 else max(1, d // 2))
+                perm = np.eye(d)[rng.permutation(d)]
+                p = rng.uniform(0.0, 0.9)
+                sigma = (1.0 - p) * perm @ rho @ perm.T + p * dephase(rho)
+                _verify_feasible(rho_dio_feasible(rho, sigma), rho, sigma)
+
+
+def test_no_witness_for_a_qubit_pair_whose_coherence_rises():
+    # sigma scales rho's off-diagonal by 1 + bump: R_Delta rises by less than
+    # CERT_MARGIN, so no certificate is issued, but no rho-DIO map exists. The
+    # iterates come within 1e-7 of the constraints in at most 229 iterations,
+    # so only checks at TRACE_ATOL and DIO_ATOL refuse them
+    for a, c, bump in ((0.5, 0.2, 1e-7), (0.3, 0.35, 5e-8), (0.6, 0.1 + 0.2j, 2e-7),
+                       (0.5, 0.45, 3e-8)):
+        rho = np.array([[a, c], [np.conj(c), 1.0 - a]])
+        sigma = np.array([[a, c * (1.0 + bump)], [np.conj(c) * (1.0 + bump), 1.0 - a]])
+        assert not qubit_decide(rho, sigma)
+        verdict = rho_dio_feasible(rho, sigma, max_iters=300)
+        assert verdict.status != "feasible" and verdict.witness is None, (a, c, bump)
 
 
 def svd_testing_curve(x, t):
