@@ -90,8 +90,6 @@ def _mode(args) -> str | None:
     if args.command == "distill":
         return args.regime
     if args.command == "decide":
-        if args.qubit and args.heralded:
-            raise ValueError("decide takes --qubit or --heralded, not both")
         return "qubit" if args.qubit else "heralded" if args.heralded else "pure"
     if args.command == "channel":
         return f"construct-{args.construct}" if args.construct else "verify"
@@ -262,8 +260,9 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("decide", help="pure-state / heralded / qubit transformation decisions")
     p.add_argument("states", nargs="+", help="state file(s)")
-    p.add_argument("--heralded", metavar="ENSEMBLE", help="heralded ensemble JSON file")
-    p.add_argument("--qubit", action="store_true", help="decide a qubit density-matrix pair")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--heralded", metavar="ENSEMBLE", help="heralded ensemble JSON file")
+    group.add_argument("--qubit", action="store_true", help="decide a qubit density-matrix pair")
 
     p = sub.add_parser("channel", help="construct or verify channels")
     group = p.add_mutually_exclusive_group(required=True)

@@ -127,7 +127,7 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
         ev = at(kinks[mid])
         if ev[-1] < -slope_tol:
             lo, left = mid, ev
-        elif mid > 0 and ev[-2] > slope_tol:  # t = 0 has no left slope
+        elif mid > 0 and ev[-2] > slope_tol:  # t = 0 is t* here; a bracket would have no left end
             hi, right = mid, ev
         else:
             break

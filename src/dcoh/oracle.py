@@ -8,9 +8,10 @@ Douglas-Rachford splitting on the Choi operator between the PSD cone and the
 affine constraint set, whose projection is a closed-form two-sided product
 once the Choi operator is realigned. It stops when the PSD iterate meets
 every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
-maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
-infeasibility: a "no" is the first member of `monotones._family` that rises
-from rho to sigma, and non-convergence is an honest "undetermined".
+maps rho to sigma within DIO_ATOL. A pair equal within HERM_ATOL, one state,
+takes the identity first. Projection splitting cannot certify infeasibility:
+a "no" is the first member of `monotones._family` that rises from rho to
+sigma, and non-convergence is an honest "undetermined".
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -30,6 +31,7 @@ import numpy as np
 
 from .channels import (DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio,
                        measure_prepare)
+from .linalg import HERM_ATOL
 from .monotones import _coherence_spectrum, _family
 from .states import TRACE_ATOL, dephase, density
 
@@ -119,27 +121,27 @@ def _affine_set(rho, sigma):
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
-    rho -> rho takes the identity channel, checked like any witness, unless
-    the budget is zero. The monotone family is checked next (cheap and
-    sound), then the testing curves: a separation rules out every witness,
-    so no iteration runs, and neither does a zero budget. Otherwise
-    Douglas-Rachford iterations search for a witness Choi operator. The
-    reported residual is the PSD shadow iterate's constraint violation: a
-    witness has at most TRACE_ATOL, which bounds its trace defect and image
-    error (twice it, the covariance violation). It is 0.0 for the identity
-    witness and inf for every other verdict that ran no iteration.
+    The identity channel comes first, unless the budget is zero, then the
+    monotone family (cheap and sound) and the testing curves: a separation
+    rules out every witness, so no iteration runs, nor with a zero budget.
+    Otherwise Douglas-Rachford iterations search for a witness Choi operator.
+    The reported residual is the constraint violation of the PSD shadow
+    iterate or of the identity (0.0 on an exact pair), inf for every other
+    verdict that ran no iteration. A witness has at most TRACE_ATOL, which
+    bounds its trace defect and image error (twice it, the covariance violation).
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     state, target = density(rho), density(sigma)
     rho, sigma = state.rho, target.rho
 
-    if max_iters > 0 and np.array_equal(rho, sigma):
-        # rho -> rho: the identity channel, with no iteration; no monotone
-        # or testing curve can separate a pair that is one state
+    if max_iters > 0 and rho.shape == sigma.shape and np.abs(rho - sigma).max() <= HERM_ATOL:
+        # rho -> rho, one state (equal within HERM_ATOL): the identity channel,
+        # with no iteration, monotone or curve, and the residual DR measures
         identity = channel_from_kraus([np.eye(rho.shape[0])])
         if _is_witness(identity, state, sigma):
-            return FeasibilityVerdict("feasible", identity, None, 0.0, 0, ())
+            residual = float(np.linalg.norm([rho - sigma, dephase(rho - sigma)]))
+            return FeasibilityVerdict("feasible", identity, None, residual, 0, ())
     spectra = _coherence_spectrum(rho), _coherence_spectrum(sigma)
     cert = _monotone_certificate(state, target, spectra)
     if cert is not None:

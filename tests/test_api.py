@@ -130,3 +130,19 @@ def test_numerical_conventions_name_every_tolerance():
                 names |= {t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
     missing = sorted(name for name in names if f"`{name}" not in section)
     assert len(names) == 10 and not missing, (sorted(names), missing)
+
+
+def test_no_array_equality_helper_decides():
+    # every equality reads a named tolerance (HERM_ATOL for matrices): an exact
+    # np.array_equal has no literal for the test above to see, and np.allclose
+    # or np.isclose bring default tolerances of their own
+    banned = {"array_equal", "array_equiv", "allclose", "isclose"}
+    calls = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in banned:
+                    calls.append((path.stem, node.lineno, name))
+    assert not calls, calls

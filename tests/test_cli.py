@@ -407,7 +407,8 @@ def test_decide_wrong_number_of_states(capsys, files):
 def test_decide_rejects_qubit_with_heralded(capsys, files):
     missing = files["tmp"] + "/missing.json"
     assert_input_error(capsys, ["decide", "--qubit", files["psi2_dm"], files["flat"],
-                                "--heralded", missing], "not both")
+                                "--heralded", missing],
+                       "dcoh decide: argument --heralded: not allowed with argument --qubit")
 
 
 PURE_PLUS = json.loads(state_to_json(max_coherent(2)))

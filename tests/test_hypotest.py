@@ -260,6 +260,13 @@ def test_distill_fidelity_program_certificates():
         assert 1.0 / m - 1e-9 <= prog.value <= 1.0 + 1e-12
         assert abs(prog.gap) < 1e-6
         assert prog.dual_t >= 0.0
+    # m = 1 and a trace 5e-10 short of 1 (within TRACE_ATOL): psi' > 0 on both sides of
+    # the kink t = 0, which ends the domain, so the solve stops there; bracketing it
+    # would leave no left end
+    rho = np.array([[0.6, 0.3], [0.3, 0.4 - 5e-10]])
+    prog = distill_fidelity_program(rho, 1)
+    assert (prog.path, prog.dual_t, prog.eig_calls, prog.gap) == ("kink", 0.0, 2, 0.0)
+    assert abs(prog.value - (1.0 - 5e-10)) < 1e-15
 
 
 def test_distill_fidelity_decreasing_in_m():

@@ -371,6 +371,36 @@ def test_monotones_invariant_under_permutations_and_diagonal_unitaries():
             assert np.max(np.abs(after - before)) <= 1e-9, (d, before, after)
 
 
+def _reported_values(rho, eps, m):
+    """Every value a report prints for rho: the monotone family, D_H^eps, the
+    fidelity program, both raw dilution bounds and the zero-error yield."""
+    rep = monotone_report(rho)
+    lower, upper = dilute_one_shot_bounds(rho, eps)
+    return np.array([rep.r_delta, rep.rel_entropy_bits, *(v for _, v in rep.renyi), rep.l1,
+                     dh_epsilon(rho, dephase(rho), eps).optimal_value,
+                     distill_fidelity_program(rho, m).value, lower.raw_value,
+                     upper.raw_value, distill_zero_error(rho).raw_value])
+
+
+def test_incoherent_unitaries_and_an_unused_level_change_no_value():
+    # both are reversible free operations, so no value may move; the primal
+    # test operators may differ (an unused level can take a zero-band share),
+    # so only values are compared. atol covers values that are 0 up to rounding
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        d = int(rng.integers(2, 6))
+        rho = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+        eps = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
+        m = float(rng.uniform(1.0, d + 1.0))
+        u = np.diag(np.exp(2j * np.pi * rng.random(d)))[rng.permutation(d)]
+        padded = np.zeros((d + 1, d + 1), dtype=complex)
+        padded[:d, :d] = rho
+        before = _reported_values(rho, eps, m)
+        for other in (u @ rho @ u.conj().T, padded):
+            np.testing.assert_allclose(_reported_values(other, eps, m), before,
+                                       rtol=1e-9, atol=1e-12, err_msg=f"d={d}")
+
+
 def test_monotones_do_not_rise_under_twirl_and_mixtures_of_dio_maps():
     for rng, d, rho in _rank_deficient_states():
         before = _monotone_values(rho)

@@ -172,6 +172,26 @@ def test_identity_transformation_of_rank_deficient_states_is_feasible():
         np.testing.assert_allclose(apply(verdict.witness, other), other, atol=1e-15)
         # a zero budget still runs no search
         assert rho_dio_feasible(rho, rho, 0).status == "undetermined"
+    # a sigma within HERM_ATOL of rho is the same state: before, the exact test sent
+    # these to DR, which left two undetermined after 5000 iterations and took 4993
+    # and 2945 on the others
+    rng = np.random.default_rng(5)
+    for d, rank in ((3, 2), (4, 2), (3, 1), (4, 4)):
+        rho = rand_rho(rng, d, rank)
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (h + h.conj().T) / 2
+        sigma = rho + 1e-14 * (h - np.trace(h) / d * np.eye(d))
+        verdict = rho_dio_feasible(rho, sigma)
+        _verify_feasible(verdict, rho, sigma)
+        assert (verdict.iterations, verdict.residual_checkpoints) == (0, ())
+        assert 0.0 < verdict.residual <= 1e-13
+        other = rand_rho(rng, d)
+        np.testing.assert_allclose(apply(verdict.witness, other), other, atol=1e-15)
+    # 3e-10 off in one coherence is a different state: DR runs
+    sigma = rho.copy()
+    sigma[0, 1] += 3e-10
+    sigma[1, 0] += 3e-10
+    assert rho_dio_feasible(rho, sigma, max_iters=50).iterations == 50
 
 
 def test_anything_to_incoherent_is_feasible():
