@@ -8,10 +8,10 @@ Douglas-Rachford splitting on the Choi operator between the PSD cone and the
 affine constraint set, whose projection is a closed-form two-sided product
 once the Choi operator is realigned. It stops when the PSD iterate meets
 every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
-maps rho to sigma within DIO_ATOL. A pair equal within HERM_ATOL, one state,
-takes the identity first. Projection splitting cannot certify infeasibility:
-a "no" is the first member of `monotones._family` that rises from rho to
-sigma, and non-convergence is an honest "undetermined".
+maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
+infeasibility: a "no" is the first member of `monotones._family` that rises
+from rho to sigma, and non-convergence is an honest "undetermined". An
+unseparated pair equal within HERM_ATOL takes the identity, with no search.
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -121,27 +121,20 @@ def _affine_set(rho, sigma):
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
-    The identity channel comes first, unless the budget is zero, then the
-    monotone family (cheap and sound) and the testing curves: a separation
-    rules out every witness, so no iteration runs, nor with a zero budget.
-    Otherwise Douglas-Rachford iterations search for a witness Choi operator.
-    The reported residual is the constraint violation of the PSD shadow
-    iterate or of the identity (0.0 on an exact pair), inf for every other
-    verdict that ran no iteration. A witness has at most TRACE_ATOL, which
-    bounds its trace defect and image error (twice it, the covariance violation).
+    The monotone family (cheap and sound), then the testing curves: a
+    separation rules out every witness, so no iteration runs, nor with a zero
+    budget. Next a pair equal within HERM_ATOL tries the identity channel, and
+    Douglas-Rachford iterations search for a witness Choi operator. The
+    reported residual is the constraint violation of the PSD shadow iterate or
+    of the identity (0.0 on an exact pair), inf for every other verdict that
+    ran no iteration. A witness has at most TRACE_ATOL, which bounds its trace
+    defect and image error (twice it, the covariance violation).
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     state, target = density(rho), density(sigma)
     rho, sigma = state.rho, target.rho
 
-    if max_iters > 0 and rho.shape == sigma.shape and np.abs(rho - sigma).max() <= HERM_ATOL:
-        # rho -> rho, one state (equal within HERM_ATOL): the identity channel,
-        # with no iteration, monotone or curve, and the residual DR measures
-        identity = channel_from_kraus([np.eye(rho.shape[0])])
-        if _is_witness(identity, state, sigma):
-            residual = float(np.linalg.norm([rho - sigma, dephase(rho - sigma)]))
-            return FeasibilityVerdict("feasible", identity, None, residual, 0, ())
     spectra = _coherence_spectrum(rho), _coherence_spectrum(sigma)
     cert = _monotone_certificate(state, target, spectra)
     if cert is not None:
@@ -149,6 +142,13 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     separation = _curve_separation(rho, sigma, spectra)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
+    if rho.shape == sigma.shape and np.abs(rho - sigma).max() <= HERM_ATOL:
+        # equal within HERM_ATOL, yet the checks above can separate such a pair
+        # (a 1e-10 coherence between 1e-9 populations lifts r_delta by 0.045)
+        identity = channel_from_kraus([np.eye(rho.shape[0])])
+        if _is_witness(identity, state, sigma):
+            residual = float(np.linalg.norm([rho - sigma, dephase(rho - sigma)]))
+            return FeasibilityVerdict("feasible", identity, None, residual, 0, ())
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout

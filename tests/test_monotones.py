@@ -131,9 +131,9 @@ def test_decompositions_per_call(monkeypatch, tmp_path):
         # R_Delta and the curves' kinks; then one stacked eigvalsh per curve
         (lambda r: rho_dio_feasible(r, mixed, 0), 6),
         (lambda r: rho_dio_feasible(mixed, r, 0), 4),
-        # rho -> rho is the identity witness, checked before any monotone; a
-        # zero budget skips it and runs the monotone walk and the curves
-        (lambda r: rho_dio_feasible(r, r), 2),
+        # rho -> rho runs the monotone walk and the curves before the identity
+        # witness, which decomposes nothing more; a zero budget skips it
+        (lambda r: rho_dio_feasible(r, r), 6),
         (lambda r: rho_dio_feasible(r, r, 0), 6),
         (lambda r: _curve_separation(r, mixed, (_coherence_spectrum(r), _coherence_spectrum(mixed))), 4),
         (lambda r: qubit_decide(*qubits), 4),
@@ -337,9 +337,10 @@ def test_monotone_report_shapes():
     assert abs(rep_mixed.l1 - 1.0) < 1e-12
 
 
-# Monotones under DIO maps: basis permutations and diagonal unitaries are
-# reversible DIO maps, so every monotone is invariant under them; the twirl
-# and convex mixtures of all three are DIO, so no monotone may rise.
+# Monotones under DIO maps: basis permutations, diagonal unitaries and an
+# appended unused level are reversible DIO maps, so no reported value moves
+# under them; the twirl and convex mixtures of DIO maps are DIO, so no
+# monotone may rise.
 
 def _monotone_values(rho):
     return np.array([r_delta(rho), rel_entropy_coherence(rho)]
@@ -363,12 +364,12 @@ def _reversible_map(rng, d):
     return lambda rho: u @ rho @ u.conj().T
 
 
-def test_monotones_invariant_under_permutations_and_diagonal_unitaries():
-    for rng, d, rho in _rank_deficient_states():
-        before = _monotone_values(rho)
-        for _ in range(2):
-            after = _monotone_values(_reversible_map(rng, d)(rho))
-            assert np.max(np.abs(after - before)) <= 1e-9, (d, before, after)
+def _unused_level(rho):
+    """rho with an unused level appended, a reversible free operation."""
+    d = rho.shape[0]
+    padded = np.zeros((d + 1, d + 1), dtype=complex)
+    padded[:d, :d] = rho
+    return padded
 
 
 def _reported_values(rho, eps, m):
@@ -382,21 +383,16 @@ def _reported_values(rho, eps, m):
                      upper.raw_value, distill_zero_error(rho).raw_value])
 
 
-def test_incoherent_unitaries_and_an_unused_level_change_no_value():
-    # both are reversible free operations, so no value may move; the primal
-    # test operators may differ (an unused level can take a zero-band share),
-    # so only values are compared. atol covers values that are 0 up to rounding
-    rng = np.random.default_rng(31)
-    for _ in range(150):
-        d = int(rng.integers(2, 6))
-        rho = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+def test_monotones_invariant_under_permutations_and_diagonal_unitaries():
+    # the primal test operators may differ (an unused level can take a
+    # zero-band share), so only values are compared; atol covers values that
+    # are 0 up to rounding
+    for rng, d, rho in _rank_deficient_states():
         eps = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
         m = float(rng.uniform(1.0, d + 1.0))
-        u = np.diag(np.exp(2j * np.pi * rng.random(d)))[rng.permutation(d)]
-        padded = np.zeros((d + 1, d + 1), dtype=complex)
-        padded[:d, :d] = rho
         before = _reported_values(rho, eps, m)
-        for other in (u @ rho @ u.conj().T, padded):
+        f, g = _reversible_map(rng, d), _reversible_map(rng, d)
+        for other in (f(rho), g(f(rho)), _unused_level(g(f(rho)))):
             np.testing.assert_allclose(_reported_values(other, eps, m), before,
                                        rtol=1e-9, atol=1e-12, err_msg=f"d={d}")
 

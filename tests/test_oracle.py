@@ -172,9 +172,9 @@ def test_identity_transformation_of_rank_deficient_states_is_feasible():
         np.testing.assert_allclose(apply(verdict.witness, other), other, atol=1e-15)
         # a zero budget still runs no search
         assert rho_dio_feasible(rho, rho, 0).status == "undetermined"
-    # a sigma within HERM_ATOL of rho is the same state: before, the exact test sent
-    # these to DR, which left two undetermined after 5000 iterations and took 4993
-    # and 2945 on the others
+    # a sigma within HERM_ATOL of rho that nothing separates takes the identity; an
+    # exact test sent these to DR, which left two undetermined after 5000
+    # iterations and took 4993 and 2945 on the others
     rng = np.random.default_rng(5)
     for d, rank in ((3, 2), (4, 2), (3, 1), (4, 4)):
         rho = rand_rho(rng, d, rank)
@@ -192,6 +192,16 @@ def test_identity_transformation_of_rank_deficient_states_is_feasible():
     sigma[0, 1] += 3e-10
     sigma[1, 0] += 3e-10
     assert rho_dio_feasible(rho, sigma, max_iters=50).iterations == 50
+    # equal within HERM_ATOL yet separated: rho is incoherent, so every covariant
+    # image is, and a 0.9e-10 coherence between 2e-9 populations lifts r_delta to
+    # 0.045 (qutrit) or by 2e-6 (qubit); the certificate comes before the identity
+    for pops in ((1 - 4e-9, 2e-9, 2e-9), (1 - 2e-9, 2e-9)):
+        rho = np.diag(pops).astype(complex)
+        sigma = rho.copy()
+        sigma[-2, -1] = sigma[-1, -2] = 0.9e-10
+        verdict = rho_dio_feasible(rho, sigma)
+        assert (verdict.status, verdict.certificate[0]) == ("infeasible-certified", "r_delta")
+    assert not qubit_decide(rho, sigma)
 
 
 def test_anything_to_incoherent_is_feasible():
