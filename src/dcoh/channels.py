@@ -193,8 +193,8 @@ def qubit_decide(rho, sigma) -> bool:
     if rho.rho.shape != (2, 2) or sigma.rho.shape != (2, 2):
         raise ValueError("qubit_decide requires two single-qubit states")
     return (
-        r_delta(rho) >= r_delta(sigma) - PREFIX_SLACK
-        and l1_norm(rho) >= l1_norm(sigma) - PREFIX_SLACK
+        r_delta(sigma) <= r_delta(rho) + PREFIX_SLACK
+        and l1_norm(sigma) <= l1_norm(rho) + PREFIX_SLACK
     )
 
 

@@ -10,14 +10,14 @@ once the Choi operator is realigned. It stops when the PSD iterate meets
 every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
 maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
 infeasibility: a "no" is the first member of `monotones._family` that rises
-from rho to sigma, and non-convergence is an honest "undetermined". An
-unseparated pair equal within HERM_ATOL takes the identity, with no search.
+from rho to sigma by more than PREFIX_SLACK, and non-convergence is an honest
+"undetermined". An unseparated pair equal within HERM_ATOL takes the identity.
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
 sigma - t dephase(sigma) and contracts the trace norm, so h_sigma <= h_rho
 for every t >= 0 (relative majorization; sufficient for qubits). A t at
-which h_sigma rises above h_rho by more than CERT_MARGIN proves that no
+which h_sigma rises above h_rho by more than PREFIX_SLACK proves that no
 witness exists: the verdict stays "undetermined", carries that point as
 `separation`, and runs no iteration.
 """
@@ -32,11 +32,11 @@ import numpy as np
 from .channels import (DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio,
                        measure_prepare)
 from .linalg import HERM_ATOL
+from .majorization import PREFIX_SLACK
 from .monotones import _coherence_spectrum, _family
 from .states import TRACE_ATOL, dephase, density
 
 DEFAULT_MAX_ITERS = 5000
-CERT_MARGIN = 1e-7
 RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)
 
 
@@ -56,13 +56,13 @@ class FeasibilityVerdict:
 
 def _monotone_certificate(state, target, spectra):
     """(name, v_in, v_out) of the first family member that rises by more than
-    CERT_MARGIN from state to target (Densities with their coherence spectra);
-    l1 counts for qubits only."""
+    PREFIX_SLACK from state to target (Densities with their coherence spectra);
+    l1 counts for qubits only, which makes these `qubit_decide`'s comparisons."""
     qubits = state.rho.shape == target.rho.shape == (2, 2)
     for (name, v_in), (_, v_out) in zip(_family(state, spectra[0]), _family(target, spectra[1])):
         if name == "l1" and not qubits:
             break
-        if v_out > v_in + CERT_MARGIN:
+        if v_out > v_in + PREFIX_SLACK:
             return name, v_in, v_out
     return None
 
@@ -82,7 +82,7 @@ def _testing_curve(x, t) -> np.ndarray:
 
 def _curve_separation(rho, sigma, spectra):
     """(t, h_rho(t), h_sigma(t)) at the t where h_sigma rises most above h_rho,
-    when by more than CERT_MARGIN, else None (both validated). The t are the
+    when by more than PREFIX_SLACK, else None (both validated). The t are the
     kinks of both curves, where x - t dephase(x) is singular (the coherence
     spectra of rho and sigma, as given), and the midpoints between consecutive
     kinks; below the first kink both curves are 1 - t, past the last both are 0."""
@@ -90,7 +90,7 @@ def _curve_separation(rho, sigma, spectra):
     t = np.concatenate([kinks, (kinks[1:] + kinks[:-1]) / 2])
     h_rho, h_sigma = _testing_curve(rho, t), _testing_curve(sigma, t)
     k = int(np.argmax(h_sigma - h_rho))
-    if h_sigma[k] > h_rho[k] + CERT_MARGIN:
+    if h_sigma[k] > h_rho[k] + PREFIX_SLACK:
         return float(t[k]), float(h_rho[k]), float(h_sigma[k])
     return None
 

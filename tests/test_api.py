@@ -119,7 +119,9 @@ def test_small_float_literals_are_named_constants():
 
 def test_numerical_conventions_name_every_tolerance():
     # each module-level threshold below 1e-6 is described in the README's
-    # "Numerical conventions" section, with the comparison it decides
+    # "Numerical conventions" section, with the comparison it decides, and
+    # each "`NAME = value` (`module`)" entry there is a constant of that module
+    # with that value
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Numerical conventions\n", 1)[1].split("\n## ", 1)[0]
     names = set()
@@ -129,7 +131,12 @@ def test_numerical_conventions_name_every_tolerance():
                     and isinstance(node.value.value, float) and 0.0 < node.value.value < 1e-6):
                 names |= {t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
     missing = sorted(name for name in names if f"`{name}" not in section)
-    assert len(names) == 10 and not missing, (sorted(names), missing)
+    assert len(names) == 9 and not missing, (sorted(names), missing)
+    entries = re.findall(r"`([A-Z_]+) = ([^`]+)` \(`(\w+)`\)", section)
+    stale = [entry for entry in entries
+             if getattr(importlib.import_module(f"dcoh.{entry[2]}"), entry[0], None)
+             != float(entry[1])]
+    assert entries and not stale, stale
 
 
 def test_no_array_equality_helper_decides():

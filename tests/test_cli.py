@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dcoh import channels, cli, rates
+from dcoh import channels, cli, oracle, rates
 from dcoh.channels import channel_to_json, dephasing_channel
 from dcoh.majorization import PREFIX_SLACK
 from dcoh.states import TRACE_ATOL, max_coherent, pure_to_density, state_from_json, state_to_json
@@ -248,6 +248,15 @@ def test_oracle_exit_codes(capsys, files):
     code, rep = run(capsys, ["oracle", files["flat"], files["psi2_dm"]])
     assert code == 1
     assert rep["results"]["certificate"]["monotone"]
+    # R_Delta rises by 1.1e-9, and qubit_decide says no: certified before any
+    # search, whose iterate passes the witness checks after 895 iterations
+    a, c = 0.5480745210186516, 0.07402242993855838 - 0.2625335343549788j
+    pair = []
+    for coherence in (c, c * (1.0 + 2.0853585515902604e-09)):
+        pair.append(Path(files["tmp"]) / f"qubit{len(pair)}.json")
+        pair[-1].write_text(state_to_json(np.array([[a, coherence], [np.conj(coherence), 1 - a]])))
+    code, rep = run(capsys, ["oracle", *map(str, pair)])
+    assert code == 1 and rep["results"]["certificate"]["monotone"] == "r_delta"
     # each exit code from a real `python -m dcoh.cli` process: a report, the
     # certificate that R_Delta rises from 0 to 1, an undetermined verdict after
     # one of the 171 iterations qutrit -> |+> takes, and an input error
@@ -310,9 +319,10 @@ def test_reported_decision_tolerance_is_the_deciders_slack(capsys, files, monkey
     ):
         _, rep = run(capsys, argv)
         assert rep["tolerances"] == {"decision": PREFIX_SLACK}
-    # the qubit decider and construct_prop5 compare with the same constant,
-    # and the rates round every unit count with it
-    assert channels.PREFIX_SLACK == rates.PREFIX_SLACK == PREFIX_SLACK
+    # the qubit decider, construct_prop5 and the oracle's certificate and
+    # curve test compare with the same constant, and the rates round every
+    # unit count with it
+    assert channels.PREFIX_SLACK == oracle.PREFIX_SLACK == rates.PREFIX_SLACK == PREFIX_SLACK
 
 
 def test_channel_construct_missing_arguments(capsys, files):

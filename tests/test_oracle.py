@@ -5,9 +5,10 @@ import numpy as np
 from dcoh.channels import (DIO_ATOL, apply, channel_from_json, channel_from_kraus, channel_to_json,
                            choi_from_kraus, is_rho_dio, qubit_decide)
 from dcoh import oracle
+from dcoh.majorization import PREFIX_SLACK
 from dcoh.monotones import _coherence_spectrum
-from dcoh.oracle import CERT_MARGIN, _affine_set, _curve_separation, rho_dio_feasible
-from dcoh.states import TRACE_ATOL, check_density, dephase, max_coherent, pure_to_density
+from dcoh.oracle import _affine_set, _curve_separation, _monotone_certificate, rho_dio_feasible
+from dcoh.states import TRACE_ATOL, check_density, density, dephase, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho, rand_pure
 
@@ -242,6 +243,20 @@ def test_qubit_agreement_with_closed_form_decider():
                 _verify_feasible(verdict, rho, sigma)
             else:
                 assert verdict.status == "infeasible-certified", (rho, sigma)
+    # near the boundary: sigma scales rho's off-diagonal, and so R_Delta, by
+    # 1 + bump, bump = 10**U(-8.7, -6). The certificate makes qubit_decide's
+    # comparisons, so each pair it rejects is refused before any iteration
+    rng = np.random.default_rng(5)
+    rejected = 0
+    for _ in range(200):
+        rho = rand_rho(rng, 2)
+        bump = 10 ** rng.uniform(-8.7, -6)
+        sigma = rho * np.array([[1.0, 1.0 + bump], [1.0 + bump, 1.0]])
+        verdict = rho_dio_feasible(rho, sigma, max_iters=0)
+        want = qubit_decide(rho, sigma)
+        assert (verdict.status == "infeasible-certified") == (not want), (rho, bump)
+        rejected += not want
+    assert rejected >= 190
 
 
 def test_dimension_change_feasible_case():
@@ -354,17 +369,49 @@ def test_every_feasible_witness_passes_the_channel_checks():
 
 
 def test_no_witness_for_a_qubit_pair_whose_coherence_rises():
-    # sigma scales rho's off-diagonal by 1 + bump: R_Delta rises by less than
-    # CERT_MARGIN, so no certificate is issued, but no rho-DIO map exists. The
-    # iterates come within 1e-7 of the constraints in at most 229 iterations,
-    # so only checks at TRACE_ATOL and DIO_ATOL refuse them
+    # sigma scales rho's off-diagonal by 1 + bump: R_Delta rises by 1.1e-9 to
+    # 9.1e-8, and no rho-DIO map exists. The certificate refuses each pair
+    # before any iteration, as qubit_decide does: a search comes within 1e-7
+    # of the constraints in at most 229 iterations on the first four, and its
+    # iterate passes the witness checks on the fifth after 895
     for a, c, bump in ((0.5, 0.2, 1e-7), (0.3, 0.35, 5e-8), (0.6, 0.1 + 0.2j, 2e-7),
-                       (0.5, 0.45, 3e-8)):
+                       (0.5, 0.45, 3e-8),
+                       (0.5480745210186516, 0.07402242993855838 - 0.2625335343549788j,
+                        2.0853585515902604e-09)):
         rho = np.array([[a, c], [np.conj(c), 1.0 - a]])
         sigma = np.array([[a, c * (1.0 + bump)], [np.conj(c) * (1.0 + bump), 1.0 - a]])
         assert not qubit_decide(rho, sigma)
-        verdict = rho_dio_feasible(rho, sigma, max_iters=300)
-        assert verdict.status != "feasible" and verdict.witness is None, (a, c, bump)
+        verdict = rho_dio_feasible(rho, sigma)
+        assert verdict.status == "infeasible-certified", (a, c, bump)
+        assert (verdict.certificate[0], verdict.iterations) == ("r_delta", 0)
+
+
+def test_no_certificate_for_a_feasible_pair_near_the_rank_cut():
+    # one row of rho's random factor is scaled by 10**U(-4.45, -4), which puts
+    # that population near the rank cut of 1e-9 (2e-10 to 3e-9 in 80% of the
+    # draws). sigma = U rho U^dag for an incoherent unitary U (a permutation
+    # times phases), or that mixed with dephase(rho), is feasible by
+    # construction, so neither the certificate nor the curves may refuse it.
+    # On the permuted pairs the largest rise of any family member is about
+    # 1e-11, far below PREFIX_SLACK. r_delta drops the coherences of a
+    # population below the cut, so a mixture that moves such a population
+    # onto a large one can be refused falsely (ROADMAP item 8); no draw here
+    # does
+    rng = np.random.default_rng(3)
+    for d in range(2, 9):
+        for rank in range(1, d + 1):
+            for _ in range(10):
+                a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                a[rng.integers(d)] *= 10 ** rng.uniform(-4.45, -4)
+                rho = density(a @ a.conj().T / np.linalg.norm(a) ** 2)
+                u = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.uniform(size=d))
+                turned = u @ rho.rho @ u.conj().T
+                p = rng.uniform(0.0, 0.9)
+                for sigma in (turned, (1.0 - p) * turned + p * dephase(rho.rho)):
+                    sigma = density(sigma)
+                    spectra = _coherence_spectrum(rho.rho), _coherence_spectrum(sigma.rho)
+                    assert _curve_separation(rho.rho, sigma.rho, spectra) is None
+                    assert _monotone_certificate(rho, sigma, spectra) is None, (d, rank)
 
 
 def svd_testing_curve(x, t):
@@ -435,7 +482,7 @@ def test_testing_curve_separates_every_undetermined_pool_pair():
             assert verdict.status == "undetermined" and verdict.iterations == 0
             assert verdict.witness is None and verdict.certificate is None
             t, h_rho, h_sigma = verdict.separation
-            assert t >= 0.0 and h_sigma > h_rho + CERT_MARGIN
+            assert t >= 0.0 and h_sigma > h_rho + PREFIX_SLACK
             assert abs(h_rho - svd_testing_curve(rho, t)) <= 1e-12
             assert abs(h_sigma - svd_testing_curve(sigma, t)) <= 1e-12
 
