@@ -10,7 +10,8 @@ once the Choi operator is realigned. It stops when the PSD iterate meets
 every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
 maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
 infeasibility: a "no" is the first member of `monotones._family` that rises
-from rho to sigma by more than PREFIX_SLACK, and non-convergence is an honest
+from rho to sigma by more than PREFIX_SLACK (on qubits r_delta or l1, the
+comparisons of `qubit_decide`), and non-convergence is an honest
 "undetermined". An unseparated pair equal within HERM_ATOL takes the identity.
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
@@ -56,13 +57,12 @@ class FeasibilityVerdict:
 
 def _monotone_certificate(state, target, spectra):
     """(name, v_in, v_out) of the first family member that rises by more than
-    PREFIX_SLACK from state to target (Densities with their coherence spectra);
-    l1 counts for qubits only, which makes these `qubit_decide`'s comparisons."""
+    PREFIX_SLACK from state to target (Densities with their coherence spectra):
+    for qubits r_delta or l1, `qubit_decide`'s criterion, else any but l1."""
     qubits = state.rho.shape == target.rho.shape == (2, 2)
     for (name, v_in), (_, v_out) in zip(_family(state, spectra[0]), _family(target, spectra[1])):
-        if name == "l1" and not qubits:
-            break
-        if v_out > v_in + PREFIX_SLACK:
+        counts = name in ("r_delta", "l1") if qubits else name != "l1"
+        if counts and v_out > v_in + PREFIX_SLACK:
             return name, v_in, v_out
     return None
 

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from dcoh.channels import (DIO_ATOL, apply, channel_from_json, channel_from_kraus, channel_to_json,
                            choi_from_kraus, is_rho_dio, qubit_decide)
@@ -257,6 +258,15 @@ def test_qubit_agreement_with_closed_form_decider():
         assert (verdict.status == "infeasible-certified") == (not want), (rho, bump)
         rejected += not want
     assert rejected >= 190
+    # |x| = 0.99: renyi_1.0 rises 7.6 times faster than r_delta, by 3.0e-9
+    # where r_delta and l1 rise by 0.8e-9 and qubit_decide says yes. The
+    # certificate compares r_delta and l1 only, and the search finds a witness
+    rho = np.array([[0.5, 0.495], [0.495, 0.5]])
+    sigma = rho * np.array([[1.0, 1.0 + 0.8e-9], [1.0 + 0.8e-9, 1.0]])
+    assert qubit_decide(rho, sigma)
+    verdict = rho_dio_feasible(rho, sigma, max_iters=0)
+    assert verdict.status == "undetermined" and verdict.separation is None
+    _verify_feasible(rho_dio_feasible(rho, sigma), rho, sigma)
 
 
 def test_dimension_change_feasible_case():
@@ -387,31 +397,52 @@ def test_no_witness_for_a_qubit_pair_whose_coherence_rises():
 
 
 def test_no_certificate_for_a_feasible_pair_near_the_rank_cut():
-    # one row of rho's random factor is scaled by 10**U(-4.45, -4), which puts
-    # that population near the rank cut of 1e-9 (2e-10 to 3e-9 in 80% of the
-    # draws). sigma = U rho U^dag for an incoherent unitary U (a permutation
-    # times phases), or that mixed with dephase(rho), is feasible by
-    # construction, so neither the certificate nor the curves may refuse it.
-    # On the permuted pairs the largest rise of any family member is about
-    # 1e-11, far below PREFIX_SLACK. r_delta drops the coherences of a
-    # population below the cut, so a mixture that moves such a population
-    # onto a large one can be refused falsely (ROADMAP item 8); no draw here
-    # does
+    # row `cut` of rho's random factor is scaled by 10**U(-4.45, -4), which
+    # puts that population near the rank cut of 1e-9 (2e-10 to 3e-9 in 80% of
+    # the draws). sigma = U rho U^dag for an incoherent unitary U (a
+    # permutation times phases) is feasible by construction, and so is a
+    # mixture (1 - p) V rho V^dag + p dephase(rho), so neither the certificate
+    # nor the curves may refuse either. On the permuted pairs the largest rise
+    # of any family member is about 1e-11, far below PREFIX_SLACK. V keeps the
+    # small population in place: r_delta drops the coherences of a population
+    # below the cut, so a mixture that moves it onto a large one can be
+    # refused falsely (the next test)
     rng = np.random.default_rng(3)
     for d in range(2, 9):
         for rank in range(1, d + 1):
             for _ in range(10):
                 a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-                a[rng.integers(d)] *= 10 ** rng.uniform(-4.45, -4)
+                cut = rng.integers(d)
+                a[cut] *= 10 ** rng.uniform(-4.45, -4)
                 rho = density(a @ a.conj().T / np.linalg.norm(a) ** 2)
-                u = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.uniform(size=d))
-                turned = u @ rho.rho @ u.conj().T
+                phases = np.exp(2j * np.pi * rng.uniform(size=d))
+                u = np.eye(d)[rng.permutation(d)] * phases
+                keep = np.insert(rng.permutation(np.delete(np.arange(d), cut)), cut, cut)
+                v = np.eye(d)[keep] * phases
                 p = rng.uniform(0.0, 0.9)
-                for sigma in (turned, (1.0 - p) * turned + p * dephase(rho.rho)):
+                for sigma in (u @ rho.rho @ u.conj().T,
+                              (1.0 - p) * v @ rho.rho @ v.conj().T + p * dephase(rho.rho)):
                     sigma = density(sigma)
                     spectra = _coherence_spectrum(rho.rho), _coherence_spectrum(sigma.rho)
                     assert _curve_separation(rho.rho, sigma.rho, spectra) is None
                     assert _monotone_certificate(rho, sigma, spectra) is None, (d, rank)
+
+
+@pytest.mark.xfail(strict=True, reason="r_delta drops a population below the rank cut "
+                   "with its coherences (ROADMAP item 8)")
+def test_no_certificate_for_a_mixture_that_moves_a_population_off_the_rank_cut():
+    # psi = (2e-5, sqrt(1 - 4e-10)) has R_Delta = 1, but its 4e-10 population
+    # is below the rank cut and r_delta reports 0. The DIO channel
+    # 0.7 X.X + 0.3 dephase maps rho to sigma exactly, and sigma's r_delta is
+    # 3.1e-5, so the certificate refuses a feasible pair
+    rho = pure_to_density(np.array([2e-5, math.sqrt(1.0 - 4e-10)]))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sigma = 0.7 * x @ rho @ x + 0.3 * dephase(rho)
+    channel = channel_from_kraus([math.sqrt(0.7) * x, math.sqrt(0.3) * np.diag([1.0, 0.0]),
+                                  math.sqrt(0.3) * np.diag([0.0, 1.0])])
+    assert is_rho_dio(channel, rho)[0]
+    assert np.abs(apply(channel, rho) - sigma).max() <= TRACE_ATOL
+    assert rho_dio_feasible(rho, sigma, max_iters=0).status != "infeasible-certified"
 
 
 def svd_testing_curve(x, t):
@@ -482,7 +513,8 @@ def test_testing_curve_separates_every_undetermined_pool_pair():
             assert verdict.status == "undetermined" and verdict.iterations == 0
             assert verdict.witness is None and verdict.certificate is None
             t, h_rho, h_sigma = verdict.separation
-            assert t >= 0.0 and h_sigma > h_rho + PREFIX_SLACK
+            # every pool separation is at least 1.19e-3, far above the slack
+            assert t >= 0.0 and h_sigma > h_rho + PREFIX_SLACK and h_sigma - h_rho > 1e-3
             assert abs(h_rho - svd_testing_curve(rho, t)) <= 1e-12
             assert abs(h_sigma - svd_testing_curve(sigma, t)) <= 1e-12
 
