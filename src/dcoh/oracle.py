@@ -6,13 +6,20 @@ Lambda(dephase(rho)) = dephase(sigma) (the second constraint is the
 covariance condition, forced into this affine form by the first) by
 Douglas-Rachford splitting on the Choi operator between the PSD cone and the
 affine constraint set, whose projection is a closed-form two-sided product
-once the Choi operator is realigned. It stops when the PSD iterate meets
-every constraint within TRACE_ATOL; a witness also passes `is_rho_dio` and
-maps rho to sigma within DIO_ATOL. Projection splitting cannot certify
-infeasibility: a "no" is the first member of `monotones._family` that rises
-from rho to sigma by more than PREFIX_SLACK (on qubits r_delta or l1, the
-comparisons of `qubit_decide`), and non-convergence is an honest
-"undetermined". An unseparated pair equal within HERM_ATOL takes the identity.
+once the Choi operator is realigned. Each iteration has two candidate points:
+the PSD iterate y, which meets the constraints only in the limit, and the
+affine point a = P_A(2y - z), which meets them to rounding and is PSD once
+the iterates reach the interior of the feasible set. One rule accepts either:
+a PSD candidate (y by construction, a when Cholesky factors the Hermitian
+matrix of its lower triangle) whose own constraint residual is within
+TRACE_ATOL stops the search, and it is the witness once it also passes
+`is_rho_dio` and maps rho to sigma within DIO_ATOL. A positive-definite Choi
+operator maps rho to a full-rank state, so for a rank-deficient sigma only y
+is tried. Projection splitting cannot certify infeasibility: a "no" is the
+first member of `monotones._family` that rises from rho to sigma by more
+than PREFIX_SLACK (on qubits r_delta or l1, the comparisons of
+`qubit_decide`), and non-convergence is an honest "undetermined". An
+unseparated pair equal within HERM_ATOL takes the identity.
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -118,6 +125,21 @@ def _affine_set(rho, sigma):
     return left, right, p, x, image, e, c
 
 
+def _constraint_residual(m, x, image, e, c) -> float:
+    """The 2-norm of the violation of x M = image and M e = c (realigned M)."""
+    r_image, r_trace = x.dot(m) - image, m.dot(e) - c
+    return math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
+
+
+def _positive_definite(j) -> bool:
+    """Whether Cholesky factors the Hermitian matrix of j's lower triangle."""
+    try:
+        np.linalg.cholesky(j)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
@@ -125,10 +147,12 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     separation rules out every witness, so no iteration runs, nor with a zero
     budget. Next a pair equal within HERM_ATOL tries the identity channel, and
     Douglas-Rachford iterations search for a witness Choi operator. The
-    reported residual is the constraint violation of the PSD shadow iterate or
-    of the identity (0.0 on an exact pair), inf for every other verdict that
-    ran no iteration. A witness has at most TRACE_ATOL, which bounds its trace
-    defect and image error (twice it, the covariance violation).
+    reported residual is the constraint violation of the returned candidate:
+    the last PSD iterate, the positive-definite affine point that stopped the
+    search (about 1e-15), or the identity (0.0 on an exact pair); inf for every
+    other verdict that ran no iteration. A witness has at most TRACE_ATOL,
+    which bounds its trace defect and image error (twice it, the covariance
+    violation).
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -159,6 +183,8 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     # start from the constant channel Q -> Tr(Q) sigma
     z = left @ measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m] @ right + p
 
+    # a positive-definite Choi operator maps rho to a full-rank state
+    full_rank = target.w.size == dout
     checkpoints = []
     for iters in range(1, max_iters + 1):
         # PSD projection: eigh reads the lower triangle of the Choi iterate,
@@ -166,19 +192,30 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
         # same numbers as `@` and `clip` with less call overhead, most of
         # their cost at these sizes
         w, v = np.linalg.eigh(z.ravel()[to_j])
-        psd = (v * np.maximum(w, 0.0)).dot(v.conj().T)
-        y = psd.ravel()[to_m]
-        r_image, r_trace = x.dot(y) - image, y.dot(e) - c
-        residual = math.sqrt((np.vdot(r_image, r_image) + np.vdot(r_trace, r_trace)).real)
+        choi = (v * np.maximum(w, 0.0)).dot(v.conj().T)
+        y = choi.ravel()[to_m]
+        residual = _constraint_residual(y, x, image, e, c)
         if residual <= TRACE_ATOL or iters == max_iters:
             break
+        # reflect through the PSD point and project onto the affine set
+        a = left.dot(2.0 * y - z).dot(right) + p
+        if full_rank:
+            # any u with u^dag a u <= 0 shows that a is not positive definite;
+            # z's least eigenvector is one on nearly every iteration that ends
+            # no run, and costs one product where Cholesky costs a call
+            j, u = a.ravel()[to_j], v[:, 0]
+            if np.vdot(u, j.dot(u)).real > 0.0 and _positive_definite(j):
+                herm = np.tril(j) + np.tril(j, -1).conj().T
+                r_affine = _constraint_residual(herm.ravel()[to_m], x, image, e, c)
+                if r_affine <= TRACE_ATOL:
+                    choi, residual = herm, r_affine
+                    break
         if iters in RESIDUAL_CHECKPOINTS:
             checkpoints.append((iters, residual))
-        # reflect through the PSD point, project onto the affine set, step
-        z += left.dot(2.0 * y - z).dot(right) + p - y
+        z += a - y
     checkpoints = (*checkpoints, (iters, residual))
 
-    witness = QuantumChannel(din, dout, psd)
+    witness = QuantumChannel(din, dout, choi)
     if residual <= TRACE_ATOL and _is_witness(witness, state, sigma):
         return FeasibilityVerdict("feasible", witness, None, residual, iters, checkpoints)
 
