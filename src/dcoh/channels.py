@@ -24,8 +24,8 @@ import numpy as np
 
 from .linalg import HERM_ATOL, PSD_ATOL, check_hermitian, check_psd_spectrum
 from .majorization import PREFIX_SLACK
-from .monotones import r_delta, renyi_relative
-from .states import (TRACE_ATOL, dephase, density, json_int, json_numbers, l1_norm,
+from .monotones import _certificate, _coherence_spectrum, r_delta, renyi_relative
+from .states import (TRACE_ATOL, dephase, density, json_int, json_numbers,
                      max_coherent, pure_to_density)
 
 DIO_ATOL = 1e-8
@@ -188,14 +188,11 @@ def construct_prop5(rho, omega) -> QuantumChannel:
 
 def qubit_decide(rho, sigma) -> bool:
     """Single-qubit transformation decider: rho -> sigma is possible iff
-    both R_Delta and the entrywise l1 norm are non-increasing (within PREFIX_SLACK)."""
+    `monotones._certificate` finds no rise of R_Delta or the l1 norm."""
     rho, sigma = density(rho), density(sigma)
     if rho.rho.shape != (2, 2) or sigma.rho.shape != (2, 2):
         raise ValueError("qubit_decide requires two single-qubit states")
-    return (
-        r_delta(sigma) <= r_delta(rho) + PREFIX_SLACK
-        and l1_norm(sigma) <= l1_norm(rho) + PREFIX_SLACK
-    )
+    return _certificate(rho, sigma, [_coherence_spectrum(s.rho) for s in (rho, sigma)]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -294,9 +294,9 @@ def main(argv=None) -> int:
         report = {
             "command": args.command,
             "inputs": inputs,
-            # the slack every decider compares with: prefix sums, qubit_decide's
-            # R_Delta and l1 comparisons, the oracle's certificate and curve
-            # test, unit counts and construct_prop5's R_Delta(omega) + 1 bound
+            # the slack every decider compares with: prefix sums, the monotone
+            # certificate (monotones._certificate, read by qubit_decide and the
+            # oracle), the curve test, unit counts and construct_prop5's bound
             "tolerances": {"decision": majorization.PREFIX_SLACK},
             **fields,
             "wall_time_s": round(time.perf_counter() - started, 6),

@@ -2,7 +2,7 @@
 input-tailored dephasing-covariant channels.
 
 One generator, `_family`, defines the family that `monotone_report` reports
-and the oracle certifies with. All logarithms are base 2; values are in bits.
+and `_certificate` decides with. All logarithms are base 2; values are in bits.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import rank_tol
+from .linalg import RANK_RTOL, rank_tol
+from .majorization import PREFIX_SLACK
 from .states import check_pure, coherence_distribution, density, l1_norm
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -27,10 +28,10 @@ class MonotoneReport:
     c_k: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _diag_power(rho, s: float) -> np.ndarray:
-    """diag(rho)^s on the support of dephase(rho), zero off it."""
+def _diag_power(rho, s: float, cut: bool) -> np.ndarray:
+    """diag(rho)^s on the support of dephase(rho), cut at rank_tol or at 0, zero off it."""
     p = rho.diagonal().real
-    keep = p > rank_tol(p)
+    keep = p > (rank_tol(p) if cut else 0.0)
     return np.where(keep, p, 1.0) ** s * keep
 
 
@@ -38,20 +39,44 @@ def _entropy_bits(w) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def _family(state, spectrum):
+def _family(state, spectrum, alphas, cut: bool = True):
     """(name, value) pairs of a Density in certificate order: r_delta from its
-    ascending coherence spectrum, renyi_alpha for alpha in DEFAULT_ALPHAS, l1.
-    Each is computed when asked for; none decomposes a matrix."""
+    ascending coherence spectrum (read with the same cut), renyi_alpha for
+    each alpha, l1. Each is computed when asked for; none decomposes a matrix."""
     yield "r_delta", max(float(spectrum[-1]) - 1.0, 0.0)
-    yield from _renyi_family(state, DEFAULT_ALPHAS)
+    yield from _renyi_family(state, alphas, cut) if alphas else ()
     yield "l1", l1_norm(state)
 
 
-def _coherence_matrix(rho) -> np.ndarray:
+def _readings(state, spectrum, alphas):
+    """(name, least, greatest) of each `_family` member of a Density over two readings
+    of a population in (0, rank cut], which may be real or rounding noise: cut, and kept."""
+    cut = _family(state, spectrum, alphas)
+    p = state.rho.diagonal().real.tolist()
+    tol = RANK_RTOL * max(1.0, *map(abs, p))  # rank_tol(p), without numpy's call overhead
+    if min(p) > tol or not any(0.0 < x <= tol for x in p):
+        return ((name, v, v) for name, v in cut)
+    kept = _family(state, np.linalg.eigvalsh(_coherence_matrix(state.rho, False)), alphas, False)
+    return ((name, min(a, b), max(a, b)) for (name, a), (_, b) in zip(cut, kept))
+
+
+def _certificate(state, target, spectra):
+    """(name, v_in, v_out) of the first member whose least reading on target
+    (`_readings`) exceeds its greatest on state by more than PREFIX_SLACK, or None.
+    A qubit pair reads no Renyi member, as r_delta and l1 decide it; others all but l1."""
+    alphas = () if state.rho.shape == target.rho.shape == (2, 2) else DEFAULT_ALPHAS
+    for (name, _, v_in), (_, v_out, _) in zip(_readings(state, spectra[0], alphas),
+                                              _readings(target, spectra[1], alphas)):
+        if (name != "l1" or not alphas) and v_out > v_in + PREFIX_SLACK:
+            return name, v_in, v_out
+    return None
+
+
+def _coherence_matrix(rho, cut: bool = True) -> np.ndarray:
     """The coherence matrix D^{-1/2} rho D^{-1/2} of a validated rho, D =
-    dephase(rho) pseudo-inverted on its support. D is diagonal, so this only
-    rescales the entries of rho."""
-    q = _diag_power(rho, -0.5)
+    dephase(rho) pseudo-inverted on its support (`_diag_power`'s). D is
+    diagonal, so this only rescales the entries of rho."""
+    q = _diag_power(rho, -0.5, cut)
     return q[:, None] * rho * q[None, :]
 
 
@@ -69,7 +94,7 @@ def _coherence_eigh(rho):
     return lam, rho.diagonal().real @ np.abs(vecs) ** 2
 
 
-def _renyi_family(state, alphas):
+def _renyi_family(state, alphas, cut: bool = True):
     """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from the
     support eigenpairs of a Density, rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
 
@@ -82,11 +107,12 @@ def _renyi_family(state, alphas):
     weights = np.abs(state.v) ** 2
     for alpha in alphas:
         if alpha == 1.0:
-            # both spectra above the rank cut: w is, and p is cut as _diag_power cuts it
+            # both spectra on the support: w is, and p is cut (or kept) as _diag_power cuts it
             p = rho.diagonal().real
-            yield f"renyi_{alpha}", max(_entropy_bits(p[p > rank_tol(p)]) - _entropy_bits(w), 0.0)
+            p = p[p > (rank_tol(p) if cut else 0.0)]
+            yield f"renyi_{alpha}", max(_entropy_bits(p) - _entropy_bits(w), 0.0)
         else:
-            trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha) @ weights))
+            trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha, cut) @ weights))
             yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0)
 
 
@@ -94,7 +120,7 @@ def r_delta(rho) -> float:
     """Max-relative-entropy monotone min{lambda : rho <= (1+lambda) dephase(rho)}:
     the largest eigenvalue of the coherence matrix (`_coherence_spectrum`) minus one."""
     state = density(rho)
-    return next(_family(state, _coherence_spectrum(state.rho)))[1]
+    return next(_family(state, _coherence_spectrum(state.rho), ()))[1]
 
 
 def rel_entropy_coherence(rho) -> float:
@@ -128,7 +154,7 @@ def monotone_report(rho, psi=None) -> MonotoneReport:
     included as well.
     """
     state = density(rho)
-    values = dict(_family(state, _coherence_spectrum(state.rho)))
+    values = dict(_family(state, _coherence_spectrum(state.rho), DEFAULT_ALPHAS))
     report = MonotoneReport(
         r_delta=values["r_delta"],
         rel_entropy_bits=values["renyi_1.0"],

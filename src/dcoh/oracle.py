@@ -15,11 +15,10 @@ matrix of its lower triangle) whose own constraint residual is within
 TRACE_ATOL stops the search, and it is the witness once it also passes
 `is_rho_dio` and maps rho to sigma within DIO_ATOL. A positive-definite Choi
 operator maps rho to a full-rank state, so for a rank-deficient sigma only y
-is tried. Projection splitting cannot certify infeasibility: a "no" is the
-first member of `monotones._family` that rises from rho to sigma by more
-than PREFIX_SLACK (on qubits r_delta or l1, the comparisons of
-`qubit_decide`), and non-convergence is an honest "undetermined". An
-unseparated pair equal within HERM_ATOL takes the identity.
+is tried. Projection splitting cannot certify infeasibility: a "no" is
+`monotones._certificate`, the rule `qubit_decide` reads too, and
+non-convergence is an honest "undetermined". An unseparated pair equal
+within HERM_ATOL takes the identity.
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -41,7 +40,7 @@ from .channels import (DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_r
                        measure_prepare)
 from .linalg import HERM_ATOL
 from .majorization import PREFIX_SLACK
-from .monotones import _coherence_spectrum, _family
+from .monotones import _certificate, _coherence_spectrum
 from .states import TRACE_ATOL, dephase, density
 
 DEFAULT_MAX_ITERS = 5000
@@ -60,18 +59,6 @@ class FeasibilityVerdict:
     # (t, h_rho(t), h_sigma(t)) where sigma's testing curve rises above rho's;
     # None when the curves did not separate
     separation: tuple[float, float, float] | None = None
-
-
-def _monotone_certificate(state, target, spectra):
-    """(name, v_in, v_out) of the first family member that rises by more than
-    PREFIX_SLACK from state to target (Densities with their coherence spectra):
-    for qubits r_delta or l1, `qubit_decide`'s criterion, else any but l1."""
-    qubits = state.rho.shape == target.rho.shape == (2, 2)
-    for (name, v_in), (_, v_out) in zip(_family(state, spectra[0]), _family(target, spectra[1])):
-        counts = name in ("r_delta", "l1") if qubits else name != "l1"
-        if counts and v_out > v_in + PREFIX_SLACK:
-            return name, v_in, v_out
-    return None
 
 
 def _is_witness(channel, state, sigma) -> bool:
@@ -160,7 +147,7 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     rho, sigma = state.rho, target.rho
 
     spectra = _coherence_spectrum(rho), _coherence_spectrum(sigma)
-    cert = _monotone_certificate(state, target, spectra)
+    cert = _certificate(state, target, spectra)
     if cert is not None:
         return FeasibilityVerdict("infeasible-certified", None, cert, float("inf"), 0, ())
     separation = _curve_separation(rho, sigma, spectra)

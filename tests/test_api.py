@@ -92,6 +92,18 @@ def test_checking_modules_import_no_solver():
         assert not reached & {"hypotest", "rates", "oracle", "cli"}, (name, sorted(reached))
 
 
+def test_only_monotones_reads_the_family():
+    # the certificate compares the family in one place, monotones._certificate,
+    # which qubit_decide and the oracle call; no other module imports `_family`
+    # or reaches it as `monotones._family`
+    readers = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "monotones"
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if (isinstance(node, ast.ImportFrom)
+                         and any(a.name == "_family" for a in node.names))
+                     or (isinstance(node, ast.Attribute) and node.attr == "_family"))
+    assert readers == [], readers
+
+
 # Rounding margins of one formula, not bounds an input is judged against:
 # (module, top-level function, value).
 KEPT_MARGINS = {

@@ -186,6 +186,15 @@ def test_decide_identical_states(capsys, files):
 def test_decide_qubit(capsys, files):
     code, rep = run(capsys, ["decide", "--qubit", files["psi2_dm"], files["flat"]])
     assert code == 0 and rep["mode"] == "qubit"
+    # psi = (2e-5, sqrt(1 - 4e-10)) has a population below the rank cut; the
+    # DIO channel 0.7 X.X + 0.3 dephase maps it to sigma, so the answer is yes
+    rho = pure_to_density(np.array([2e-5, math.sqrt(1.0 - 4e-10)]))
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    pair = [Path(files["tmp"]) / "near_cut_rho.json", Path(files["tmp"]) / "near_cut_sigma.json"]
+    for path, state in zip(pair, (rho, 0.7 * x @ rho @ x + 0.3 * np.diag(np.diag(rho)))):
+        path.write_text(state_to_json(state))
+    code, rep = run(capsys, ["decide", "--qubit", *map(str, pair)])
+    assert code == 0 and rep["results"]["possible"] is True
 
 
 def test_decide_heralded(capsys, files, tmp_path):

@@ -243,6 +243,19 @@ def test_r_delta_incoherent_is_zero():
     assert r_delta(np.diag([0.2, 0.3, 0.5])) < 1e-12
 
 
+def test_reports_read_the_population_cut_and_decisions_read_it_both_ways():
+    # a report drops a population at or below the rank cut with every
+    # coherence on its row, so this pure qubit, whose R_Delta is 1, reads 0
+    psi = pure_to_density(np.array([2e-5, math.sqrt(1.0 - 4e-10)]))
+    assert r_delta(psi) == 0.0 and monotone_report(psi).r_delta == 0.0
+    # a decision reads such a population kept as well, and refuses only when
+    # both readings rise: an incoherent state stays at R_Delta 0 either way
+    rho, plus = np.diag([1.0 - 4e-10, 4e-10]), pure_to_density(max_coherent(2))
+    name, v_in, v_out = rho_dio_feasible(rho, plus, max_iters=0).certificate
+    assert (name, v_in) == ("r_delta", 0.0) and abs(v_out - 1.0) < 1e-12
+    assert not qubit_decide(rho, plus)
+
+
 def test_r_delta_qutrit_example():
     # rank-1 state with full diagonal support saturates lambda = d - 1 is
     # false in general; this state sits at exactly 2
