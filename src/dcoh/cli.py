@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         }
         # serialize first: a NaN or infinity raises before stdout sees anything
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     sys.stdout.write(text + "\n")

@@ -21,10 +21,10 @@ psi'(t) = sum_{lambda_i > 1/t} lambda_i q_i - (1 - eps) for D_H and
 psi'(t) = 1/m - sum_{lambda_i > t} q_i for X. The predicted kink is the first
 whose right slope so computed is non-negative: exact for commuting rho and D,
 and in general only the first kink `_scalar_dual` probes.
-The zero band is the rank cut `linalg.rank_tol` that defines Pi_rho, so
-D_H^eps tends to the eps = 0 closed form through one threshold. The optimal
-test mixes the two projectors whose slopes bracket psi' = 0 to meet the
-constraint exactly: P_+ and P_+ + P_0 of A(t*) where psi' rounds to 0, else
+The zero band is Pi_rho's rank cut RANK_RTOL times max(1, |A(t)|), as t reaches
+1/eps, so D_H^eps tends to the eps = 0 closed form through one threshold. The
+optimal test mixes the two projectors whose slopes bracket psi' = 0 to meet
+the constraint exactly: P_+ and P_+ + P_0 of A(t*) where psi' rounds to 0, else
 the positive parts of A at the ends of the closed smooth bracket. The band
 decides slopes and projectors only: the reported dual value psi(t*) sums every
 positive eigenvalue of A(t*), so it is the dual at t* to rounding.
@@ -104,7 +104,7 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
         nonlocal calls
         calls += 1
         w, v = np.linalg.eigh(a0 + t * a1)
-        tau = RANK_RTOL * max(1.0, float(-w[0]), float(w[-1]))  # rank_tol(w), as w ascends
+        tau = RANK_RTOL * max(1.0, float(-w[0]), float(w[-1]))  # max(1, |w|), as w ascends
         a1v, pos, neg = a1 @ v, w > tau, w < -tau
         diag = np.einsum("ij,ij->j", v.conj(), a1v).real
         s = sorted((float(diag[pos].sum()) - c, float(diag[~neg].sum()) - c))

@@ -3,7 +3,7 @@
 Inputs are checked against a small asymmetry tolerance and then
 symmetrized, so downstream code never sees rounding-induced asymmetry.
 Nothing here decomposes a matrix: the caller's one decomposition feeds
-`check_psd_spectrum` and `rank_tol`. States are validated in `states`.
+`check_psd_spectrum`. States are validated in `states`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import numpy as np
 # Absolute max-entry tolerance between two matrices that must be equal: A and
 # A^dag, sigma and dephase(rho), rho and dephase(rho), stored Kraus and Choi.
 HERM_ATOL = 1e-10
-# Relative eigen-truncation tolerance: tau = RANK_RTOL * max(1, lambda_max).
+# The rank cut of a state: its eigenvalues and populations above RANK_RTOL
+# form its supports. The dual solvers scale it by max(1, |A(t)|) as their zero band.
 RANK_RTOL = 1e-9
 # Eigenvalues above -PSD_ATOL still count as positive semidefinite.
 PSD_ATOL = 1e-9
@@ -30,11 +31,6 @@ def check_hermitian(a) -> np.ndarray:
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERM_ATOL:.1e}"
         )
     return (a + a.conj().T) / 2
-
-
-def rank_tol(w) -> float:
-    """Eigen-truncation threshold for a spectrum ``w``."""
-    return RANK_RTOL * max(1.0, float(np.abs(w).max(initial=0.0)))
 
 
 def check_psd_spectrum(w) -> None:

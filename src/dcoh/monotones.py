@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, rank_tol
+from .linalg import RANK_RTOL
 from .majorization import PREFIX_SLACK
 from .states import check_pure, coherence_distribution, density, l1_norm
 
@@ -28,10 +28,10 @@ class MonotoneReport:
     c_k: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _diag_power(rho, s: float, cut: bool) -> np.ndarray:
-    """diag(rho)^s on the support of dephase(rho), cut at rank_tol or at 0, zero off it."""
+def _diag_power(rho, s: float, floor: float) -> np.ndarray:
+    """diag(rho)^s on the populations p > floor (dephase(rho)'s support), zero off it."""
     p = rho.diagonal().real
-    keep = p > (rank_tol(p) if cut else 0.0)
+    keep = p > floor
     return np.where(keep, p, 1.0) ** s * keep
 
 
@@ -39,24 +39,25 @@ def _entropy_bits(w) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def _family(state, spectrum, alphas, cut: bool = True):
+def _family(state, spectrum, alphas, floor: float = RANK_RTOL):
     """(name, value) pairs of a Density in certificate order: r_delta from its
-    ascending coherence spectrum (read with the same cut), renyi_alpha for
+    ascending coherence spectrum (read at the same floor), renyi_alpha for
     each alpha, l1. Each is computed when asked for; none decomposes a matrix."""
     yield "r_delta", max(float(spectrum[-1]) - 1.0, 0.0)
-    yield from _renyi_family(state, alphas, cut) if alphas else ()
+    yield from _renyi_family(state, alphas, floor) if alphas else ()
     yield "l1", l1_norm(state)
 
 
 def _readings(state, spectrum, alphas):
-    """(name, least, greatest) of each `_family` member of a Density over two readings
-    of a population in (0, rank cut], which may be real or rounding noise: cut, and kept."""
+    """(name, least, greatest) of each `_family` member of a Density over two readings of a
+    population in (tiny, RANK_RTOL], which may be real or rounding noise: cut at RANK_RTOL, as
+    every report reads it, and kept down to the smallest normal double, where p^-1 is finite."""
     cut = _family(state, spectrum, alphas)
     p = state.rho.diagonal().real.tolist()
-    tol = RANK_RTOL * max(1.0, *map(abs, p))  # rank_tol(p), without numpy's call overhead
-    if min(p) > tol or not any(0.0 < x <= tol for x in p):
+    tiny = np.finfo(float).tiny
+    if all((x > RANK_RTOL) == (x > tiny) for x in p):
         return ((name, v, v) for name, v in cut)
-    kept = _family(state, np.linalg.eigvalsh(_coherence_matrix(state.rho, False)), alphas, False)
+    kept = _family(state, np.linalg.eigvalsh(_coherence_matrix(state.rho, tiny)), alphas, tiny)
     return ((name, min(a, b), max(a, b)) for (name, a), (_, b) in zip(cut, kept))
 
 
@@ -72,11 +73,11 @@ def _certificate(state, target, spectra):
     return None
 
 
-def _coherence_matrix(rho, cut: bool = True) -> np.ndarray:
+def _coherence_matrix(rho, floor: float = RANK_RTOL) -> np.ndarray:
     """The coherence matrix D^{-1/2} rho D^{-1/2} of a validated rho, D =
     dephase(rho) pseudo-inverted on its support (`_diag_power`'s). D is
     diagonal, so this only rescales the entries of rho."""
-    q = _diag_power(rho, -0.5, cut)
+    q = _diag_power(rho, -0.5, floor)
     return q[:, None] * rho * q[None, :]
 
 
@@ -94,7 +95,7 @@ def _coherence_eigh(rho):
     return lam, rho.diagonal().real @ np.abs(vecs) ** 2
 
 
-def _renyi_family(state, alphas, cut: bool = True):
+def _renyi_family(state, alphas, floor: float = RANK_RTOL):
     """("renyi_alpha", D_alpha(rho || dephase(rho))) for each alpha, from the
     support eigenpairs of a Density, rho = sum_k w_k v_k v_k^dag. With p = diag(rho),
 
@@ -107,12 +108,12 @@ def _renyi_family(state, alphas, cut: bool = True):
     weights = np.abs(state.v) ** 2
     for alpha in alphas:
         if alpha == 1.0:
-            # both spectra on the support: w is, and p is cut (or kept) as _diag_power cuts it
+            # both spectra on the support: w is, and p is cut at floor as _diag_power cuts it
             p = rho.diagonal().real
-            p = p[p > (rank_tol(p) if cut else 0.0)]
+            p = p[p > floor]
             yield f"renyi_{alpha}", max(_entropy_bits(p) - _entropy_bits(w), 0.0)
         else:
-            trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha, cut) @ weights))
+            trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha, floor) @ weights))
             yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0)
 
 

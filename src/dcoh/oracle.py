@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio,
-                       measure_prepare)
+from .channels import DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio
 from .linalg import HERM_ATOL
 from .majorization import PREFIX_SLACK
 from .monotones import _certificate, _coherence_spectrum
@@ -167,8 +166,8 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     # z and y stay realigned; flat positions take J to M and M back to J
     to_m = np.arange(n * n).reshape(din, dout, din, dout).swapaxes(1, 2).reshape(din * din, -1)
     to_j = np.arange(n * n).reshape(din, din, dout, dout).swapaxes(1, 2).reshape(n, n)
-    # start from the constant channel Q -> Tr(Q) sigma
-    z = left @ measure_prepare([(np.eye(din), sigma)]).choi.ravel()[to_m] @ right + p
+    # start from the constant channel Q -> Tr(Q) sigma, realigned: M = vec(1_in) vec(sigma)^T
+    z = left @ np.outer(c, sigma.reshape(-1)) @ right + p
 
     # a positive-definite Choi operator maps rho to a full-rank state
     full_rank = target.w.size == dout

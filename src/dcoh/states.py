@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_ATOL, check_hermitian, check_psd_spectrum, rank_tol
+from .linalg import HERM_ATOL, RANK_RTOL, check_hermitian, check_psd_spectrum
 
 # The one normalization slack: traces, squared norms, probability sums, partial traces.
 TRACE_ATOL = 1e-9
@@ -43,7 +43,7 @@ def density(rho) -> Density:
     rho = check_hermitian(rho)
     w, v = np.linalg.eigh(rho)
     check_psd_spectrum(w)
-    keep = w > rank_tol(w)
+    keep = w > RANK_RTOL
     w, v = w[keep], v[:, keep]
     _check_trace(rho)
     for a in (rho, w, v):

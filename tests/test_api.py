@@ -8,7 +8,9 @@ own definition, by the benchmark (which reaches dcoh only through
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import dcoh
@@ -165,3 +167,30 @@ def test_no_array_equality_helper_decides():
                 if name in banned:
                     calls.append((path.stem, node.lineno, name))
     assert not calls, calls
+
+
+def _documentation():
+    """(where, text) of the README and of each docstring and comment in the package."""
+    yield "README.md", (ROOT / "README.md").read_text(encoding="utf-8")
+    for path in SRC.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                yield path.name, ast.get_docstring(node) or ""
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                yield path.name, token.string
+
+
+def test_documented_references_name_module_attributes():
+    # each backticked `module.name` or `dcoh.module.name` names an attribute of
+    # that dcoh module, so a deleted or renamed function leaves no stale mention
+    modules = {p.stem for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    stale = set()
+    for where, text in _documentation():
+        for span in re.findall(r"`([^`\n]+)`", text):
+            ref = re.fullmatch(r"(?:dcoh\.)?(\w+)\.(\w+)", span)
+            if ref and ref[1] in modules and not hasattr(
+                    importlib.import_module(f"dcoh.{ref[1]}"), ref[2]):
+                stale.add((where, span))
+    assert not stale, sorted(stale)

@@ -397,6 +397,35 @@ def test_oracle_reports_a_testing_curve_separation(capsys, tmp_path):
         assert abs(h - (1.0 - t + trace_norm) / 2) <= 1e-12
 
 
+def test_oracle_on_a_subnormal_population_warns_nowhere(capsys, tmp_path):
+    # rho's first population, 1e-320, is below the smallest normal double: the
+    # decisions' kept reading drops it with the report's cut, since its inverse
+    # power overflows (and inf * 0 made a nan); the suite turns warnings into errors
+    psi = np.array([1e-160, math.sqrt((1 - 1e-320) / 2), math.sqrt((1 - 1e-320) / 2)])
+    rho = np.outer(psi, psi)
+    swap = np.eye(3)[[1, 0, 2]]
+    sigma = 0.7 * swap @ rho @ swap + 0.3 * np.diag(np.diag(rho))
+    assert oracle.rho_dio_feasible(rho, sigma, max_iters=0).status == "undetermined"
+    paths = [tmp_path / "psi.json", tmp_path / "sigma.json"]
+    paths[0].write_text(state_to_json(psi))
+    paths[1].write_text(state_to_json(sigma))
+    code = cli.main(["oracle", *map(str, paths), "--max-iters", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert strict_loads(captured.out)["results"]["status"] == "undetermined"
+
+
+def test_memory_error_exit_code(capsys, files, monkeypatch):
+    # a unit size whose Choi operator cannot be allocated is an input error,
+    # not exit 1 ("no") with a traceback
+    def refuse(m, omega):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(cli.ch, "construct_dilute", refuse)
+    assert_input_error(capsys, ["channel", "--construct", "dilute", "--state", files["flat"],
+                                "--m", "100000"], "Unable to allocate 149. GiB")
+
+
 def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
     # 1 - eps = 1e-12 is within the solver's resolution: floor(2 / (1 - eps)) units
     code, rep = run(capsys, ["distill", files["psi2_dm"], "--eps", "0.999999999999"])

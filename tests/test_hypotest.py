@@ -6,7 +6,7 @@ import pytest
 from dcoh import hypotest
 from dcoh.channels import check_test_operator
 from dcoh.hypotest import BRACKET_TOL, SLOPE_TOL, _scalar_dual, dh_epsilon, distill_fidelity_program
-from dcoh.linalg import RANK_RTOL, rank_tol
+from dcoh.linalg import RANK_RTOL
 from dcoh.monotones import _coherence_eigh, _coherence_spectrum, renyi_relative
 from dcoh.states import PROB_CLAMP, dephase, density, max_coherent, pure_to_density
 
@@ -53,7 +53,7 @@ def pencil_kinks(p, q, t_max: float) -> np.ndarray:
     congruent to (1 + t) x - t with x = b^{-1/2} p b^{-1/2}: singular at
     t = x / (1 - x)."""
     wb, vb = np.linalg.eigh(p + q)
-    keep = wb > rank_tol(wb)
+    keep = wb > RANK_RTOL * max(1.0, wb[-1])  # the state cut, scaled to trace 2
     c = vb[:, keep] / np.sqrt(wb[keep])
     x = np.linalg.eigvalsh(c.conj().T @ p @ c)
     x = x[(x > RANK_RTOL) & (x < 1.0)]
