@@ -111,10 +111,7 @@ def _check_flags(args) -> None:
 
 def cmd_monotones(args):
     inputs = []
-    kind, arr = state_from_json(_read(inputs, args.state))
-    psi = arr if kind == "pure" else None
-    rho = pure_to_density(arr) if kind == "pure" else arr
-    report = monotones.monotone_report(rho, psi=psi)
+    report = monotones.monotone_report(_load_density(inputs, args.state))
     return inputs, {"results": vars(report)}, EXIT_OK
 
 

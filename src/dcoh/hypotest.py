@@ -24,8 +24,9 @@ and in general only the first kink `_scalar_dual` probes.
 The zero band is Pi_rho's rank cut RANK_RTOL times max(1, |A(t)|), as t reaches
 1/eps, so D_H^eps tends to the eps = 0 closed form through one threshold. The
 optimal test mixes the two projectors whose slopes bracket psi' = 0 to meet
-the constraint exactly: P_+ and P_+ + P_0 of A(t*) where psi' rounds to 0, else
-the positive parts of A at the ends of the closed smooth bracket. The band
+the constraint exactly: P_+ and P_+ + P_0 of A(t*) at a kink, else the positive
+parts of A at the ends of the smooth bracket, whose stop where psi' rounds to 0
+is the end on the side of its P_+ slope. The band
 decides slopes and projectors only: the reported dual value psi(t*) sums every
 positive eigenvalue of A(t*), so it is the dual at t* to rounding.
 """
@@ -121,7 +122,7 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
 
     # psi' < 0 right of kinks[lo] (its evaluation left), > 0 left of kinks[hi] (right,
     # None if never probed): the predicted kink, its neighbour psi' points to, bisection
-    lo, hi, path, right, f = -1, len(kinks) - 1, "kink", None, 0.0
+    lo, hi, path, right = -1, len(kinks) - 1, "kink", None
     mid = min(first, hi - 1)
     while hi - lo > 1:
         ev = at(kinks[mid])
@@ -148,10 +149,12 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
             elif ev[-2] > slope_tol:
                 b, f, right = t, ev[-2], ev
             else:
+                # psi' rounds to 0 at t: the bracket end on the side of its P_+ slope
                 f = 0.0
+                left, right = (ev, right) if float(ev[4][ev[5]].sum()) <= c else (left, ev)
     t, w, v, _, diag, pos, neg = ev[:7]
     psi = float(w[w > 0.0].sum()) - c * t
-    if f == 0.0:
+    if path == "kink":
         # the slopes of P_+ and P_+ + P_0 bracket 0 at t*: P_+ plus the fraction
         # of the zero band P_0 that makes Tr(M a1) = c, none when P_0 weighs
         # less than PROB_CLAMP (an unused level: the fraction would be noise)
@@ -159,7 +162,7 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
         room, need = float(diag[zero].sum()), c - float(diag[pos].sum())
         alpha = min(max(need / room, 0.0), 1.0) if abs(room) > PROB_CLAMP else 0.0
         return t, (v * (pos + alpha * zero)) @ v.conj().T, psi, path, calls
-    # the bracket closed with psi' != 0: mix A's positive parts at a (slope < 0) and b (> 0)
+    # a smooth stop: mix A's positive parts at the bracket ends a (slope <= 0) and b (> 0)
     ends = [(e[2], e[5], float(e[4][e[5]].sum()) - c) for e in (left, right or at(b))]
     (va, pa, sa), (vb, pb, sb) = ends
     beta = sa / (sa - sb)

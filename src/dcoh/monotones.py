@@ -8,13 +8,13 @@ and `_certificate` decides with. All logarithms are base 2; values are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import RANK_RTOL
 from .majorization import PREFIX_SLACK
-from .states import check_pure, coherence_distribution, density, l1_norm
+from .states import coherence_distribution, density, l1_norm
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -25,7 +25,7 @@ class MonotoneReport:
     rel_entropy_bits: float
     renyi: list[tuple[float, float]]
     l1: float
-    c_k: list[tuple[int, float]] = field(default_factory=list)
+    c_k: list[tuple[int, float]]
 
 
 def _diag_power(rho, s: float, floor: float) -> np.ndarray:
@@ -114,7 +114,8 @@ def _renyi_family(state, alphas, floor: float = RANK_RTOL):
             yield f"renyi_{alpha}", max(_entropy_bits(p) - _entropy_bits(w), 0.0)
         else:
             trace = float(w**alpha @ (_diag_power(rho, 1.0 - alpha, floor) @ weights))
-            yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0)
+            # + 0.0 turns the -0.0 of log2(1) / (alpha - 1) for alpha < 1 into 0.0
+            yield f"renyi_{alpha}", math.log2(trace) / (alpha - 1.0) + 0.0
 
 
 def r_delta(rho) -> float:
@@ -146,23 +147,21 @@ def c_k_monotone(psi, k: int) -> float:
     return float(np.sum(p[k - 1:]))
 
 
-def monotone_report(rho, psi=None) -> MonotoneReport:
+def monotone_report(rho) -> MonotoneReport:
     """Evaluate the full monotone family on a state.
 
     This is a necessary-conditions family only: no finite set of monotones
-    is known to fully characterize input-tailored transformations. When the
-    pure amplitude vector is available the pure-state tail sum c_2 is
-    included as well.
+    is known to fully characterize input-tailored transformations. A pure
+    state (rank one after the rank cut) also reports the tail sum c_2 of its
+    coherence distribution diag(rho), from the amplitude moduli sqrt(rho_xx).
     """
     state = density(rho)
     values = dict(_family(state, _coherence_spectrum(state.rho), DEFAULT_ALPHAS))
-    report = MonotoneReport(
+    pure = state.w.size == 1
+    return MonotoneReport(
         r_delta=values["r_delta"],
         rel_entropy_bits=values["renyi_1.0"],
         renyi=[(a, values[f"renyi_{a}"]) for a in DEFAULT_ALPHAS],
         l1=values["l1"],
+        c_k=[(2, c_k_monotone(np.sqrt(state.rho.diagonal().real), 2))] if pure else [],
     )
-    if psi is not None:
-        psi = check_pure(psi)
-        report.c_k = [(2, c_k_monotone(psi, 2))]
-    return report

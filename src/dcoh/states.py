@@ -124,15 +124,11 @@ def dephase(rho) -> np.ndarray:
     return np.diag(np.diag(rho).real).astype(complex)
 
 
-def max_coherent(m: int, dim: int | None = None) -> np.ndarray:
-    """Maximally coherent state: first m amplitudes 1/sqrt(m), rest zero."""
-    if dim is None:
-        dim = m
-    if m < 1 or dim < m:
-        raise ValueError(f"need 1 <= m <= dim, got m={m}, dim={dim}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[:m] = 1.0 / np.sqrt(m)
-    return psi
+def max_coherent(m: int) -> np.ndarray:
+    """Maximally coherent state Psi_m: m amplitudes 1/sqrt(m)."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    return np.full(m, 1.0 / np.sqrt(m), dtype=complex)
 
 
 def l1_norm(rho) -> float:

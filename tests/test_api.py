@@ -3,11 +3,13 @@
 Each name in `dcoh.__all__` must be read by the package itself outside its
 own definition, by the benchmark (which reaches dcoh only through
 `pkg.<module>.<name>` attribute chains), or be listed in the README's
-"Library API" section as a function kept for library users.
+"Library API" section as a function kept for library users; and each
+default of a public function or class must be set by some caller.
 """
 
 import ast
 import importlib
+import inspect
 import io
 import re
 import tokenize
@@ -63,6 +65,36 @@ def test_every_public_name_has_a_reader():
     readers = _read_in_package() | _read_by_bench() | set(_library_api())
     unread = sorted(set(dcoh.__all__) - {"__version__"} - readers)
     assert not unread, f"public names nothing reads: {unread}"
+
+
+def _calls() -> list[tuple[str, int, set[str]]]:
+    """(callee's last name, positional count, keyword names) of each call in
+    the package and the benchmark."""
+    calls = []
+    for path in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_public_default_is_set_by_a_caller():
+    # an option that only tests set, or that the code could work out from its
+    # inputs, is a constant: each default of a public function or class must
+    # be overridden by some call in the package or the benchmark
+    calls = _calls()
+    unset = []
+    for name in dcoh.__all__:
+        obj = getattr(dcoh, name)
+        if not inspect.isfunction(obj) and not inspect.isclass(obj):
+            continue
+        params = list(inspect.signature(obj).parameters.values())
+        for i, p in enumerate(params):
+            if p.default is not p.empty and not any(
+                    callee == name and (n > i or p.name in kw) for callee, n, kw in calls):
+                unset.append(f"{name}({p.name})")
+    assert not unset, f"public defaults no caller sets: {unset}"
 
 
 def test_library_api_names_exist():

@@ -192,7 +192,7 @@ def test_construct_dilute_rejects_undersized_unit():
 def test_construct_dilute_rejects_target_just_past_the_bound():
     # R_Delta(omega) + 1 = 2 + 5e-9: past the 1e-9 slack, so no map Psi_2 -> omega
     p = 3.75e-9
-    omega = (1 - p) * pure_to_density(max_coherent(2, dim=3)) + p * pure_to_density(max_coherent(3))
+    omega = (1 - p) * pure_to_density(np.pad(max_coherent(2), (0, 1))) + p * pure_to_density(max_coherent(3))
     assert abs(r_delta(omega) + 1.0 - (2.0 + 5e-9)) < 1e-12
     with pytest.raises(ValueError, match="exceeds"):
         construct_dilute(2, omega)
@@ -272,7 +272,7 @@ def test_construct_prop5_qutrit_example():
 
 
 def test_construct_prop5_rejects_oversized_target():
-    rho = pure_to_density(max_coherent(2, dim=3))
+    rho = pure_to_density(np.pad(max_coherent(2), (0, 1)))
     # lam = 1/(2/3)? no: Tr(Pi dephase) = 1/2 for a 2-level uniform support,
     # so targets need R_Delta + 1 <= 2; Psi_3 has 3
     with pytest.raises(ValueError, match="exceeds"):

@@ -100,6 +100,12 @@ def test_monotones_incoherent_all_zero(capsys, files):
     assert res["rel_entropy_bits"] < 1e-9
     assert abs(res["l1"] - 1.0) < 1e-12
 
+    # a zero prints as 0.0: log2(1) / (alpha - 1) is -0.0 for alpha < 1
+    floats = []
+    assert cli.main(["monotones", files["flat"]]) == 0
+    json.loads(capsys.readouterr().out, parse_float=lambda s: floats.append(s) or float(s))
+    assert "-0.0" not in floats and "0.0" in floats
+
 
 def test_monotones_qutrit_c2(capsys, files):
     code, rep = run(capsys, ["monotones", files["qutrit"]])
@@ -107,6 +113,23 @@ def test_monotones_qutrit_c2(capsys, files):
     c_k = dict(map(tuple, rep["results"]["c_k"]))
     assert abs(c_k[2] - 0.375) < 1e-12
     assert "lp_moduli" not in rep["results"]
+
+
+def test_a_pure_state_reports_the_same_from_either_document_kind(capsys, files, tmp_path):
+    # the pure document and the density document of the same state reach every
+    # density-reading command as the same Density
+    dm = tmp_path / "qutrit_dm.json"
+    dm.write_text(state_to_json(pure_to_density(QUTRIT)))
+    commands = [["monotones", "@"], ["distill", "@", "--eps", "0.1"],
+                ["distill", "@", "--regime", "zero"], ["distill", "@", "--regime", "asymptotic"],
+                ["channel", "--construct", "dilute", "--state", "@", "--m", "3"], ["oracle", "@", "@"]]
+    for argv in commands:
+        reports = []
+        for path in (files["qutrit"], str(dm)):
+            code, rep = run(capsys, [path if a == "@" else a for a in argv])
+            del rep["inputs"], rep["wall_time_s"]
+            reports.append((code, rep))
+        assert reports[0] == reports[1], argv
 
 
 def test_distill_zero_regime(capsys, files):
@@ -439,7 +462,7 @@ def test_distill_eps_beyond_solver_resolution_exit_code(capsys, files):
 def test_emit_refuses_non_finite_values(capsys, monkeypatch, files):
     nan_report = SimpleNamespace(r_delta=math.nan, rel_entropy_bits=0.0, renyi=[], l1=1.0,
                                  c_k=[])
-    monkeypatch.setattr(cli.monotones, "monotone_report", lambda rho, psi=None: nan_report)
+    monkeypatch.setattr(cli.monotones, "monotone_report", lambda rho: nan_report)
     assert_input_error(capsys, ["monotones", files["qutrit"]], "not JSON compliant")
 
 

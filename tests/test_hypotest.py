@@ -85,7 +85,7 @@ def bisect_kinks_reference(a0, a1, c, kinks, first=None):
         pair = np.outer(up, down) & ~np.outer(zero, zero)
         return 2.0 * float(np.sum(np.abs(g[pair]) ** 2 / (w[:, None] - w[None, :])[pair]))
 
-    lo, hi, path, right, f = -1, len(kinks) - 1, "kink", None, 0.0
+    lo, hi, path, right = -1, len(kinks) - 1, "kink", None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         ev = at(kinks[mid])
@@ -109,9 +109,10 @@ def bisect_kinks_reference(a0, a1, c, kinks, first=None):
                 b, f, right = t, ev[-2], ev
             else:
                 f = 0.0
+                left, right = (ev, right) if float(ev[4][ev[5]].sum()) <= c else (left, ev)
     t, w, v, _, diag, pos, neg = ev[:7]
     psi = float(w[w > 0.0].sum()) - c * t
-    if f == 0.0:
+    if path == "kink":
         zero = ~pos & ~neg
         room, need = float(diag[zero].sum()), c - float(diag[pos].sum())
         alpha = min(max(need / room, 0.0), 1.0) if abs(room) > PROB_CLAMP else 0.0
@@ -300,7 +301,8 @@ def test_near_commuting_certificates_are_exact():
     # positive parts at its ends still meets the constraint and closes the gap.
     # The first state took the smooth path to a gap of 1.7e-6 with a widened band.
     # At d = 16 and 32 a kink's zero band can hold positive eigenvalues: the dual
-    # value sums them too, so it stays a bound, gap >= 0 to rounding
+    # value sums them too, so it stays a bound, gap >= 0 to rounding. A smooth stop
+    # where psi' rounds to 0 mixes too, so each constraint holds to rounding
     cases = [(NEAR_INCOHERENT, 0.5310196211071253, 2.0)]
     rng = np.random.default_rng(25)
     for i in range(500):
@@ -317,8 +319,8 @@ def test_near_commuting_certificates_are_exact():
         for r in (res, prog):
             assert abs(r.gap) <= 1e-8, (i, r.path, r.gap)
             assert r.gap >= -1e-11 * max(1.0, r.dual_t), (i, r.path, r.gap, r.dual_t)
-        assert np.vdot(res.primal, rho).real >= 1.0 - eps - 1e-12, (i, res.path)
-        assert abs(np.vdot(prog.primal, dephase(rho)).real - 1.0 / m) <= 1e-12, (i, prog.path)
+        assert np.vdot(res.primal, rho).real >= 1.0 - eps - 1e-14, (i, res.path)
+        assert abs(np.vdot(prog.primal, dephase(rho)).real - 1.0 / m) <= 1e-14, (i, prog.path)
 
 
 def test_bracket_closing_on_its_unprobed_end_evaluates_it(monkeypatch):

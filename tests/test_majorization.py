@@ -67,7 +67,7 @@ def test_dio_to_maxcoherent_threshold():
     assert dio_to_maxcoherent_decide(max_coherent(4), 4)
     assert not dio_to_maxcoherent_decide(rand_pure(np.random.default_rng(3), 4), 4)
     assert not dio_to_maxcoherent_decide(max_coherent(3), 4)
-    with pytest.raises(ValueError, match="need 1 <= m <= dim"):
+    with pytest.raises(ValueError, match="need m >= 1"):
         dio_to_maxcoherent_decide(psi, 0)
 
 
@@ -76,7 +76,7 @@ def test_heralded_sorts_before_mixing():
     # Sorting each branch first makes the transformation possible; mixing
     # the raw distributions first would wrongly reject it.
     psi = max_coherent(2)
-    phi1 = max_coherent(2, dim=3)
+    phi1 = np.pad(max_coherent(2), (0, 1))
     phi2 = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
     ensemble = [(0.5, phi1), (0.5, phi2)]
     assert heralded_decide(psi, ensemble)

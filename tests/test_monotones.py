@@ -340,7 +340,7 @@ def test_c_k_edges():
 
 def test_monotone_report_shapes():
     rho = pure_to_density(QUTRIT)
-    rep = monotone_report(rho, psi=QUTRIT)
+    rep = monotone_report(rho)
     assert rep.r_delta > 0 and rep.r_delta == r_delta(rho)
     assert rep.renyi == [(a, renyi_relative(rho, a)) for a in DEFAULT_ALPHAS]
     assert rep.rel_entropy_bits == rel_entropy_coherence(rho)
@@ -348,6 +348,19 @@ def test_monotone_report_shapes():
     rep_mixed = monotone_report(np.eye(3) / 3)
     assert rep_mixed.c_k == []
     assert abs(rep_mixed.l1 - 1.0) < 1e-12
+
+
+
+def test_a_reported_zero_is_never_negative():
+    # log2(1) / (alpha - 1) is -0.0 for alpha < 1; a zero prints as 0.0. The last
+    # state is sigma of the subnormal-population pair, whose D_0 is exactly zero
+    psi = np.array([1e-160, math.sqrt((1 - 1e-320) / 2), math.sqrt((1 - 1e-320) / 2)])
+    swap = np.eye(3)[[1, 0, 2]]
+    sigma = 0.7 * swap @ np.outer(psi, psi) @ swap + 0.3 * np.diag(psi**2)
+    for rho in (np.eye(3) / 3, np.diag([0.2, 0.3, 0.5]), sigma):
+        rep = monotone_report(rho)
+        values = [rep.r_delta, rep.rel_entropy_bits, rep.l1, *(v for _, v in rep.renyi)]
+        assert not [v for v in values if v == 0.0 and math.copysign(1.0, v) < 0.0], rep.renyi
 
 
 # Monotones under DIO maps: basis permutations, diagonal unitaries and an

@@ -317,7 +317,7 @@ def test_dilution_upper_bound_witness_is_feasible():
 def test_dilution_upper_count_admits_its_witness():
     # eps chosen by bisection so that the witness w_t costs 2 + 5e-8 units:
     # the upper side must report the 3 units construct_dilute needs for it
-    rho = 0.999 * pure_to_density(max_coherent(2, dim=3)) + 0.001 * pure_to_density(max_coherent(3))
+    rho = 0.999 * pure_to_density(np.pad(max_coherent(2), (0, 1))) + 0.001 * pure_to_density(max_coherent(3))
     lam0 = r_delta(rho) + 1.0
     lo, hi = 1e-4, 1e-2  # the witness cost falls as eps grows
     for _ in range(60):

@@ -100,11 +100,8 @@ def test_dephase_kills_offdiagonals_and_is_idempotent():
 def test_max_coherent_basic():
     psi = max_coherent(4)
     assert np.allclose(np.abs(psi) ** 2, 0.25)
-    padded = max_coherent(2, dim=5)
-    assert padded.shape == (5,)
-    assert np.count_nonzero(padded) == 2
-    with pytest.raises(ValueError):
-        max_coherent(3, dim=2)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        max_coherent(0)
 
 
 def test_coherence_distribution():
