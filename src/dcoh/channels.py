@@ -81,13 +81,13 @@ def check_test_operator(m) -> np.ndarray:
 
 
 def apply(ch: QuantumChannel, rho) -> np.ndarray:
-    """Apply the channel to a state."""
+    """Apply the channel, as the linear map its Choi operator defines, to an
+    input-sized matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.input_dim, ch.input_dim):
         raise ValueError(f"state dim {rho.shape} != channel input dim {ch.input_dim}")
     j4 = ch.choi.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
-    out = np.einsum("xayb,xy->ab", j4, rho)
-    return (out + out.conj().T) / 2
+    return np.einsum("xayb,xy->ab", j4, rho)
 
 
 def is_dio(ch: QuantumChannel) -> tuple[bool, float]:

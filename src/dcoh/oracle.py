@@ -17,8 +17,7 @@ TRACE_ATOL stops the search, and it is the witness once it also passes
 operator maps rho to a full-rank state, so for a rank-deficient sigma only y
 is tried. Projection splitting cannot certify infeasibility: a "no" is
 `monotones._certificate`, the rule `qubit_decide` reads too, and
-non-convergence is an honest "undetermined". An unseparated pair equal
-within HERM_ATOL takes the identity.
+non-convergence is an honest "undetermined".
 
 Before any iteration the testing curves h_X(t) = Tr(X - t dephase(X))_+
 are compared. Such a map takes rho - t dephase(rho) to
@@ -26,7 +25,10 @@ sigma - t dephase(sigma) and contracts the trace norm, so h_sigma <= h_rho
 for every t >= 0 (relative majorization; sufficient for qubits). A t at
 which h_sigma rises above h_rho by more than PREFIX_SLACK proves that no
 witness exists: the verdict stays "undetermined", carries that point as
-`separation`, and runs no iteration.
+`separation`, and runs no iteration. An unseparated noisy orbit,
+sigma = (1 - p) U rho U^dag + p D (U a permutation times phases, D diagonal),
+takes Q -> (1 - p) U Q U^dag + p Tr(Q) D with no iteration; U = 1 and p = 0
+for a pair equal within HERM_ATOL.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DIO_ATOL, QuantumChannel, apply, channel_from_kraus, is_rho_dio
+from .channels import DIO_ATOL, QuantumChannel, apply, is_rho_dio
 from .linalg import HERM_ATOL
 from .majorization import PREFIX_SLACK
 from .monotones import _certificate, _coherence_spectrum
-from .states import TRACE_ATOL, dephase, density
+from .states import PROB_CLAMP, TRACE_ATOL, dephase, density
 
 DEFAULT_MAX_ITERS = 5000
 RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)
@@ -51,6 +53,10 @@ class FeasibilityVerdict:
     status: str  # "feasible" | "infeasible-certified" | "undetermined"
     witness: QuantumChannel | None
     certificate: tuple[str, float, float] | None
+    # the returned candidate's violation of the constraints (the images of rho
+    # and dephase(rho), the partial-trace defect), inf when there is none; at
+    # most TRACE_ATOL for a witness, which bounds its trace defect and image
+    # error (twice it, the covariance violation)
     residual: float
     iterations: int
     # (iteration, residual) at RESIDUAL_CHECKPOINTS and at the last iteration
@@ -98,10 +104,7 @@ def _affine_set(rho, sigma):
     M -> left M right + p for two orthogonal projectors and a point p.
     """
     din, dout = rho.shape[0], sigma.shape[0]
-    x = np.stack([rho.reshape(-1), dephase(rho).reshape(-1)])
-    image = np.stack([sigma.reshape(-1), dephase(sigma).reshape(-1)])
-    e = np.eye(dout, dtype=complex).reshape(-1)
-    c = np.eye(din, dtype=complex).reshape(-1)
+    x, image, e, c = _constraints(rho, sigma)
     # X^+ through the 2x2 Gram, which is singular when rho is incoherent
     b = x.conj().T @ np.linalg.pinv(x @ x.conj().T, hermitian=True)
     left = np.eye(din * din) - b @ x
@@ -109,6 +112,13 @@ def _affine_set(rho, sigma):
     # a point of the set, fixed by the projection: left B = 0 and e^T right = 0
     p = b @ image + np.outer(left @ c, e) / dout
     return left, right, p, x, image, e, c
+
+
+def _constraints(rho, sigma):
+    """(x, image, e, c) of the constraints x M = image and M e = c on the realigned M."""
+    x, image = (np.stack([s.reshape(-1), dephase(s).reshape(-1)]) for s in (rho, sigma))
+    e, c = (np.eye(s.shape[0], dtype=complex).reshape(-1) for s in (sigma, rho))
+    return x, image, e, c
 
 
 def _constraint_residual(m, x, image, e, c) -> float:
@@ -126,19 +136,59 @@ def _positive_definite(j) -> bool:
     return True
 
 
+def _noisy_orbit(state, target) -> FeasibilityVerdict | None:
+    """The orbit witness of a validated pair, or None. U = 1, p = 0 for a pair
+    equal within HERM_ATOL; else 1 - p = |offdiag sigma|_F / |offdiag rho|_F
+    (at most 1), each row of sigma matches the one row of rho whose sorted
+    off-diagonal moduli, times 1 - p, are within HERM_ATOL of its own, and
+    the phases are read along a maximum spanning tree of rho's coherences.
+    p = 0 when U rho U^dag alone passes the gate (sigma within HERM_ATOL of
+    the image in every entry); else p D = diag sigma - (1 - p) diag U rho U^dag
+    with its dust above -PROB_CLAMP clipped to 0."""
+    rho, sigma = state.rho, target.rho
+    d, q, u = rho.shape[0], 1.0, np.eye(rho.shape[0])
+    if np.abs(rho - sigma).max() > HERM_ATOL:
+        off = ~np.eye(d, dtype=bool)
+        a, b = (np.sort(np.abs(s[off]).reshape(d, d - 1), axis=1) for s in (rho, sigma))
+        q = min(float(np.linalg.norm(b) / np.linalg.norm(a)), 1.0) if a.any() else 0.0
+        match = (np.abs(b[:, None] - q * a) <= HERM_ATOL).all(axis=2)
+        if not ((match.sum(axis=0) == 1).all() and (match.sum(axis=1) == 1).all()):
+            return None  # a tie, or a row of sigma that no row of rho matches
+        perm = match.argmax(axis=1)
+        r, phase, seen = rho[np.ix_(perm, perm)], np.ones(d, dtype=complex), np.arange(d) == 0
+        for _ in range(d - 1):  # Prim's step: the largest coherence leaving the tree
+            leaving = np.where(seen[:, None] & ~seen, abs(r), -1.0)
+            x, y = np.unravel_index(np.argmax(leaving), r.shape)
+            z = phase[x] * sigma[x, y].conjugate() * r[x, y]  # q |r_xy|^2 e^{i theta_y}
+            phase[y], seen[y] = (z / abs(z) if z else 1.0), True
+        u = phase[:, None] * np.eye(d)[perm]
+    image = u @ rho @ u.conj().T
+    if np.abs(sigma - image).max() <= HERM_ATOL:
+        q = 1.0  # a p of rounding size is 0
+    noise = sigma.diagonal().real - q * image.diagonal().real if q < 1.0 else np.zeros(d)
+    image = q * image + np.diag(noise.clip(0.0))
+    if noise.min() < -PROB_CLAMP or np.abs(sigma - image).max() > HERM_ATOL:
+        return None
+    # noise is p D; (1 - p) |v><v| + p 1 (x) D, v = sum_x |x> (x) U|x>, is PSD
+    v = u.T.reshape(-1)
+    choi = q * np.outer(v, v.conj()) + np.kron(np.eye(d), np.diag(noise.clip(0.0)))
+    m = choi.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, -1)
+    residual = _constraint_residual(m, *_constraints(rho, sigma))
+    witness = QuantumChannel(d, d, choi)
+    if residual <= TRACE_ATOL and _is_witness(witness, state, sigma):
+        return FeasibilityVerdict("feasible", witness, None, residual, 0, ())
+    return None
+
+
 def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> FeasibilityVerdict:
     """Decide existence of a covariant channel taking rho to sigma.
 
     The monotone family (cheap and sound), then the testing curves: a
     separation rules out every witness, so no iteration runs, nor with a zero
-    budget. Next a pair equal within HERM_ATOL tries the identity channel, and
-    Douglas-Rachford iterations search for a witness Choi operator. The
-    reported residual is the constraint violation of the returned candidate:
-    the last PSD iterate, the positive-definite affine point that stopped the
-    search (about 1e-15), or the identity (0.0 on an exact pair); inf for every
-    other verdict that ran no iteration. A witness has at most TRACE_ATOL,
-    which bounds its trace defect and image error (twice it, the covariance
-    violation).
+    budget. Next the noisy-orbit stage, then Douglas-Rachford iterations
+    search for a witness Choi operator. The residual is that of the last PSD
+    iterate, of the positive-definite affine point that stopped the search
+    (about 1e-15), or of the orbit witness (0.0 on an exact equal pair).
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -152,13 +202,10 @@ def rho_dio_feasible(rho, sigma, max_iters: int = DEFAULT_MAX_ITERS) -> Feasibil
     separation = _curve_separation(rho, sigma, spectra)
     if separation is not None or max_iters == 0:
         return FeasibilityVerdict("undetermined", None, None, float("inf"), 0, (), separation)
-    if rho.shape == sigma.shape and np.abs(rho - sigma).max() <= HERM_ATOL:
-        # equal within HERM_ATOL, yet the checks above can separate such a pair
-        # (a 1e-10 coherence between 1e-9 populations lifts r_delta by 0.045)
-        identity = channel_from_kraus([np.eye(rho.shape[0])])
-        if _is_witness(identity, state, sigma):
-            residual = float(np.linalg.norm([rho - sigma, dephase(rho - sigma)]))
-            return FeasibilityVerdict("feasible", identity, None, residual, 0, ())
+    # after the checks above, which can separate a pair equal within HERM_ATOL
+    # (a 1e-10 coherence between 1e-9 populations lifts r_delta by 0.045)
+    if rho.shape == sigma.shape and (orbit := _noisy_orbit(state, target)) is not None:
+        return orbit
 
     din, dout = rho.shape[0], sigma.shape[0]
     n = din * dout

@@ -52,6 +52,18 @@ def test_apply_routes_agree():
     assert abs(np.trace(via_choi).real - 1.0) < 1e-9
 
 
+def test_apply_is_the_linear_map_of_the_choi_operator():
+    # no symmetrisation of the output: the identity channel fixes |0><1|
+    # (it was sent to (|0><1| + |1><0|)/2), and a Kraus channel takes any
+    # matrix X to sum_k K X K^dag
+    unit = np.array([[0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(apply(channel_from_kraus([np.eye(2)]), unit), unit)
+    rng = np.random.default_rng(16)
+    kraus = rand_kraus(rng, 3)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    want = sum(k @ x @ k.conj().T for k in kraus)
+    assert np.abs(apply(channel_from_kraus(kraus), x) - want).max() <= 1e-14
+
 def test_validate_channel_catches_violations():
     d = 2
     j = -np.eye(d * d, dtype=complex)

@@ -277,13 +277,16 @@ def test_dimension_change_feasible_case():
 
 
 def test_d12_constructed_pair_is_feasible():
-    # permute, then mix with the dephased input: feasible by construction
+    # permute, then mix with the dephased input: feasible by construction, and
+    # the noisy-orbit stage decides it with no iteration
     rng = np.random.default_rng(21)
     d = 12
     rho = rand_rho(rng, d)
     perm = np.eye(d)[rng.permutation(d)]
     sigma = 0.6 * perm @ rho @ perm.T + 0.4 * dephase(rho)
-    _verify_feasible(rho_dio_feasible(rho, sigma), rho, sigma)
+    verdict = rho_dio_feasible(rho, sigma)
+    _verify_feasible(verdict, rho, sigma)
+    assert verdict.iterations == 0
 
 
 def test_undetermined_is_reported_honestly():
@@ -373,24 +376,30 @@ def test_douglas_rachford_matches_a_dense_reference():
 
 
 def _constructed_pairs():
-    """Permuted, then mixed with the dephased input: feasible by construction
-    (seeds 5 and 8, d = 2..5, three pairs per d, every other one rank-deficient)."""
+    """Two permuted copies of rho mixed, then mixed with the dephased input,
+    sigma = (1 - p)(a P1 rho P1^T + (1 - a) P2 rho P2^T) + p dephase(rho):
+    feasible by construction, and outside the noisy-orbit class, so
+    Douglas-Rachford decides them (p <= 0.3; seeds 5 and 8, d = 2..5, three pairs per d,
+    every other one rank-deficient)."""
     for seed in (5, 8):
         rng = np.random.default_rng(seed)
         for d in (2, 3, 4, 5):
             for k in range(3):
                 rho = rand_rho(rng, d, d if k % 2 == 0 else max(1, d // 2))
-                perm = np.eye(d)[rng.permutation(d)]
-                p = rng.uniform(0.0, 0.9)
-                yield rho, (1.0 - p) * perm @ rho @ perm.T + p * dephase(rho)
+                p1 = np.eye(d)[rng.permutation(d)]
+                p2 = np.roll(p1, 1, axis=0)  # a second permutation, never p1
+                a, p = rng.uniform(0.1, 0.9), rng.uniform(0.0, 0.3)
+                mix = a * p1 @ rho @ p1.T + (1.0 - a) * p2 @ rho @ p2.T
+                yield rho, (1.0 - p) * mix + p * dephase(rho)
 
 
 def test_every_feasible_witness_passes_the_channel_checks():
-    # each witness must pass the checks `dcoh channel --verify` runs. Plain
-    # Douglas-Rachford on the full-rank d = 5 pair of seed 8 passes an iterate
-    # with residual 5.1e-8 that is not yet trace preserving within TRACE_ATOL
+    # each Douglas-Rachford witness must pass the checks `dcoh channel
+    # --verify` runs; every pair reaches the search
     for rho, sigma in _constructed_pairs():
-        _verify_feasible(rho_dio_feasible(rho, sigma), rho, sigma)
+        verdict = rho_dio_feasible(rho, sigma)
+        _verify_feasible(verdict, rho, sigma)
+        assert verdict.iterations > 0
 
 
 def test_the_affine_stop_only_shortens_a_run():
@@ -402,12 +411,43 @@ def test_the_affine_stop_only_shortens_a_run():
         plain = _reference_dr(rho, sigma, oracle.DEFAULT_MAX_ITERS, affine_stop=False)
         verdict = rho_dio_feasible(rho, sigma)
         assert verdict.status == ("feasible" if plain[-1] <= TRACE_ATOL else "undetermined")
-        assert verdict.iterations <= len(plain)
+        assert 0 < verdict.iterations <= len(plain)
         if verdict.iterations < len(plain):
             shortened += 1
             assert verdict.residual <= 1e-12
     assert shortened >= 10
 
+
+def _noisy_orbit_pairs():
+    """sigma = (1 - p) U rho U^dag + p D, U a permutation times phases and D
+    the diagonal of a Dirichlet draw: 240 pairs at d = 3, 4, rho of any rank,
+    p in four bands (0, 10**U(-6, -3), 10**U(-3, -1) and U(0.1, 0.9))."""
+    rng = np.random.default_rng(77)
+    for _ in range(240):
+        d = int(rng.integers(3, 5))
+        rho = rand_rho(rng, d, int(rng.integers(1, d + 1)))
+        u = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+        bands = (0.0, 10 ** rng.uniform(-6, -3), 10 ** rng.uniform(-3, -1), rng.uniform(0.1, 0.9))
+        p = bands[rng.integers(4)]
+        yield rho, (1.0 - p) * u @ rho @ u.conj().T + p * np.diag(rng.dirichlet(np.ones(d)))
+
+
+def test_noisy_orbit_pairs_take_their_witness_with_no_iteration():
+    # Douglas-Rachford alone left 65 of these undetermined, after 475,348
+    # iterations in all; the stage reads each witness off the pair
+    for rho, sigma in _noisy_orbit_pairs():
+        verdict = rho_dio_feasible(rho, sigma)
+        _verify_feasible(verdict, rho, sigma)
+        assert (verdict.iterations, verdict.residual_checkpoints) == (0, ())
+        assert verdict.residual <= 1e-14
+        assert rho_dio_feasible(rho, sigma, 0).status == "undetermined"
+    # pairs outside the class get no orbit witness: the two-permutation
+    # mixtures and random pairs
+    rng = np.random.default_rng(78)
+    others = [(rand_rho(rng, d), rand_rho(rng, d, rank))
+              for d in (3, 4, 5) for rank in (1, d) for _ in range(5)]
+    for rho, sigma in [*_constructed_pairs(), *others]:
+        assert oracle._noisy_orbit(density(rho), density(sigma)) is None
 
 def test_no_witness_for_a_qubit_pair_whose_coherence_rises():
     # sigma scales rho's off-diagonal by 1 + bump: R_Delta rises by 1.1e-9 to
@@ -502,9 +542,9 @@ def test_testing_curve_decides_qubits():
 
 
 # Verdicts on the oracle_pairs pool (seed 7: 24 pairs at d = 3, then 24 at
-# d = 4) and on six pairs feasible by construction at d = 3..8: the
-# certificate's monotone, the iteration count of a feasible pair, or None
-# for undetermined.
+# d = 4) and on six pairs feasible by construction at d = 3..8, which the
+# noisy-orbit stage decides: the certificate's monotone, the iteration count
+# of a feasible pair, or None for undetermined.
 POOL_VERDICTS = [
     "r_delta", None, "r_delta", "r_delta", 9, "r_delta", "r_delta", 19, "r_delta",
     "r_delta", "r_delta", 19, 3, 11, "renyi_2.0", "r_delta", 9, 4, "r_delta", 36,
@@ -512,7 +552,7 @@ POOL_VERDICTS = [
     "r_delta", "r_delta", 90, "r_delta", "r_delta", "r_delta", "r_delta", None, None,
     "renyi_0.5", "r_delta", "r_delta", "r_delta", "r_delta", "r_delta", 8, "r_delta",
     "r_delta", "r_delta", "r_delta", None, "r_delta", "r_delta", None,
-    9, 3, 1, 4, 3, 1,
+    0, 0, 0, 0, 0, 0,
 ]
 
 
