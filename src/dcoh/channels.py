@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_ATOL, PSD_ATOL, check_hermitian, check_psd_spectrum
-from .majorization import PREFIX_SLACK
 from .monotones import _certificate, _coherence_spectrum, r_delta, renyi_relative
-from .states import (TRACE_ATOL, dephase, density, json_int, json_numbers,
+from .states import (HERM_ATOL, PREFIX_SLACK, PSD_ATOL, TRACE_ATOL, check_hermitian,
+                     check_psd_spectrum, dephase, density, json_int, json_numbers,
                      max_coherent, pure_to_density)
 
 DIO_ATOL = 1e-8

@@ -32,7 +32,8 @@ import numpy as np
 from . import channels as ch
 from . import majorization, monotones, oracle, rates
 from .hypotest import dh_epsilon, distill_fidelity_program
-from .states import Density, dephase, density, json_number, pure_to_density, state_from_json
+from .states import (PREFIX_SLACK, Density, dephase, density, json_number, pure_to_density,
+                     state_from_json)
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
             # the slack every decider compares with: prefix sums, the monotone
             # certificate (monotones._certificate, read by qubit_decide and the
             # oracle), the curve test, unit counts and construct_prop5's bound
-            "tolerances": {"decision": majorization.PREFIX_SLACK},
+            "tolerances": {"decision": PREFIX_SLACK},
             **fields,
             "wall_time_s": round(time.perf_counter() - started, 6),
         }

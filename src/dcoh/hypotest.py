@@ -22,7 +22,9 @@ psi'(t) = 1/m - sum_{lambda_i > t} q_i for X. The predicted kink is the first
 whose right slope so computed is non-negative: exact for commuting rho and D,
 and in general only the first kink `_scalar_dual` probes.
 The zero band is Pi_rho's rank cut RANK_RTOL times max(1, |A(t)|), as t reaches
-1/eps, so D_H^eps tends to the eps = 0 closed form through one threshold. The
+1/eps, so D_H^eps tends to the eps = 0 closed form through one threshold. A
+slope is a difference of probabilities and counts as 0 within PROB_CLAMP
+(capped at |c|/2), the slack that also weighs the zero band. The
 optimal test mixes the two projectors whose slopes bracket psi' = 0 to meet
 the constraint exactly: P_+ and P_+ + P_0 of A(t*) at a kink, else the positive
 parts of A at the ends of the smooth bracket, whose stop where psi' rounds to 0
@@ -38,13 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_ATOL, RANK_RTOL
 from .monotones import _coherence_eigh
-from .states import PROB_CLAMP, Density, check_density, dephase, density
+from .states import HERM_ATOL, PROB_CLAMP, RANK_RTOL, Density, check_density, dephase, density
 
-# A dual subgradient this close to zero counts as a sign change; _scalar_dual
-# caps it at half the constant slope |c|, so a small c is still resolved.
-SLOPE_TOL = 1e-12
 # Width on t, relative to max(1, t), at which a one-dimensional bracket stops:
 # _scalar_dual's smooth segment and the dilution witness bracket in `rates`.
 BRACKET_TOL = 1e-12
@@ -97,7 +95,8 @@ def _scalar_dual(a0, a1, c: float, kinks, first: int):
     dual is certified; the path; and its eigh count, one per evaluation.
     """
     calls = 0
-    slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
+    # a slope is a difference of probabilities; |c|/2 caps it so a small c is resolved
+    slope_tol = min(PROB_CLAMP, 0.5 * abs(c))
 
     def at(t):
         # (t, eigh(A(t)) as w, v, a1 v, the diagonal of a1 in that basis, masks

@@ -3,17 +3,15 @@
 A pure state can be converted to another under dephasing-covariant
 operations exactly when the output coherence distribution majorizes the
 input one; the deciders here work on the squared-moduli distributions.
+Prefix sums are compared with `states.PREFIX_SLACK`, the slack every
+decision of the package reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import PROB_CLAMP, coherence_distribution, max_coherent, prob_vector
-
-# Absolute slack on prefix-sum comparisons so exact boundary equalities
-# pass in floating point.
-PREFIX_SLACK = 1e-9
+from .states import PREFIX_SLACK, PROB_CLAMP, coherence_distribution, max_coherent, prob_vector
 
 
 def _pad_pair(q, p) -> tuple[np.ndarray, np.ndarray]:

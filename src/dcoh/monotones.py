@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL
-from .majorization import PREFIX_SLACK
-from .states import coherence_distribution, density, l1_norm
+from .states import PREFIX_SLACK, RANK_RTOL, coherence_distribution, density, l1_norm
 
 DEFAULT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
 

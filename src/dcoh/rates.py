@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotest import BRACKET_TOL, NPResult, dh_epsilon
-from .majorization import PREFIX_SLACK
 from .monotones import r_delta, rel_entropy_coherence, renyi_relative
-from .states import dephase, density
+from .states import PREFIX_SLACK, dephase, density
 
 
 @dataclass

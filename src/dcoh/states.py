@@ -1,10 +1,16 @@
 """States in a fixed incoherent basis: density matrices, pure amplitude
-vectors, dephasing, the Uhlmann fidelity and the coherence-specific norms.
+vectors, dephasing, the Uhlmann fidelity and the coherence-specific norms,
+and the tolerances that several modules compare with.
 
 The one module that validates a state: `density`, or `check_density` for
 the two `hypotest` solvers, which read no eigenpairs; every normalization
-is 1 within TRACE_ATOL. The incoherent basis is always the computational
-basis of the stored array; any basis change is the caller's responsibility.
+is 1 within TRACE_ATOL. Matrices are checked against a small asymmetry
+tolerance and then symmetrized (`check_hermitian`), so downstream code
+never sees rounding-induced asymmetry; a caller's one decomposition feeds
+`check_psd_spectrum`, for states and Choi operators alike. The incoherent
+basis is always the computational basis of the stored array; any basis
+change is the caller's responsibility. This module imports no other dcoh
+module.
 """
 
 from __future__ import annotations
@@ -14,13 +20,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_ATOL, RANK_RTOL, check_hermitian, check_psd_spectrum
-
+# Absolute max-entry tolerance between two matrices that must be equal: A and
+# A^dag, sigma and dephase(rho), rho and dephase(rho), stored Kraus and Choi.
+HERM_ATOL = 1e-10
+# The rank cut of a state: its eigenvalues and populations above RANK_RTOL
+# form its supports. The dual solvers scale it by max(1, |A(t)|) as their zero band.
+RANK_RTOL = 1e-9
+# Eigenvalues above -PSD_ATOL still count as positive semidefinite.
+PSD_ATOL = 1e-9
 # The one normalization slack: traces, squared norms, probability sums, partial traces.
 TRACE_ATOL = 1e-9
 # Floating-point dust below this magnitude is clamped to zero in
 # probability vectors.
 PROB_CLAMP = 1e-12
+# Absolute slack on prefix-sum comparisons so exact boundary equalities
+# pass in floating point.
+PREFIX_SLACK = 1e-9
+
+
+def check_hermitian(a) -> np.ndarray:
+    """Validate Hermiticity within HERM_ATOL and return the symmetrized matrix (A + A^dag)/2."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    asym = float(np.abs(a - a.conj().T).max(initial=0.0))
+    if not asym <= HERM_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {HERM_ATOL:.1e}"
+        )
+    return (a + a.conj().T) / 2
+
+
+def check_psd_spectrum(w) -> None:
+    """Refuse an ascending spectrum whose least eigenvalue is below -PSD_ATOL."""
+    if w.size and w[0] < -PSD_ATOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,13 +117,29 @@ def test_checking_modules_import_no_solver():
                 # `from .states import ...` and `from . import channels`
                 imports[path.stem].update([node.module] if node.module
                                           else [a.name for a in node.names])
-    for name in ("linalg", "states", "monotones", "majorization", "channels"):
+    for name in ("states", "monotones", "majorization", "channels"):
         reached, todo = set(), [name]
         while todo:
             for module in imports[todo.pop()] - reached:
                 reached.add(module)
                 todo.append(module)
         assert not reached & {"hypotest", "rates", "oracle", "cli"}, (name, sorted(reached))
+
+
+def test_shared_constants_come_from_states():
+    # states holds the tolerances every module compares with and imports no
+    # dcoh module; no module imports another only for its UPPER_CASE
+    # constants, unless that module is states
+    from_states, constants_only = [], []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if path.stem == "states":
+                    from_states.append(node.module or [a.name for a in node.names])
+                elif node.module not in (None, "states") and all(
+                        a.name.isupper() for a in node.names):
+                    constants_only.append((path.stem, node.module))
+    assert not from_states and not constants_only, (from_states, sorted(constants_only))
 
 
 def test_only_monotones_reads_the_family():
@@ -177,7 +193,7 @@ def test_numerical_conventions_name_every_tolerance():
                     and isinstance(node.value.value, float) and 0.0 < node.value.value < 1e-6):
                 names |= {t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
     missing = sorted(name for name in names if f"`{name}" not in section)
-    assert len(names) == 9 and not missing, (sorted(names), missing)
+    assert len(names) == 8 and not missing, (sorted(names), missing)
     entries = re.findall(r"`([A-Z_]+) = ([^`]+)` \(`(\w+)`\)", section)
     stale = [entry for entry in entries
              if getattr(importlib.import_module(f"dcoh.{entry[2]}"), entry[0], None)

@@ -14,8 +14,8 @@ import pytest
 
 from dcoh import channels, cli, oracle, rates
 from dcoh.channels import channel_to_json, dephasing_channel
-from dcoh.majorization import PREFIX_SLACK
-from dcoh.states import TRACE_ATOL, max_coherent, pure_to_density, state_from_json, state_to_json
+from dcoh.states import (PREFIX_SLACK, TRACE_ATOL, max_coherent, pure_to_density, state_from_json,
+                         state_to_json)
 
 from helpers import QUTRIT, rand_rho
 

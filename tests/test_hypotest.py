@@ -5,10 +5,9 @@ import pytest
 
 from dcoh import hypotest
 from dcoh.channels import check_test_operator
-from dcoh.hypotest import BRACKET_TOL, SLOPE_TOL, _scalar_dual, dh_epsilon, distill_fidelity_program
-from dcoh.linalg import RANK_RTOL
+from dcoh.hypotest import BRACKET_TOL, _scalar_dual, dh_epsilon, distill_fidelity_program
 from dcoh.monotones import _coherence_eigh, _coherence_spectrum, renyi_relative
-from dcoh.states import PROB_CLAMP, dephase, density, max_coherent, pure_to_density
+from dcoh.states import PROB_CLAMP, RANK_RTOL, dephase, density, max_coherent, pure_to_density
 
 from helpers import QUTRIT, rand_rho
 
@@ -66,7 +65,7 @@ def bisect_kinks_reference(a0, a1, c, kinks, first=None):
     plain bisection over the same kinks (`first` is ignored), then the same
     safeguarded Newton in a smooth segment. Returns what _scalar_dual does."""
     calls = 0
-    slope_tol = min(SLOPE_TOL, 0.5 * abs(c))
+    slope_tol = min(PROB_CLAMP, 0.5 * abs(c))
 
     def at(t):
         nonlocal calls

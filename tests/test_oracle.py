@@ -5,10 +5,10 @@ import numpy as np
 from dcoh.channels import (DIO_ATOL, apply, channel_from_json, channel_from_kraus, channel_to_json,
                            choi_from_kraus, is_rho_dio, qubit_decide)
 from dcoh import oracle
-from dcoh.majorization import PREFIX_SLACK
 from dcoh.monotones import _certificate, _coherence_spectrum
 from dcoh.oracle import _affine_set, _curve_separation, rho_dio_feasible
-from dcoh.states import TRACE_ATOL, check_density, density, dephase, max_coherent, pure_to_density
+from dcoh.states import (PREFIX_SLACK, TRACE_ATOL, check_density, density, dephase, max_coherent,
+                         pure_to_density)
 
 from helpers import QUTRIT, rand_rho, rand_pure
 
