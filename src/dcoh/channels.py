@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import _certificate, _coherence_spectrum, r_delta, renyi_relative
-from .states import (HERM_ATOL, PREFIX_SLACK, PSD_ATOL, TRACE_ATOL, check_hermitian,
+from .states import (DIO_ATOL, HERM_ATOL, PREFIX_SLACK, RANK_RTOL, TRACE_ATOL, check_hermitian,
                      check_psd_spectrum, dephase, density, json_int, json_numbers,
                      max_coherent, pure_to_density)
-
-DIO_ATOL = 1e-8
 
 
 @dataclass
@@ -61,20 +59,23 @@ def measure_prepare(pairs) -> QuantumChannel:
 
 
 def validate_channel(ch: QuantumChannel) -> None:
-    """Check the CPTP invariants of the Choi operator."""
+    """Check the dimensions and the CPTP invariants of the Choi operator."""
+    din, dout = ch.input_dim, ch.output_dim
+    if min(din, dout) < 1 or np.shape(ch.choi) != (din * dout,) * 2:
+        raise ValueError(f"din {din} and dout {dout} must be at least 1 and give a "
+                         f"{din * dout}x{din * dout} Choi operator, got shape {np.shape(ch.choi)}")
     j = check_hermitian(ch.choi)
     check_psd_spectrum(np.linalg.eigvalsh(j))
-    j4 = j.reshape(ch.input_dim, ch.output_dim, ch.input_dim, ch.output_dim)
-    tr_out = np.einsum("xaya->xy", j4)
-    if np.max(np.abs(tr_out - np.eye(ch.input_dim))) > TRACE_ATOL:
+    tr_out = np.einsum("xaya->xy", j.reshape(din, dout, din, dout))
+    if np.max(np.abs(tr_out - np.eye(din))) > TRACE_ATOL:
         raise ValueError("channel is not trace preserving")
 
 
 def check_test_operator(m) -> np.ndarray:
-    """Validate 0 <= M <= 1 within PSD_ATOL."""
+    """Validate 0 <= M <= 1 within the rank cut RANK_RTOL."""
     m = check_hermitian(m)
     w = np.linalg.eigvalsh(m)
-    if w[0] < -PSD_ATOL or w[-1] > 1.0 + PSD_ATOL:
+    if w[0] < -RANK_RTOL or w[-1] > 1.0 + RANK_RTOL:
         raise ValueError(f"test operator eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1]")
     return m
 

@@ -41,11 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotones import _coherence_eigh
-from .states import HERM_ATOL, PROB_CLAMP, RANK_RTOL, Density, check_density, dephase, density
-
-# Width on t, relative to max(1, t), at which a one-dimensional bracket stops:
-# _scalar_dual's smooth segment and the dilution witness bracket in `rates`.
-BRACKET_TOL = 1e-12
+from .states import (BRACKET_TOL, HERM_ATOL, PROB_CLAMP, RANK_RTOL, Density, check_density,
+                     dephase, density)
 
 
 @dataclass

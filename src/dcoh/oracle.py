@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DIO_ATOL, QuantumChannel, apply, is_rho_dio
+from .channels import QuantumChannel, apply, is_rho_dio
 from .monotones import _certificate, _coherence_spectrum
-from .states import HERM_ATOL, PREFIX_SLACK, PROB_CLAMP, TRACE_ATOL, dephase, density
+from .states import DIO_ATOL, HERM_ATOL, PREFIX_SLACK, PROB_CLAMP, TRACE_ATOL, dephase, density
 
 DEFAULT_MAX_ITERS = 5000
 RESIDUAL_CHECKPOINTS = (1, 10, 100, 1000)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotest import BRACKET_TOL, NPResult, dh_epsilon
+from .hypotest import NPResult, dh_epsilon
 from .monotones import r_delta, rel_entropy_coherence, renyi_relative
-from .states import PREFIX_SLACK, dephase, density
+from .states import BRACKET_TOL, PREFIX_SLACK, dephase, density
 
 
 @dataclass

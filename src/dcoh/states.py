@@ -1,6 +1,6 @@
 """States in a fixed incoherent basis: density matrices, pure amplitude
 vectors, dephasing, the Uhlmann fidelity and the coherence-specific norms,
-and the tolerances that several modules compare with.
+and every named tolerance the package compares with.
 
 The one module that validates a state: `density`, or `check_density` for
 the two `hypotest` solvers, which read no eigenpairs; every normalization
@@ -16,6 +16,8 @@ module.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +25,9 @@ import numpy as np
 # Absolute max-entry tolerance between two matrices that must be equal: A and
 # A^dag, sigma and dephase(rho), rho and dephase(rho), stored Kraus and Choi.
 HERM_ATOL = 1e-10
-# The rank cut of a state: its eigenvalues and populations above RANK_RTOL
-# form its supports. The dual solvers scale it by max(1, |A(t)|) as their zero band.
+# The rank cut: an eigenvalue within it of 0 is 0. Above it, support (a state's eigenvalues
+# and populations); below its negative, not PSD. The dual solvers scale it by max(1, |A(t)|).
 RANK_RTOL = 1e-9
-# Eigenvalues above -PSD_ATOL still count as positive semidefinite.
-PSD_ATOL = 1e-9
 # The one normalization slack: traces, squared norms, probability sums, partial traces.
 TRACE_ATOL = 1e-9
 # Floating-point dust below this magnitude is clamped to zero in
@@ -36,6 +36,11 @@ PROB_CLAMP = 1e-12
 # Absolute slack on prefix-sum comparisons so exact boundary equalities
 # pass in floating point.
 PREFIX_SLACK = 1e-9
+# Frobenius bound on a covariance violation and on a witness's image error.
+DIO_ATOL = 1e-8
+# Width on t, relative to max(1, t), at which a one-dimensional bracket stops:
+# _scalar_dual's smooth segment and the dilution witness bracket in `rates`.
+BRACKET_TOL = 1e-12
 
 
 def check_hermitian(a) -> np.ndarray:
@@ -52,8 +57,8 @@ def check_hermitian(a) -> np.ndarray:
 
 
 def check_psd_spectrum(w) -> None:
-    """Refuse an ascending spectrum whose least eigenvalue is below -PSD_ATOL."""
-    if w.size and w[0] < -PSD_ATOL:
+    """Refuse an ascending spectrum whose least eigenvalue is below -RANK_RTOL."""
+    if w.size and w[0] < -RANK_RTOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
 
 
@@ -199,23 +204,31 @@ def json_int(value, name: str) -> int:
 
 
 def json_number(value, name: str) -> float:
-    """A document's number field as a float; a string or a bool is a TypeError."""
+    """A document's number field as a finite float; a string or a bool is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # exact for an int, False for a NaN
+        raise ValueError(f"{name} holds a number that is infinite, NaN or past the float range")
     return float(value)
 
 
 def json_numbers(value, name: str) -> np.ndarray:
     """A document's vector or matrix field as a float array: a list of numbers
-    or of equal-length lists of numbers, typed in one pass; `json_number` reads
-    each entry, naming the first bad one, only when a type is not int or float."""
+    or of equal-length lists of numbers, typed and checked finite in one pass;
+    `json_number` reads each entry, naming the first bad one, only when a type
+    is not int or float or an entry is not finite (`json.loads` reads NaN)."""
     matrix = isinstance(value, list) and bool(value) and isinstance(value[0], list)
     rows = value if matrix else [value]
     if not all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows):
         raise TypeError(f"{name} must be a list of numbers or of equal-length rows")
-    if not {type(x) for row in rows for x in row} <= {int, float}:
-        rows = [[json_number(x, name) for x in row] for row in rows]
-    entries = np.array(rows, dtype=float)
+    if {type(x) for row in rows for x in row} <= {int, float}:
+        try:
+            entries = np.array(rows, dtype=float)
+        except OverflowError:  # an integer past the float range
+            entries = np.array(math.nan)
+        if math.isfinite(entries.sum()):  # else a NaN, an infinity or a sum that overflows
+            return entries if matrix else entries[0]
+    entries = np.array([[json_number(x, name) for x in row] for row in rows], dtype=float)
     return entries if matrix else entries[0]
 
 

@@ -126,10 +126,22 @@ def test_checking_modules_import_no_solver():
         assert not reached & {"hypotest", "rates", "oracle", "cli"}, (name, sorted(reached))
 
 
+def _thresholds():
+    """(module, name) of each module-level UPPER_CASE float constant below 1e-6."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float) and 0.0 < node.value.value < 1e-6):
+                found |= {(path.stem, t.id) for t in node.targets
+                          if isinstance(t, ast.Name) and t.id.isupper()}
+    return found
+
+
 def test_shared_constants_come_from_states():
-    # states holds the tolerances every module compares with and imports no
-    # dcoh module; no module imports another only for its UPPER_CASE
-    # constants, unless that module is states
+    # states holds every named threshold and imports no dcoh module; no module
+    # imports another only for its UPPER_CASE constants, unless that module is
+    # states
     from_states, constants_only = [], []
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -140,6 +152,8 @@ def test_shared_constants_come_from_states():
                         a.name.isupper() for a in node.names):
                     constants_only.append((path.stem, node.module))
     assert not from_states and not constants_only, (from_states, sorted(constants_only))
+    elsewhere = sorted((module, name) for module, name in _thresholds() if module != "states")
+    assert not elsewhere, elsewhere
 
 
 def test_only_monotones_reads_the_family():
@@ -186,14 +200,9 @@ def test_numerical_conventions_name_every_tolerance():
     # with that value
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Numerical conventions\n", 1)[1].split("\n## ", 1)[0]
-    names = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, float) and 0.0 < node.value.value < 1e-6):
-                names |= {t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+    names = {name for _, name in _thresholds()}
     missing = sorted(name for name in names if f"`{name}" not in section)
-    assert len(names) == 8 and not missing, (sorted(names), missing)
+    assert len(names) == 7 and not missing, (sorted(names), missing)
     entries = re.findall(r"`([A-Z_]+) = ([^`]+)` \(`(\w+)`\)", section)
     stale = [entry for entry in entries
              if getattr(importlib.import_module(f"dcoh.{entry[2]}"), entry[0], None)

@@ -594,6 +594,32 @@ def test_malformed_state_entries_exit_code(capsys, tmp_path, doc, key, value):
     assert_input_error(capsys, ["monotones", str(path)], "malformed state document")
 
 
+# json.loads reads Infinity, -Infinity and NaN, and 1e999 as inf; an integer
+# past the float range overflows the conversion to float
+NON_FINITE_ENTRIES = ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES,
+                         ids=["Infinity", "-Infinity", "NaN", "1e999", "int-1e400"])
+@pytest.mark.parametrize("argv, doc, key", [(["monotones"], PLUS_DM, "re"),
+                                            (["channel", "--verify"], DEPH, "choi_re")],
+                         ids=["state", "channel"])
+def test_non_finite_entries_exit_3_with_one_line(capsys, tmp_path, argv, doc, key, entry):
+    path = tmp_path / "doc.json"
+    rows = [["@"] + row[1:] for row in doc[key]]
+    path.write_text(json.dumps(dict(doc, **{key: rows})).replace('"@"', entry))
+    assert_input_error(capsys, [*argv, str(path)], f"{key} holds a number that is infinite")
+
+
+@pytest.mark.parametrize("din, dout", [(2, 3), (-2, -2)])
+def test_channel_dimensions_that_do_not_fit_the_choi_exit_code(capsys, tmp_path, din, dout):
+    # a 4x4 Choi operator: (2, 3) failed a reshape, (-2, -2) reshaped with two -1s
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(dict(DEPH, din=din, dout=dout)))
+    assert_input_error(capsys, ["channel", "--verify", str(path)],
+                       f"din {din} and dout {dout} must be at least 1")
+
+
 def test_solver_diagnostics_are_reported_and_deterministic(capsys, files, tmp_path):
     argvs = [
         ["distill", files["qutrit"], "--eps", "0.1"],

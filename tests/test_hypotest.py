@@ -5,9 +5,10 @@ import pytest
 
 from dcoh import hypotest
 from dcoh.channels import check_test_operator
-from dcoh.hypotest import BRACKET_TOL, _scalar_dual, dh_epsilon, distill_fidelity_program
+from dcoh.hypotest import _scalar_dual, dh_epsilon, distill_fidelity_program
 from dcoh.monotones import _coherence_eigh, _coherence_spectrum, renyi_relative
-from dcoh.states import PROB_CLAMP, RANK_RTOL, dephase, density, max_coherent, pure_to_density
+from dcoh.states import (BRACKET_TOL, PROB_CLAMP, RANK_RTOL, dephase, density, max_coherent,
+                         pure_to_density)
 
 from helpers import QUTRIT, rand_rho
 

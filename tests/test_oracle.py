@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 
-from dcoh.channels import (DIO_ATOL, apply, channel_from_json, channel_from_kraus, channel_to_json,
+from dcoh.channels import (apply, channel_from_json, channel_from_kraus, channel_to_json,
                            choi_from_kraus, is_rho_dio, qubit_decide)
 from dcoh import oracle
 from dcoh.monotones import _certificate, _coherence_spectrum
 from dcoh.oracle import _affine_set, _curve_separation, rho_dio_feasible
-from dcoh.states import (PREFIX_SLACK, TRACE_ATOL, check_density, density, dephase, max_coherent,
-                         pure_to_density)
+from dcoh.states import (DIO_ATOL, PREFIX_SLACK, TRACE_ATOL, check_density, density, dephase,
+                         max_coherent, pure_to_density)
 
 from helpers import QUTRIT, rand_rho, rand_pure
 
@@ -448,6 +448,27 @@ def test_noisy_orbit_pairs_take_their_witness_with_no_iteration():
               for d in (3, 4, 5) for rank in (1, d) for _ in range(5)]
     for rho, sigma in [*_constructed_pairs(), *others]:
         assert oracle._noisy_orbit(density(rho), density(sigma)) is None
+
+
+def test_noisy_orbit_gate_refuses_matched_rows_off_the_orbit():
+    # rows of sigma match rows of rho one-to-one, so the stage builds its
+    # candidate image, and the gate refuses it: a phase that no diagonal
+    # unitary gives, then a population below (1 - p) times rho's
+    rho = rand_rho(np.random.default_rng(5), 3)
+    frustrated = rho.copy()
+    frustrated[0, 1] *= np.exp(0.3j)
+    frustrated[1, 0] = frustrated[0, 1].conjugate()
+    deficit = 0.6 * (rho - np.diag(rho.diagonal()))
+    pop = rho.diagonal().real
+    first = 0.6 * pop[0] - 0.02
+    deficit += np.diag([first, *(pop[1:] * (1.0 - first) / pop[1:].sum())])
+    for sigma in (frustrated, deficit):
+        assert oracle._noisy_orbit(density(rho), density(sigma)) is None
+    assert rho_dio_feasible(rho, frustrated).status == "infeasible-certified"
+    verdict = rho_dio_feasible(rho, deficit)
+    assert verdict.iterations > 0  # Douglas-Rachford found it, not the orbit stage
+    _verify_feasible(verdict, rho, deficit)
+
 
 def test_no_witness_for_a_qubit_pair_whose_coherence_rises():
     # sigma scales rho's off-diagonal by 1 + bump: R_Delta rises by 1.1e-9 to
